@@ -37,13 +37,14 @@ from .regression import (
     rho_condition_holds,
     sample_size_bound,
 )
-from .sampling import SampleBlocks, cholesky_factor, sample_process
+from .sampling import GramBlocks, SampleBlocks, cholesky_factor, sample_grams, sample_process
 
 __all__ = [
     "BlockModel",
     "Cig",
     "DecorrelationReport",
     "EstimatorConfig",
+    "GramBlocks",
     "ModelReport",
     "NeighborhoodEstimate",
     "QuadraticForm",
@@ -65,6 +66,7 @@ __all__ = [
     "random_cig",
     "residual_statistic",
     "rho_condition_holds",
+    "sample_grams",
     "sample_process",
     "sample_size_bound",
     "scan_backend",

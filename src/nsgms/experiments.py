@@ -2,12 +2,15 @@
 
 A sweep is described by a line-oriented ``key = value`` config file (see
 :func:`parse_config`).  Each grid point runs independent trials; a trial
-regenerates the whole pipeline (random graph, block model, samples) from
-a seed derived from (master seed, grid index, trial index), picks a
+regenerates the whole pipeline (random graph, block model, Gram sample)
+from a seed derived from (master seed, grid index, trial index), picks a
 random target node with a nonempty neighborhood, and counts an error
-when the estimated neighborhood differs from the true one.  Everything
-is a pure function of the config, so reruns and different worker counts
-give identical results.
+when the estimated neighborhood differs from the true one.  A trial
+draws each block's Gram matrix straight from its Wishart law
+(:func:`~nsgms.sampling.sample_grams`) and never materialises the p x L
+columns, so its time and memory do not grow with the block length.
+Everything is a pure function of the config, so reruns and different
+worker counts give identical results.
 
 Grid entries may be absolute sample counts (``N_grid``), absolute block
 lengths (``L_grid``), or multipliers of the theoretical sample-size
@@ -34,7 +37,7 @@ from .regression import (
     rho_condition_holds,
     sample_size_bound,
 )
-from .sampling import sample_process
+from .sampling import sample_grams
 
 _Z95 = 1.959963984540054
 _CALIBRATION_PILOTS = 32
@@ -70,6 +73,8 @@ class ExperimentConfig:
             raise ConfigError("grid must be nonempty")
         if self.s_est < self.s_true:
             raise ConfigError(f"need s_est >= s_true, got {self.s_est} < {self.s_true}")
+        if self.s_est >= self.p:
+            raise ConfigError(f"need s_est < p, got s_est={self.s_est}, p={self.p}")
         if self.grid_kind not in ("N", "L"):
             raise ConfigError(f"grid kind must be N or L, got {self.grid_kind!r}")
         if self.combine_rule not in ("OR", "AND"):
@@ -212,7 +217,7 @@ def resolve_grid(config: ExperimentConfig) -> list:
 
 
 def _run_trial(config: ExperimentConfig, L: int, grid_index: int, trial_index: int):
-    """One (model, sample, estimate) trial; returns (is_error, achieved_rho_min)."""
+    """One (model, Gram sample, estimate) trial; returns (is_error, achieved_rho_min)."""
     rng = np.random.default_rng(
         _trial_seed(config.master_seed, grid_index, trial_index)
     )
@@ -226,8 +231,8 @@ def _run_trial(config: ExperimentConfig, L: int, grid_index: int, trial_index: i
         lam = default_lambda(rho)
     candidates = [i for i in range(1, config.p + 1) if cig.degree(i) > 0]
     node = int(candidates[rng.integers(len(candidates))])
-    samples = sample_process(model, rng.integers(2**63))
-    est = estimate_neighborhood(samples, node, EstimatorConfig(s=config.s_est, lam=lam))
+    grams = sample_grams(model, rng.integers(2**63))
+    est = estimate_neighborhood(grams, node, EstimatorConfig(s=config.s_est, lam=lam))
     return est.selected != cig.neighborhood(node), rho
 
 

@@ -9,6 +9,9 @@ rows.  The global minimizer is returned, ties broken by smaller |T| and
 then lexicographically.  Z(T) is evaluated from per-block Gram matrices by
 the scan kernel (Cython when built, numpy otherwise); the explicit
 projection route below is the slow reference the tests check it against.
+The estimators take a :class:`GramBlocks`, or a :class:`SampleBlocks`
+that they reduce to one first, so every input is checked and scanned on
+the same path.
 
 Also here: the lambda default (one sixth of the minimum edge strength),
 the sufficient sample-size bound used to place experiment grids, and the
@@ -30,7 +33,7 @@ from .errors import (
 )
 from .graph import Cig
 from .kernels import subset_objectives
-from .sampling import SampleBlocks, block_grams
+from .sampling import GramBlocks, SampleBlocks, block_grams
 
 DEFAULT_RANK_TOL = 1e-10
 
@@ -127,19 +130,31 @@ def n_candidate_sets(p: int, s: int) -> int:
     return sum(math.comb(p - 1, t) for t in range(s + 1))
 
 
-def estimate_neighborhood(samples: SampleBlocks, i: int, config: EstimatorConfig) -> NeighborhoodEstimate:
-    """Exhaustive penalized search for the best explaining set for node i."""
-    if not (1 <= i <= samples.p):
-        raise InvalidParameterError(f"node {i} outside 1..{samples.p}")
-    if config.s >= samples.L:
+def _checked_grams(data: SampleBlocks | GramBlocks, config: EstimatorConfig) -> GramBlocks:
+    """The Gram stack of ``data``, after checking the budget against it."""
+    if isinstance(data, SampleBlocks):
+        data = GramBlocks(p=data.p, B=data.B, L=data.L, grams=block_grams(data))
+    elif not isinstance(data, GramBlocks):
+        raise InvalidParameterError(
+            f"expected SampleBlocks or GramBlocks, got {type(data).__name__}"
+        )
+    if config.s >= data.L:
         raise InfeasibleConfigError(
-            f"budget s={config.s} >= block length L={samples.L}: "
+            f"budget s={config.s} >= block length L={data.L}: "
             "a candidate set could span a whole block"
         )
-    if config.s >= samples.p:
-        raise InvalidParameterError(f"need s < p, got s={config.s}, p={samples.p}")
-    grams = block_grams(samples)
-    return _scan_from_grams(grams, samples.n_samples, i, config)
+    if config.s >= data.p:
+        raise InvalidParameterError(f"need s < p, got s={config.s}, p={data.p}")
+    return data
+
+
+def estimate_neighborhood(data: SampleBlocks | GramBlocks, i: int,
+                          config: EstimatorConfig) -> NeighborhoodEstimate:
+    """Exhaustive penalized search for the best explaining set for node i."""
+    gb = _checked_grams(data, config)
+    if not (1 <= i <= gb.p):
+        raise InvalidParameterError(f"node {i} outside 1..{gb.p}")
+    return _scan_from_grams(gb.grams, gb.n_samples, i, config)
 
 
 def _scan_from_grams(grams: np.ndarray, n_total: int, i: int, config: EstimatorConfig) -> NeighborhoodEstimate:
@@ -153,7 +168,7 @@ def _scan_from_grams(grams: np.ndarray, n_total: int, i: int, config: EstimatorC
         for m, j in enumerate(T):
             subsets[k, m] = j - 1
     objectives = subset_objectives(
-        np.ascontiguousarray(grams), i - 1, subsets, sizes, n_total,
+        grams, i - 1, subsets, sizes, n_total,
         config.lam, config.rank_tol,
     )
     # Enumeration is already (size, lex)-sorted, so the first strict minimum
@@ -167,26 +182,24 @@ def _scan_from_grams(grams: np.ndarray, n_total: int, i: int, config: EstimatorC
     )
 
 
-def estimate_graph(samples: SampleBlocks, config: EstimatorConfig, combine: str = "OR") -> Cig:
+def estimate_graph(data: SampleBlocks | GramBlocks, config: EstimatorConfig,
+                   combine: str = "OR") -> Cig:
     """Assemble a graph estimate from all per-node neighborhood estimates."""
     if combine not in ("OR", "AND"):
         raise InvalidParameterError(f"combine rule must be OR or AND, got {combine!r}")
-    if config.s >= samples.L:
-        raise InfeasibleConfigError(f"budget s={config.s} >= block length L={samples.L}")
-    if config.s >= samples.p:
-        raise InvalidParameterError(f"need s < p, got s={config.s}, p={samples.p}")
-    grams = np.ascontiguousarray(block_grams(samples))
+    gb = _checked_grams(data, config)
+    p = gb.p
     selected = {
-        i: _scan_from_grams(grams, samples.n_samples, i, config).selected
-        for i in range(1, samples.p + 1)
+        i: _scan_from_grams(gb.grams, gb.n_samples, i, config).selected
+        for i in range(1, p + 1)
     }
     edges = set()
-    for i in range(1, samples.p + 1):
-        for j in range(i + 1, samples.p + 1):
+    for i in range(1, p + 1):
+        for j in range(i + 1, p + 1):
             hit_i, hit_j = j in selected[i], i in selected[j]
             if (hit_i or hit_j) if combine == "OR" else (hit_i and hit_j):
                 edges.add(frozenset((i, j)))
-    return Cig(p=samples.p, edges=frozenset(edges))
+    return Cig(p=p, edges=frozenset(edges))
 
 
 def default_lambda(rho_min: float) -> float:

@@ -1,12 +1,21 @@
-"""Seeded Gaussian sampling of block models.
+"""Seeded Gaussian sampling of block models, as columns or as Gram matrices.
 
-Each block b contributes L i.i.d. zero-mean columns with the block's
-covariance, drawn as G @ z with G the Cholesky factor and z standard
-normal.  Every block gets its own PRNG stream keyed by (master seed,
-block index), so blocks can be generated in any order or in parallel and
-the output never depends on scheduling.  Normal variates come from
-numpy's ziggurat via a per-block PCG64 generator; the transform is fixed,
-so identical seeds give bit-identical samples across runs.
+The estimator reads block b only through its Gram matrix W_b = X_b X_b^T,
+so there are two samplers:
+
+- :func:`sample_process` draws the L i.i.d. zero-mean columns of each
+  block, as G @ z with G the Cholesky factor of the block's covariance and
+  z standard normal.  The ``sample`` command and every check that needs
+  columns, such as the projection oracle, use it.
+- :func:`sample_grams` draws W_b itself from its Wishart law, in O(p^2)
+  numbers per block whatever L is.  The Monte Carlo harness uses it and
+  never materialises columns.
+
+Every block gets its own PRNG stream keyed by (master seed, block index),
+in a separate namespace for each sampler, so blocks can be generated in
+any order or in parallel and the output never depends on scheduling.
+Variates come from a per-block PCG64 generator and the transforms are
+fixed, so identical seeds give bit-identical output across runs.
 """
 
 from __future__ import annotations
@@ -20,6 +29,9 @@ from .model import BlockModel
 
 #: relative tolerance on the Cholesky reconstruction ||G G^T - C||_inf
 CHOLESKY_TOL = 1e-10
+
+#: spawn-key namespace separating Gram streams from the column streams
+_GRAM_KEY = 0x6A4D
 
 
 @dataclass(frozen=True)
@@ -39,6 +51,34 @@ class SampleBlocks:
                 raise InvalidParameterError(f"block shape {X.shape} != ({self.p}, {self.L})")
             if not np.all(np.isfinite(X)):
                 raise InvalidParameterError("samples contain non-finite values")
+
+    @property
+    def n_samples(self) -> int:
+        return self.B * self.L
+
+
+@dataclass(frozen=True)
+class GramBlocks:
+    """Per-block Gram matrices X_b X_b^T of B blocks of L samples, shape (B, p, p).
+
+    The estimator's sufficient statistic: it reads the data through this
+    type only.
+    """
+
+    p: int
+    B: int
+    L: int
+    grams: np.ndarray
+
+    def __post_init__(self):
+        grams = np.ascontiguousarray(self.grams, dtype=float)
+        if grams.shape != (self.B, self.p, self.p):
+            raise InvalidParameterError(
+                f"Gram stack shape {grams.shape} != ({self.B}, {self.p}, {self.p})"
+            )
+        if not np.all(np.isfinite(grams)):
+            raise InvalidParameterError("Gram matrices contain non-finite values")
+        object.__setattr__(self, "grams", grams)
 
     @property
     def n_samples(self) -> int:
@@ -76,6 +116,31 @@ def sample_process(model: BlockModel, seed) -> SampleBlocks:
         Z = rng.standard_normal((model.p, model.L))
         blocks.append(G @ Z)
     return SampleBlocks(p=model.p, B=model.B, L=model.L, data=tuple(blocks))
+
+
+def sample_grams(model: BlockModel, seed) -> GramBlocks:
+    """Draw each block's Gram matrix X_b X_b^T directly, without its L columns.
+
+    W_b = (G A)(G A)^T, with G the Cholesky factor of C^(b) and A the
+    p x min(p, L) lower-trapezoidal Bartlett factor: A_kk = sqrt(chi^2_{L-k})
+    for k = 0, 1, ..., and N(0, 1) entries below the diagonal (Bartlett 1933;
+    Odell & Feiveson 1966).  A is distributed as the L-factor of the LQ
+    decomposition of a p x L standard normal matrix, so W_b has the law of
+    X_b X_b^T for every L >= 1, rank min(p, L) included.
+    """
+    p, L = model.p, model.L
+    m = min(p, L)
+    rows, cols = np.tril_indices(p, -1, m)
+    grams = np.empty((model.B, p, p))
+    for b, C in enumerate(model.covariances):
+        G = cholesky_factor(C)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(_GRAM_KEY, b)))
+        A = np.zeros((p, m))
+        A[np.arange(m), np.arange(m)] = np.sqrt(rng.chisquare(L - np.arange(m)))
+        A[rows, cols] = rng.standard_normal(rows.size)
+        M = G @ A
+        grams[b] = M @ M.T
+    return GramBlocks(p=p, B=model.B, L=L, grams=grams)
 
 
 def empirical_block_covariance(samples: SampleBlocks, b: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Config parsing, Monte Carlo sweeps, and CSV emission."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from nsgms.errors import ConfigError, InfeasibleConfigError, TrendViolationError
 from nsgms.experiments import (
     CSV_COLUMNS,
     ExperimentConfig,
+    _run_trial,
     check_monotone_trend,
     emit_csv,
     emit_lemma_csv,
@@ -93,6 +95,8 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         small_config(s_est=1)
     with pytest.raises(ConfigError):
+        small_config(s_est=6)
+    with pytest.raises(ConfigError):
         small_config(combine_rule="XOR")
     with pytest.raises(ConfigError):
         small_config(lambda_mode="soft")
@@ -128,6 +132,19 @@ def test_run_node_recovery_deterministic_across_workers():
     rows1 = run_node_recovery(cfg, workers=1, timings=False)
     rows4 = run_node_recovery(cfg, workers=4, timings=False)
     assert rows1 == rows4
+
+
+def test_trial_memory_does_not_grow_with_block_length():
+    # The acceptance config at the bound (L = 187252): p x L columns would
+    # take 12 MB per block; a trial draws only the 8 x 8 Gram matrices.
+    cfg = small_config(p=8, B=4, grid=(1.0,), trials=1, master_seed=20260824)
+    tracemalloc.start()
+    try:
+        _run_trial(cfg, 187252, 0, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_row_fields_consistent():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from nsgms import (
     EstimatorConfig,
+    GramBlocks,
     SampleBlocks,
     build_block_model,
     default_lambda,
@@ -303,6 +304,37 @@ def test_and_edges_subset_of_or_edges():
         and_est = estimate_graph(samples, EstimatorConfig(s=2, lam=lam), combine="AND")
         or_est = estimate_graph(samples, EstimatorConfig(s=2, lam=lam), combine="OR")
         assert and_est.edges <= or_est.edges
+
+
+def test_samples_and_grams_take_one_path():
+    rng = np.random.default_rng(22)
+    for p, B, L, s in ((6, 2, 9, 2), (7, 3, 5, 3), (5, 1, 40, 1)):
+        samples = random_samples(rng, p, B, L)
+        grams = GramBlocks(p=p, B=B, L=L, grams=block_grams(samples))
+        config = EstimatorConfig(s=s, lam=float(rng.uniform(0.0, 0.2)))
+        for i in range(1, p + 1):
+            from_samples = estimate_neighborhood(samples, i, config)
+            from_grams = estimate_neighborhood(grams, i, config)
+            assert from_samples.selected == from_grams.selected
+            assert from_samples.objective == from_grams.objective
+            assert from_samples.evaluated == from_grams.evaluated
+        for rule in ("OR", "AND"):
+            assert estimate_graph(samples, config, rule) == estimate_graph(grams, config, rule)
+        for bad, error in (
+            (EstimatorConfig(s=L, lam=0.1), InfeasibleConfigError),
+            (EstimatorConfig(s=p, lam=0.1),
+             InfeasibleConfigError if p >= L else InvalidParameterError),
+        ):
+            for data in (samples, grams):
+                with pytest.raises(error):
+                    estimate_neighborhood(data, 1, bad)
+                with pytest.raises(error):
+                    estimate_graph(data, bad)
+        for data in (samples, grams):
+            with pytest.raises(InvalidParameterError):
+                estimate_neighborhood(data, p + 1, config)
+    with pytest.raises(InvalidParameterError):
+        estimate_graph(np.zeros((1, 2, 2)), EstimatorConfig(s=1, lam=0.1))
 
 
 def test_estimate_graph_rejects_unknown_rule():

@@ -1,9 +1,18 @@
-"""Cholesky factorization and seeded block sampling."""
+"""Cholesky factorization and seeded block sampling, as columns and as Grams."""
 
 import numpy as np
 import pytest
 
-from nsgms import Cig, SampleBlocks, build_block_model, cholesky_factor, random_cig, sample_process
+from nsgms import (
+    Cig,
+    GramBlocks,
+    SampleBlocks,
+    build_block_model,
+    cholesky_factor,
+    random_cig,
+    sample_grams,
+    sample_process,
+)
 from nsgms.errors import InvalidParameterError, NotPositiveDefiniteError
 from nsgms.sampling import empirical_block_covariance
 
@@ -94,3 +103,63 @@ def test_empirical_covariance_consistency():
         emp = empirical_block_covariance(samples, 0)
         ok += np.linalg.norm(emp - model.covariances[0]) <= 0.15
     assert ok >= 9
+
+
+# ---------------------------------------------------------------- sample_grams
+
+# Over n draws the mean of a Wishart entry W_ij has standard error
+# sqrt(L (C_ij^2 + C_ii C_jj) / n); means must lie within 4.5 of them.
+# A sample variance over n = 3000 draws has relative standard error
+# sqrt((kurtosis - 1) / n), at most about 0.045 at L = 3, so the variance
+# ratio must lie within 1 +- 0.2 (4.5 of them).  Correlations across blocks
+# have standard error 1/sqrt(n) and must lie within 4.5 of them.
+GRAM_DRAWS = 3000
+MEAN_SES = 4.5
+VAR_RTOL = 0.2
+
+
+@pytest.mark.parametrize("L", [3, 200])
+def test_sample_grams_moments_match_wishart(L):
+    model = build_block_model(random_cig(4, 2, 30), 2, L, 2.0, 0.5, 31)
+    draws = np.stack([sample_grams(model, seed).grams for seed in range(GRAM_DRAWS)])
+    for b, C in enumerate(model.covariances):
+        W = draws[:, b]
+        var_expected = L * (C * C + np.outer(np.diag(C), np.diag(C)))
+        se = np.sqrt(var_expected / GRAM_DRAWS)
+        assert np.all(np.abs(W.mean(axis=0) - L * C) <= MEAN_SES * se)
+        ratio = W.var(axis=0, ddof=1) / var_expected
+        assert np.abs(ratio - 1.0).max() <= VAR_RTOL
+    # blocks draw from independent streams
+    for k in range(4):
+        corr = np.corrcoef(draws[:, 0, k, k], draws[:, 1, k, k])[0, 1]
+        assert abs(corr) <= MEAN_SES / np.sqrt(GRAM_DRAWS)
+
+
+@pytest.mark.parametrize("L", [1, 2, 5, 6, 40])
+def test_sample_grams_rank_is_min_p_l(L):
+    model = build_block_model(random_cig(6, 2, 32), 3, L, 2.0, 0.4, 33)
+    grams = sample_grams(model, 34)
+    assert grams.n_samples == 3 * L
+    for W in grams.grams:
+        assert np.array_equal(W, W.T)
+        assert np.linalg.matrix_rank(W) == min(6, L)
+
+
+def test_sample_grams_deterministic():
+    model = build_block_model(random_cig(5, 2, 4), 3, 16, 2.0, 0.4, 5)
+    g1 = sample_grams(model, 99)
+    assert np.array_equal(g1.grams, sample_grams(model, 99).grams)
+    assert not np.array_equal(g1.grams[0], sample_grams(model, 100).grams[0])
+
+
+def test_gram_blocks_rejects_bad_input():
+    good = np.stack([np.eye(3), 2 * np.eye(3)])
+    assert GramBlocks(p=3, B=2, L=10, grams=good).n_samples == 20
+    bad = good.copy()
+    bad[1, 0, 2] = np.inf
+    with pytest.raises(InvalidParameterError):
+        GramBlocks(p=3, B=2, L=10, grams=bad)
+    with pytest.raises(InvalidParameterError):
+        GramBlocks(p=3, B=1, L=10, grams=good)
+    with pytest.raises(InvalidParameterError):
+        GramBlocks(p=3, B=2, L=10, grams=good[:, :2, :])
