@@ -17,7 +17,6 @@ from .decorrelate import (
     to_block_samples,
 )
 from .graph import Cig, random_cig
-from .kernels import scan_backend
 from .model import (
     BlockModel,
     ModelReport,
@@ -69,7 +68,6 @@ __all__ = [
     "sample_grams",
     "sample_process",
     "sample_size_bound",
-    "scan_backend",
     "tail_bound",
     "to_block_samples",
     "verify_assumptions",

@@ -6,9 +6,10 @@ Per node i, every candidate set T of at most s other nodes is scored by
 
 where the projection removes, within each block, the span of the candidate
 rows.  The global minimizer is returned, ties broken by smaller |T| and
-then lexicographically.  Z(T) is evaluated from per-block Gram matrices by
-the scan kernel (Cython when built, numpy otherwise); the explicit
-projection route below is the slow reference the tests check it against.
+then lexicographically.  Z(T) is evaluated from the per-block Gram matrices
+by the sweep in :mod:`nsgms.kernels`, which scores every node in one pass;
+the explicit projection route below is the slow reference the tests check
+it against.
 The estimators take a :class:`GramBlocks`, or a :class:`SampleBlocks`
 that they reduce to one first, so every input is checked and scanned on
 the same path.
@@ -40,7 +41,15 @@ DEFAULT_RANK_TOL = 1e-10
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Search budget s, penalty weight, and the numerical rank threshold."""
+    """Search budget s, penalty weight, and the numerical rank threshold.
+
+    ``rank_tol`` drops a candidate row whose relative residual norm, given
+    the earlier rows of the set, is at most ``rank_tol``.  The scan works
+    on Gram matrices, which square the data, so it resolves that norm only
+    down to about 1e-7: a row between ``rank_tol`` and about 1e-7 is
+    neither dropped nor projected out accurately, and sets containing it
+    can be scored several percent away from ``residual_statistic``.
+    """
 
     s: int
     lam: float
@@ -120,7 +129,10 @@ def residual_statistic(samples: SampleBlocks, i: int, T, rank_tol: float = DEFAU
 
 
 def candidate_sets(p: int, i: int, s: int):
-    """All subsets of {1..p}\\{i} with at most s elements, by (size, lex) order."""
+    """All subsets of {1..p}\\{i} with at most s elements, by (size, lex) order.
+
+    The brute-force enumeration the tests score the sweep's choices against.
+    """
     others = [j for j in range(1, p + 1) if j != i]
     for t in range(s + 1):
         yield from combinations(others, t)
@@ -154,31 +166,14 @@ def estimate_neighborhood(data: SampleBlocks | GramBlocks, i: int,
     gb = _checked_grams(data, config)
     if not (1 <= i <= gb.p):
         raise InvalidParameterError(f"node {i} outside 1..{gb.p}")
-    return _scan_from_grams(gb.grams, gb.n_samples, i, config)
-
-
-def _scan_from_grams(grams: np.ndarray, n_total: int, i: int, config: EstimatorConfig) -> NeighborhoodEstimate:
-    p = grams.shape[1]
-    sets = list(candidate_sets(p, i, config.s))
-    width = max(config.s, 1)
-    subsets = np.full((len(sets), width), -1, dtype=np.int32)
-    sizes = np.empty(len(sets), dtype=np.int32)
-    for k, T in enumerate(sets):
-        sizes[k] = len(T)
-        for m, j in enumerate(T):
-            subsets[k, m] = j - 1
-    objectives = subset_objectives(
-        grams, i - 1, subsets, sizes, n_total,
-        config.lam, config.rank_tol,
+    (best,), (objective,) = subset_objectives(
+        gb.grams, range(config.s + 1), gb.n_samples, config.lam, config.rank_tol, target=i - 1,
     )
-    # Enumeration is already (size, lex)-sorted, so the first strict minimum
-    # implements the tie-break: smaller set first, then lexicographic.
-    best = int(np.argmin(objectives))
     return NeighborhoodEstimate(
         node=i,
-        selected=frozenset(sets[best]),
-        objective=float(objectives[best]),
-        evaluated=len(sets),
+        selected=frozenset(j + 1 for j in best),
+        objective=float(objective),
+        evaluated=n_candidate_sets(gb.p, config.s),
     )
 
 
@@ -189,10 +184,10 @@ def estimate_graph(data: SampleBlocks | GramBlocks, config: EstimatorConfig,
         raise InvalidParameterError(f"combine rule must be OR or AND, got {combine!r}")
     gb = _checked_grams(data, config)
     p = gb.p
-    selected = {
-        i: _scan_from_grams(gb.grams, gb.n_samples, i, config).selected
-        for i in range(1, p + 1)
-    }
+    best, _ = subset_objectives(
+        gb.grams, range(config.s + 1), gb.n_samples, config.lam, config.rank_tol,
+    )
+    selected = {i: {j + 1 for j in best[i - 1]} for i in range(1, p + 1)}
     edges = set()
     for i in range(1, p + 1):
         for j in range(i + 1, p + 1):
