@@ -145,7 +145,7 @@ def _cmd_lemma(args) -> int:
 def _cmd_experiment(args) -> int:
     config = load_config(args.config)
     runner = run_phase_transition if args.phase else run_node_recovery
-    rows = runner(config, workers=args.workers, timings=not args.no_timings)
+    rows = runner(config, timings=not args.no_timings)
     emit_csv(rows, args.output)
     return 0
 
@@ -157,7 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument("--workers", type=int, default=1,
-                        help="worker threads for Monte Carlo trials")
+                        help="ignored: trials run in one thread; accepted so that "
+                             "existing command lines keep working")
     sub = parser.add_subparsers(dest="command", required=True)
 
     q = sub.add_parser("model", help="generate and serialize a random block model")

@@ -9,8 +9,8 @@ when the estimated neighborhood differs from the true one.  A trial
 draws each block's Gram matrix straight from its Wishart law
 (:func:`~nsgms.sampling.sample_grams`) and never materialises the p x L
 columns, so its time and memory do not grow with the block length.
-Everything is a pure function of the config, so reruns and different
-worker counts give identical results.
+Everything is a pure function of the config, so reruns give identical
+results.  Trials run one after another in one thread.
 
 Grid entries may be absolute sample counts (``N_grid``), absolute block
 lengths (``L_grid``), or multipliers of the theoretical sample-size
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
@@ -246,18 +245,12 @@ def wilson_interval(errors: int, trials: int, z: float = _Z95):
     return min(max(center - half, 0.0), phat), max(min(center + half, 1.0), phat)
 
 
-def run_node_recovery(config: ExperimentConfig, workers: int = 1, timings: bool = True) -> list:
+def run_node_recovery(config: ExperimentConfig, timings: bool = True) -> list:
     """Run the full grid; returns one ExperimentRow per grid point."""
     rows = []
     for g, (N, L) in enumerate(resolve_grid(config)):
         t0 = time.perf_counter()
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(
-                    pool.map(lambda t: _run_trial(config, L, g, t), range(config.trials))
-                )
-        else:
-            results = [_run_trial(config, L, g, t) for t in range(config.trials)]
+        results = [_run_trial(config, L, g, t) for t in range(config.trials)]
         wall_ms = (time.perf_counter() - t0) * 1e3 if timings else 0.0
         errors = sum(1 for err, _ in results if err)
         rho_min = min(rho for _, rho in results)
@@ -286,15 +279,14 @@ def check_monotone_trend(rows, slack: float = 0.05) -> bool:
     return by_n[-1].error_rate <= by_n[0].error_rate + slack
 
 
-def run_phase_transition(config: ExperimentConfig, workers: int = 1,
-                         timings: bool = True, strict: bool = True) -> list:
+def run_phase_transition(config: ExperimentConfig, timings: bool = True) -> list:
     """Recovery sweep across the grid plus the monotone-trend check.
 
-    The trend check only binds with at least 200 trials per point; with
-    ``strict`` it raises TrendViolationError, otherwise it just runs.
+    The trend check only binds with at least 200 trials per point, where a
+    violation raises TrendViolationError.
     """
-    rows = run_node_recovery(config, workers=workers, timings=timings)
-    if strict and config.trials >= 200 and not check_monotone_trend(rows):
+    rows = run_node_recovery(config, timings=timings)
+    if config.trials >= 200 and not check_monotone_trend(rows):
         by_n = sorted(rows, key=lambda r: r.N)
         raise TrendViolationError(
             f"error rate rose from {by_n[0].error_rate:.3f} (N={by_n[0].N}) "

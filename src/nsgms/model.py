@@ -1,6 +1,6 @@
 """Block-wise Gaussian model families with a prescribed sparsity pattern.
 
-A model is a sequence of B precision/covariance pairs sharing one graph:
+A model is a stack of B precision/covariance pairs sharing one graph:
 off-diagonal precision entries are nonzero exactly on the graph's edges,
 and every covariance matrix has its eigenvalues inside a band [1, beta].
 
@@ -37,21 +37,32 @@ EIG_BAND_TOL = 1e-9
 
 @dataclass(frozen=True)
 class BlockModel:
-    """B symmetric positive-definite precision/covariance pairs of size p."""
+    """B symmetric positive-definite precision/covariance pairs of size p.
+
+    ``precisions`` and ``covariances`` are (B, p, p) float64 stacks; a
+    sequence of B p x p matrices is stacked on construction.
+    """
 
     p: int
     B: int
     L: int
     beta: float
-    precisions: tuple
-    covariances: tuple
+    precisions: np.ndarray
+    covariances: np.ndarray
 
     def __post_init__(self):
-        if len(self.precisions) != self.B or len(self.covariances) != self.B:
-            raise InvalidParameterError("need exactly B precision and covariance matrices")
-        for K, C in zip(self.precisions, self.covariances):
-            if K.shape != (self.p, self.p) or C.shape != (self.p, self.p):
-                raise InvalidParameterError("matrix shape does not match p")
+        for name in ("precisions", "covariances"):
+            try:
+                stack = np.ascontiguousarray(getattr(self, name), dtype=float)
+            except ValueError:
+                raise InvalidParameterError(f"{name} do not form one matrix stack") from None
+            if stack.shape != (self.B, self.p, self.p):
+                raise InvalidParameterError(
+                    f"{name} stack shape {stack.shape} != ({self.B}, {self.p}, {self.p})"
+                )
+            if not np.all(np.isfinite(stack)):
+                raise InvalidParameterError(f"{name} contain non-finite values")
+            object.__setattr__(self, name, stack)
 
     @property
     def n_samples(self) -> int:
@@ -70,26 +81,25 @@ class ModelReport:
 
 
 def _spectrum_to_band(K: np.ndarray, beta: float):
-    """Affine map of the precision spectrum so covariance eigenvalues hit [1, beta].
+    """Affine map of each precision spectrum so covariance eigenvalues hit [1, beta].
 
-    Returns (K_new, C_new) computed from one symmetric eigendecomposition,
-    so the pair is consistent to machine precision.
+    ``K`` is a (B, p, p) stack.  Returns the stacks (K_new, C_new), each block
+    computed from one symmetric eigendecomposition, so every pair is
+    consistent to machine precision.
     """
     evals, vecs = np.linalg.eigh(K)
-    kmin, kmax = evals[0], evals[-1]
-    if kmin <= 0:
+    kmin, kmax = evals[:, 0], evals[:, -1]
+    if np.any(kmin <= 0):
         raise ConstructionFailure("precision matrix not positive definite; reduce coupling")
-    if kmax - kmin <= 1e-12 * kmax:
-        # Flat spectrum (e.g. empty graph): plain scaling puts all eigenvalues at 1.
-        alpha, gamma = 1.0 / kmax, 0.0
-    else:
-        alpha = (1.0 - 1.0 / beta) / (kmax - kmin)
-        gamma = 1.0 / alpha - kmax
-    new_evals = alpha * (evals + gamma)
-    K_new = alpha * K + (alpha * gamma) * np.eye(K.shape[0])
-    K_new = 0.5 * (K_new + K_new.T)
-    C_new = (vecs / new_evals) @ vecs.T
-    C_new = 0.5 * (C_new + C_new.T)
+    # A flat spectrum (e.g. empty graph) is plainly scaled: all eigenvalues at 1.
+    flat = kmax - kmin <= 1e-12 * kmax
+    alpha = np.where(flat, 1.0 / kmax, (1.0 - 1.0 / beta) / np.where(flat, 1.0, kmax - kmin))
+    gamma = np.where(flat, 0.0, 1.0 / alpha - kmax)
+    new_evals = alpha[:, None] * (evals + gamma[:, None])
+    K_new = alpha[:, None, None] * K + (alpha * gamma)[:, None, None] * np.eye(K.shape[-1])
+    K_new = 0.5 * (K_new + K_new.swapaxes(1, 2))
+    C_new = (vecs / new_evals[:, None, :]) @ vecs.swapaxes(1, 2)
+    C_new = 0.5 * (C_new + C_new.swapaxes(1, 2))
     return K_new, C_new
 
 
@@ -107,32 +117,28 @@ def build_block_model(cig: Cig, B: int, L: int, beta: float, coupling: float, se
     lo, hi = coupling / (2 * s_max), coupling / s_max
     edge_pairs = cig.edge_list()
 
-    precisions, covariances = [], []
-    for _ in range(B):
-        W = np.zeros((p, p))
+    K = np.zeros((B, p, p))
+    for W in K:
         for (i, j) in edge_pairs:
             w = rng.uniform(lo, hi) * rng.choice((-1.0, 1.0))
             W[i - 1, j - 1] = W[j - 1, i - 1] = w
-        K = np.eye(p) + W
-        try:
-            np.linalg.cholesky(K)
-        except np.linalg.LinAlgError:
-            raise ConstructionFailure(
-                f"I + W not positive definite (coupling={coupling}, s_max={s_max})"
-            ) from None
-        K_new, C_new = _spectrum_to_band(K, beta)
-        precisions.append(K_new)
-        covariances.append(C_new)
+    K += np.eye(p)  # each row of |W| sums to <= coupling < 1: PD by Gershgorin
+    K_new, C_new = _spectrum_to_band(K, beta)
+    err = np.abs(C_new @ K_new - np.eye(p)).max()
+    if err > INVERSION_TOL * p:
+        raise ConstructionFailure(f"inversion residual {err:.3e} exceeds tolerance")
+    return BlockModel(p=p, B=B, L=L, beta=float(beta), precisions=K_new, covariances=C_new)
 
-    model = BlockModel(
-        p=p, B=B, L=L, beta=float(beta),
-        precisions=tuple(precisions), covariances=tuple(covariances),
-    )
-    for K, C in zip(model.precisions, model.covariances):
-        err = np.abs(C @ K - np.eye(p)).max()
-        if err > INVERSION_TOL * p:
-            raise ConstructionFailure(f"inversion residual {err:.3e} exceeds tolerance")
-    return model
+
+def _edge_strengths(model: BlockModel, rows, cols) -> np.ndarray:
+    """Block-averaged (K_ij/K_ii)^2 per 0-based pair (rows[e], cols[e]).
+
+    Each pair's B squares are summed along a contiguous last axis: the same
+    bits as ``np.mean`` over that pair's 1-D array.
+    """
+    K = np.moveaxis(model.precisions, 0, -1)  # (p, p, B)
+    ratio = K[rows, cols] / K[rows, rows]
+    return (ratio * ratio).mean(axis=-1)
 
 
 def partial_correlation(model: BlockModel, i: int, j: int) -> float:
@@ -142,26 +148,21 @@ def partial_correlation(model: BlockModel, i: int, j: int) -> float:
             raise InvalidParameterError(f"node {v} outside 1..{model.p}")
     if i == j:
         raise InvalidParameterError("need two distinct nodes")
-    a, b = i - 1, j - 1
-    vals = [(K[a, b] / K[a, a]) ** 2 for K in model.precisions]
-    return float(np.mean(vals))
+    return float(_edge_strengths(model, [i - 1], [j - 1])[0])
 
 
 def min_edge_strength(model: BlockModel, cig: Cig) -> float:
     """Minimum average partial correlation over the graph's edges (inf if edgeless)."""
-    pairs = cig.edge_list()
-    if not pairs:
+    pairs = np.array(cig.edge_list(), dtype=np.intp).reshape(-1, 2) - 1
+    if not len(pairs):
         return float("inf")
-    return min(partial_correlation(model, i, j) for (i, j) in pairs)
+    return float(_edge_strengths(model, pairs[:, 0], pairs[:, 1]).min())
 
 
 def covariance_eig_range(model: BlockModel):
     """Extreme covariance eigenvalues over all blocks."""
-    lo, hi = float("inf"), float("-inf")
-    for C in model.covariances:
-        evals = np.linalg.eigvalsh(C)
-        lo, hi = min(lo, evals[0]), max(hi, evals[-1])
-    return lo, hi
+    evals = np.linalg.eigvalsh(model.covariances)
+    return evals[:, 0].min(), evals[:, -1].max()
 
 
 def verify_assumptions(model: BlockModel, cig: Cig, rho_min: float, s: int) -> ModelReport:

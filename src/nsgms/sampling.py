@@ -86,19 +86,26 @@ class GramBlocks:
 
 
 def cholesky_factor(C: np.ndarray) -> np.ndarray:
-    """Lower-triangular G with G @ G.T == C, for symmetric positive-definite C."""
+    """Lower-triangular G with G @ G^T == C, for symmetric positive-definite C.
+
+    ``C`` is a p x p matrix or a (B, p, p) stack, checked block by block with
+    tolerances scaled by each block's largest entry; G has the shape of C.
+    """
     C = np.asarray(C, dtype=float)
-    if C.ndim != 2 or C.shape[0] != C.shape[1]:
-        raise InvalidParameterError(f"expected a square matrix, got shape {C.shape}")
-    if not np.allclose(C, C.T, rtol=0, atol=1e-12 * max(1.0, np.abs(C).max())):
+    if C.ndim not in (2, 3) or C.shape[-1] != C.shape[-2]:
+        raise InvalidParameterError(f"expected p x p or (B, p, p), got shape {C.shape}")
+    scale = np.abs(C).max(axis=(-2, -1))
+    # A NaN compares false, so it fails here as in np.allclose.
+    tol = 1e-12 * np.maximum(1.0, scale)[..., None, None]
+    if not np.all(np.abs(C - C.swapaxes(-1, -2)) <= tol):
         raise InvalidParameterError("matrix is not symmetric")
     try:
         G = np.linalg.cholesky(C)
     except np.linalg.LinAlgError:
         raise NotPositiveDefiniteError("matrix is not positive definite") from None
-    err = np.abs(G @ G.T - C).max()
-    if err > CHOLESKY_TOL * max(np.abs(C).max(), 1e-300):
-        raise NotPositiveDefiniteError(f"Cholesky reconstruction error {err:.3e} too large")
+    err = np.abs(G @ G.swapaxes(-1, -2) - C).max(axis=(-2, -1))
+    if np.any(err > CHOLESKY_TOL * np.maximum(scale, 1e-300)):
+        raise NotPositiveDefiniteError(f"Cholesky reconstruction error {err.max():.3e} too large")
     return G
 
 
@@ -109,7 +116,7 @@ def block_seed_sequence(seed, block_index: int) -> np.random.SeedSequence:
 
 def sample_process(model: BlockModel, seed) -> SampleBlocks:
     """Draw B blocks of L i.i.d. columns, block b with covariance C^(b)."""
-    factors = [cholesky_factor(C) for C in model.covariances]
+    factors = cholesky_factor(model.covariances)
     blocks = []
     for b, G in enumerate(factors):
         rng = np.random.default_rng(block_seed_sequence(seed, b))
@@ -131,16 +138,13 @@ def sample_grams(model: BlockModel, seed) -> GramBlocks:
     p, L = model.p, model.L
     m = min(p, L)
     rows, cols = np.tril_indices(p, -1, m)
-    grams = np.empty((model.B, p, p))
-    for b, C in enumerate(model.covariances):
-        G = cholesky_factor(C)
+    A = np.zeros((model.B, p, m))
+    for b, A_b in enumerate(A):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(_GRAM_KEY, b)))
-        A = np.zeros((p, m))
-        A[np.arange(m), np.arange(m)] = np.sqrt(rng.chisquare(L - np.arange(m)))
-        A[rows, cols] = rng.standard_normal(rows.size)
-        M = G @ A
-        grams[b] = M @ M.T
-    return GramBlocks(p=p, B=model.B, L=L, grams=grams)
+        A_b[np.arange(m), np.arange(m)] = np.sqrt(rng.chisquare(L - np.arange(m)))
+        A_b[rows, cols] = rng.standard_normal(rows.size)
+    M = cholesky_factor(model.covariances) @ A
+    return GramBlocks(p=p, B=model.B, L=L, grams=M @ M.swapaxes(1, 2))
 
 
 def empirical_block_covariance(samples: SampleBlocks, b: int) -> np.ndarray:

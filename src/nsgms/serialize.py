@@ -78,12 +78,11 @@ def load_model(path) -> BlockModel:
     except ValueError as e:
         raise FormatError(f"bad header value: {e}") from None
     pos = 1
-    precisions = []
+    rows = []
     for b in range(1, B + 1):
         if pos >= len(lines) or lines[pos].strip() != f"block {b}":
             raise FormatError(f"expected 'block {b}' at line {pos + 1}")
         pos += 1
-        rows = []
         for _ in range(p):
             if pos >= len(lines):
                 raise FormatError("truncated model file")
@@ -92,14 +91,12 @@ def load_model(path) -> BlockModel:
                 raise FormatError(f"expected {p} entries at line {pos + 1}, got {len(vals)}")
             rows.append([float(v) for v in vals])
             pos += 1
-        precisions.append(np.array(rows))
-    covariances = []
-    for K in precisions:
-        C = np.linalg.inv(K)
-        covariances.append(0.5 * (C + C.T))
+    K = np.array(rows).reshape(B, p, p)
+    if not np.all(np.isfinite(K)):  # before inv, which may fail on them first
+        raise FormatError("model precisions contain non-finite values")
+    C = np.linalg.inv(K)
     return BlockModel(
-        p=p, B=B, L=L, beta=beta,
-        precisions=tuple(precisions), covariances=tuple(covariances),
+        p=p, B=B, L=L, beta=beta, precisions=K, covariances=0.5 * (C + C.swapaxes(1, 2)),
     )
 
 

@@ -12,11 +12,25 @@ from pathlib import Path
 
 import numpy as np
 
-import nsgms.cli  # noqa: F401  (loads every layer module the tracer wraps)
+import nsgms.cli as cli  # loads every layer module the tracer wraps
 from nsgms import regression
 from nsgms.sampling import SampleBlocks
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+# A tiny sweep with a multiplier entry, so calibration runs too.
+CONFIG = """\
+p = 5
+s_true = 1
+s_est = 1
+B = 2
+N_grid = 0.1x, 40
+beta = 2.0
+coupling = 0.4
+trials = 2
+eta = 0.1
+master_seed = 3
+"""
 
 
 def load_tracer():
@@ -39,3 +53,31 @@ def test_tracer_finds_every_metric():
         assert tracer.absent() == []
     finally:
         tracer.uninstall()
+
+
+def test_every_metric_is_fed_by_the_benchmark_commands(tmp_path):
+    # The benchmark runs these subcommands through ``nsgms.cli.main``; each
+    # counter reads the arguments or result of a call made on their path.
+    model, samples = tmp_path / "model.txt", tmp_path / "samples.bin"
+    config = tmp_path / "config.txt"
+    config.write_text(CONFIG)
+    runs = [
+        ["model", "-p", "5", "--s-max", "2", "-B", "2", "-L", "40", "--beta", "2.0",
+         "--coupling", "0.4", "--seed", "1", "-o", str(model)],
+        ["sample", str(model), "--seed", "2", "-o", str(samples), "--binary"],
+        ["estimate", str(samples), "--binary", "-s", "2", "--lam", "0.01",
+         "-o", str(tmp_path / "edges.txt")],
+        ["--workers", "1", "experiment", str(config), "-o", str(tmp_path / "result.csv"),
+         "--no-timings"],
+    ]
+    module = load_tracer()
+    tracer = module.Tracer()
+    tracer.install()
+    try:
+        for argv in runs:
+            assert cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.absent() == []
+    unfed = [m for m in module.METRICS if not (tracer.times[m] or tracer.counts[m])]
+    assert unfed == []

@@ -118,6 +118,18 @@ def test_config_errors_exit_2(tmp_path):
     assert run("sample", tmp_path / "missing.txt", "--seed", 2, "-o", spath) == 2
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_sample_rejects_non_finite_model_values(tmp_path, capsys, model_path, bad):
+    lines = model_path.read_text().splitlines()
+    row = lines[2].split()
+    row[1] = bad
+    lines[2] = " ".join(row)
+    bad_model = tmp_path / "bad_model.txt"
+    bad_model.write_text("\n".join(lines) + "\n")
+    assert run("sample", bad_model, "--seed", 7, "-o", tmp_path / "samples.txt") == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_numerical_errors_exit_3(tmp_path):
     spath = tmp_path / "samples.txt"
     assert run("model", "-p", 6, "--s-max", 2, "-B", 1, "-L", 3, "--beta", 2.0,

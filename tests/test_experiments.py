@@ -127,13 +127,6 @@ def test_wilson_interval_valid(trials, data):
 
 # ---------------------------------------------------------------- sweeps
 
-def test_run_node_recovery_deterministic_across_workers():
-    cfg = small_config(trials=6)
-    rows1 = run_node_recovery(cfg, workers=1, timings=False)
-    rows4 = run_node_recovery(cfg, workers=4, timings=False)
-    assert rows1 == rows4
-
-
 def test_trial_memory_does_not_grow_with_block_length():
     # The acceptance config at the bound (L = 187252): p x L columns would
     # take 12 MB per block; a trial draws only the 8 x 8 Gram matrices.

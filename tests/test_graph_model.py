@@ -12,8 +12,8 @@ from nsgms import (
     random_cig,
     verify_assumptions,
 )
-from nsgms.errors import InvalidParameterError
-from nsgms.model import covariance_eig_range
+from nsgms.errors import ConstructionFailure, InvalidParameterError
+from nsgms.model import _spectrum_to_band, covariance_eig_range
 
 
 def model_from_precisions(precisions, L=4, beta=2.0):
@@ -83,7 +83,43 @@ def test_random_cig_invalid_parameters():
         random_cig(4, 4, 0)
 
 
+# ---------------------------------------------------------------- BlockModel
+
+def test_block_model_stacks_a_tuple_of_matrices():
+    model = model_from_precisions([np.eye(3), 2 * np.eye(3)])
+    assert model.precisions.shape == model.covariances.shape == (2, 3, 3)
+    assert model.precisions.dtype == np.float64
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 4), (3, 3, 3), (3, 3), (2, 2, 3, 3)])
+def test_block_model_rejects_wrong_stack_shape(shape):
+    stack = np.ones(shape)
+    with pytest.raises(InvalidParameterError):
+        BlockModel(p=3, B=2, L=4, beta=2.0, precisions=stack, covariances=stack)
+
+
+def test_block_model_rejects_ragged_matrices():
+    with pytest.raises(InvalidParameterError):
+        model_from_precisions([np.eye(3), np.eye(2)])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_block_model_rejects_non_finite_values(bad):
+    K = np.stack([np.eye(3), np.eye(3)])
+    K[1, 0, 2] = bad
+    with pytest.raises(InvalidParameterError, match="non-finite"):
+        BlockModel(p=3, B=2, L=4, beta=2.0, precisions=K, covariances=np.stack([np.eye(3)] * 2))
+    with pytest.raises(InvalidParameterError, match="non-finite"):
+        BlockModel(p=3, B=2, L=4, beta=2.0, precisions=np.stack([np.eye(3)] * 2), covariances=K)
+
+
 # ---------------------------------------------------------------- build_block_model
+
+def test_spectrum_map_rejects_a_stack_with_one_indefinite_block():
+    K = np.stack([np.eye(3), np.eye(3), np.diag([1.0, -0.5, 2.0])])
+    with pytest.raises(ConstructionFailure):
+        _spectrum_to_band(K, 2.0)
+
 
 def test_empty_graph_gives_diagonal_precisions():
     g = Cig(p=4)
@@ -188,6 +224,21 @@ def test_partial_correlation_scale_invariant():
         assert partial_correlation(scaled, i, j) == pytest.approx(
             partial_correlation(model, i, j), rel=1e-12
         )
+
+
+@pytest.mark.parametrize("B", [1, 4, 8, 9])
+def test_min_edge_strength_is_bitwise_min_of_one_dimensional_block_means(B):
+    # Summing B >= 8 values in another order changes their last bits, and
+    # rho_min, lambda and bound_N in the experiment CSV with them.
+    for seed in range(20):
+        g = random_cig(8, 3, seed)
+        model = build_block_model(g, B, 8, 2.0, 0.4, seed + 50)
+        strengths = []
+        for (i, j) in g.edge_list():
+            ratio = np.array([K[i - 1, j - 1] / K[i - 1, i - 1] for K in model.precisions])
+            strengths.append(float(np.mean(ratio * ratio)))
+            assert partial_correlation(model, i, j) == strengths[-1]
+        assert min_edge_strength(model, g) == min(strengths)
 
 
 def test_min_edge_strength_empty_graph_is_infinite():

@@ -45,6 +45,35 @@ def test_cholesky_rejects_indefinite():
         cholesky_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
+def spd_stack(B, p=5, seed=2):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((B, p, p))
+    return A @ A.swapaxes(1, 2) + p * np.eye(p)
+
+
+def test_cholesky_stack_matches_per_block_factors():
+    C = spd_stack(6)
+    G = cholesky_factor(C)
+    assert G.shape == C.shape
+    for b in range(6):
+        assert np.array_equal(G[b], cholesky_factor(C[b]))
+
+
+def test_cholesky_stack_rejects_one_indefinite_block():
+    C = spd_stack(4)
+    C[2, 4, 4] = -1.0  # a negative diagonal entry rules out positive definiteness
+    with pytest.raises(NotPositiveDefiniteError):
+        cholesky_factor(C)
+
+
+@pytest.mark.parametrize("bad", [0.5, np.nan])
+def test_cholesky_stack_rejects_one_asymmetric_or_nan_block(bad):
+    C = spd_stack(4)
+    C[3, 0, 1] += bad
+    with pytest.raises(InvalidParameterError):
+        cholesky_factor(C)
+
+
 def test_sample_blocks_rejects_nonfinite():
     bad = np.full((2, 3), np.nan)
     with pytest.raises(InvalidParameterError):

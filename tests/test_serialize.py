@@ -66,6 +66,14 @@ def test_load_model_rejects_garbage(tmp_path):
         load_model(path)
 
 
+def test_load_model_rejects_non_finite_before_inverting(tmp_path):
+    # Apart from the inf, the matrix is singular: inverting it would fail first.
+    path = tmp_path / "inf.txt"
+    path.write_text("nsgms-model v1 p=2 B=1 L=4 beta=2\nblock 1\ninf 0\n0 0\n")
+    with pytest.raises(FormatError, match="non-finite"):
+        load_model(path)
+
+
 def test_load_samples_rejects_truncation(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("nsgms-samples v1 p=2 B=1 L=3\nblock 1\n1 2\n")
