@@ -120,7 +120,7 @@ def build_block_model(cig: Cig, B: int, L: int, beta: float, coupling: float, se
     K = np.zeros((B, p, p))
     for W in K:
         for (i, j) in edge_pairs:
-            w = rng.uniform(lo, hi) * rng.choice((-1.0, 1.0))
+            w = rng.uniform(lo, hi) * (-1.0, 1.0)[rng.integers(0, 2)]
             W[i - 1, j - 1] = W[j - 1, i - 1] = w
     K += np.eye(p)  # each row of |W| sums to <= coupling < 1: PD by Gershgorin
     K_new, C_new = _spectrum_to_band(K, beta)

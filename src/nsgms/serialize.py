@@ -13,13 +13,21 @@ Sample files:
     <L lines, one column of p entries per line>
     ...
 The binary variant stores the same columns as little-endian float64 in
-block order, with the header line in a ``<path>.meta`` sidecar.
+block order, with the header line in a ``<path>.meta`` sidecar.  It is
+written one block at a time, and loaded by memory-mapping the payload
+read-only: each block is a transposed view of the mapping, never a copy.
+
+Header sizes p, B and L must be positive integers.  A header value or
+matrix entry that does not parse raises :class:`FormatError` naming its
+line.
 
 All decimals are written with 17 significant digits, which round-trips
 float64 exactly.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
@@ -53,6 +61,31 @@ def _parse_header(line: str, magic: str, keys) -> dict:
     return fields
 
 
+def _sizes(hdr: dict, where: str) -> tuple:
+    """The header's p, B and L, each a positive integer."""
+    sizes = []
+    for key in ("p", "B", "L"):
+        try:
+            value = int(hdr[key])
+        except ValueError:
+            value = 0
+        if value < 1:
+            raise FormatError(f"{where}: {key}={hdr[key]!r} is not a positive integer")
+        sizes.append(value)
+    return tuple(sizes)
+
+
+def _row(line: str, n: int, where: str) -> list:
+    """The n decimals of one whitespace-separated data line."""
+    vals = line.split()
+    if len(vals) != n:
+        raise FormatError(f"expected {n} entries at {where}, got {len(vals)}")
+    try:
+        return [float(v) for v in vals]
+    except ValueError as e:
+        raise FormatError(f"bad number at {where}: {e}") from None
+
+
 # ---------------------------------------------------------------- models
 
 def save_model(model: BlockModel, path) -> None:
@@ -72,11 +105,11 @@ def load_model(path) -> BlockModel:
     if not lines:
         raise FormatError("empty model file")
     hdr = _parse_header(lines[0], MODEL_MAGIC, ("p", "B", "L", "beta"))
+    p, B, L = _sizes(hdr, "line 1")
     try:
-        p, B, L = int(hdr["p"]), int(hdr["B"]), int(hdr["L"])
         beta = float(hdr["beta"])
-    except ValueError as e:
-        raise FormatError(f"bad header value: {e}") from None
+    except ValueError:
+        raise FormatError(f"line 1: beta={hdr['beta']!r} is not a number") from None
     pos = 1
     rows = []
     for b in range(1, B + 1):
@@ -86,10 +119,7 @@ def load_model(path) -> BlockModel:
         for _ in range(p):
             if pos >= len(lines):
                 raise FormatError("truncated model file")
-            vals = lines[pos].split()
-            if len(vals) != p:
-                raise FormatError(f"expected {p} entries at line {pos + 1}, got {len(vals)}")
-            rows.append([float(v) for v in vals])
+            rows.append(_row(lines[pos], p, f"line {pos + 1}"))
             pos += 1
     K = np.array(rows).reshape(B, p, p)
     if not np.all(np.isfinite(K)):  # before inv, which may fail on them first
@@ -105,8 +135,9 @@ def load_model(path) -> BlockModel:
 def save_samples(samples: SampleBlocks, path, binary: bool = False) -> None:
     header = f"{SAMPLES_MAGIC} p={samples.p} B={samples.B} L={samples.L}"
     if binary:
-        flat = np.concatenate([X.T.reshape(-1) for X in samples.data])
-        flat.astype("<f8").tofile(path)
+        with open(path, "wb") as fh:
+            for X in samples.data:
+                np.ascontiguousarray(X.T, dtype="<f8").tofile(fh)
         with open(f"{path}.meta", "w", newline="\n") as fh:
             fh.write(header + "\n")
         return
@@ -122,21 +153,19 @@ def load_samples(path, binary: bool = False) -> SampleBlocks:
     if binary:
         with open(f"{path}.meta") as fh:
             hdr = _parse_header(fh.readline().strip(), SAMPLES_MAGIC, ("p", "B", "L"))
-        p, B, L = int(hdr["p"]), int(hdr["B"]), int(hdr["L"])
-        flat = np.fromfile(path, dtype="<f8")
-        if flat.size != p * B * L:
-            raise FormatError(f"binary payload has {flat.size} values, expected {p * B * L}")
-        data = tuple(
-            np.ascontiguousarray(flat[b * L * p:(b + 1) * L * p].reshape(L, p).T)
-            for b in range(B)
-        )
-        return SampleBlocks(p=p, B=B, L=L, data=data)
+        p, B, L = _sizes(hdr, f"{path}.meta line 1")
+        size = os.path.getsize(path)
+        if size != 8 * p * B * L:
+            raise FormatError(f"binary payload has {size} bytes, expected 8*p*B*L = {8 * p * B * L}")
+        # Row n of block b is sample n, so block b's p x L matrix is cols[b].T.
+        cols = np.memmap(path, dtype="<f8", mode="r", shape=(B, L, p))
+        return SampleBlocks(p=p, B=B, L=L, data=tuple(block.T for block in cols))
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines:
         raise FormatError("empty samples file")
     hdr = _parse_header(lines[0], SAMPLES_MAGIC, ("p", "B", "L"))
-    p, B, L = int(hdr["p"]), int(hdr["B"]), int(hdr["L"])
+    p, B, L = _sizes(hdr, "line 1")
     pos = 1
     data = []
     for b in range(1, B + 1):
@@ -147,10 +176,7 @@ def load_samples(path, binary: bool = False) -> SampleBlocks:
         for _ in range(L):
             if pos >= len(lines):
                 raise FormatError("truncated samples file")
-            vals = lines[pos].split()
-            if len(vals) != p:
-                raise FormatError(f"expected {p} entries at line {pos + 1}, got {len(vals)}")
-            cols.append([float(v) for v in vals])
+            cols.append(_row(lines[pos], p, f"line {pos + 1}"))
             pos += 1
         data.append(np.array(cols).T)
     return SampleBlocks(p=p, B=B, L=L, data=tuple(data))

@@ -8,15 +8,20 @@ nothing under ``perfbench/``.
 """
 
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import nsgms.cli as cli  # loads every layer module the tracer wraps
 from nsgms import regression
 from nsgms.sampling import SampleBlocks
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 # A tiny sweep with a multiplier entry, so calibration runs too.
 CONFIG = """\
@@ -81,3 +86,22 @@ def test_every_metric_is_fed_by_the_benchmark_commands(tmp_path):
     assert tracer.absent() == []
     unfed = [m for m in module.METRICS if not (tracer.times[m] or tracer.counts[m])]
     assert unfed == []
+
+
+@pytest.mark.parametrize("workload", ["estimate_tall", "sample_write"])
+def test_benchmark_smoke_run_ends_with_its_result(workload):
+    # Anything nsgms writes to stdout outside the CLI's own output would
+    # displace the result object from the last line.
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
+         "--size", "tiny", "--trace", "1", "--seconds", "0.2", "--seed", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert not [line for line in lines if line.startswith("absent:")]
+    result = json.loads(lines[-1])
+    assert result["correct"] is True
+    if workload == "estimate_tall":
+        for name in ("serialize.bytes_read", "sampling.gram_bytes"):
+            assert result["metrics"][name]["value"] > 0

@@ -1,5 +1,7 @@
 """End-to-end command-line checks: pipelines, exit codes, determinism."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,55 @@ def test_binary_sample_round_trip(tmp_path, model_path):
     t = load_samples(text)
     for X1, X2 in zip(b.data, t.data):
         assert np.allclose(X1, X2, atol=1e-14)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_estimate_binary_rejects_non_finite_payload(tmp_path, capsys, model_path, bad):
+    spath = tmp_path / "samples.bin"
+    assert run("sample", model_path, "--seed", 7, "-o", spath, "--binary") == 0
+    payload = np.fromfile(spath, dtype="<f8")
+    payload[len(payload) // 2 + 3] = bad  # inside the second block
+    payload.tofile(spath)
+    assert run("estimate", spath, "--binary", "-s", 2, "--lam", 0.01) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_estimate_binary_releases_its_mappings(tmp_path, model_path):
+    spath = tmp_path / "samples.bin"
+    assert run("sample", model_path, "--seed", 7, "-o", spath, "--binary") == 0
+    out = tmp_path / "edges.txt"
+    assert run("estimate", spath, "--binary", "-s", 2, "--lam", 0.01, "-o", out) == 0
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(20):
+        assert run("estimate", spath, "--binary", "-s", 2, "--lam", 0.01, "-o", out) == 0
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
+@pytest.mark.parametrize("binary, header", [
+    (False, "nsgms-samples v1 p=2 B=1 L=2\nblock 1\nx 1\n2 3\n"),
+    (False, "nsgms-samples v1 p=2 B=1 L=0\nblock 1\n"),
+    (True, "nsgms-samples v1 p=two B=1 L=2\n"),
+], ids=["text-entry", "text-zero-L", "binary-meta-p"])
+def test_estimate_unparsable_samples_exit_2(tmp_path, capsys, binary, header):
+    spath = tmp_path / ("samples.bin" if binary else "samples.txt")
+    if binary:
+        np.zeros(4).tofile(spath)
+        (tmp_path / "samples.bin.meta").write_text(header)
+    else:
+        spath.write_text(header)
+    flags = ["--binary"] if binary else []
+    assert run("estimate", spath, *flags, "-s", 1, "--lam", 0.01) == 2
+    assert "line" in capsys.readouterr().err
+
+
+def test_sample_unparsable_model_exits_2(tmp_path, capsys, model_path):
+    lines = model_path.read_text().splitlines()
+    lines[2] = "abc " + lines[2].split(" ", 1)[1]
+    bad_model = tmp_path / "bad_model.txt"
+    bad_model.write_text("\n".join(lines) + "\n")
+    assert run("sample", bad_model, "--seed", 7, "-o", tmp_path / "samples.txt") == 2
+    assert "line 3" in capsys.readouterr().err
 
 
 def test_decorrelate_subcommand(tmp_path, capsys):

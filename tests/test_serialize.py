@@ -1,11 +1,14 @@
 """On-disk formats: models, samples, estimates, edge lists."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from nsgms import build_block_model, estimate_neighborhood, random_cig, sample_process
 from nsgms.errors import FormatError
 from nsgms.regression import EstimatorConfig
+from nsgms.sampling import SampleBlocks, block_grams
 from nsgms.serialize import (
     format_edge_list,
     format_neighborhood,
@@ -56,6 +59,42 @@ def test_samples_round_trip_binary(tmp_path, model):
         assert np.array_equal(X1, X2)
 
 
+def test_binary_payload_layout(tmp_path):
+    # Block-major; within a block, one row of p little-endian float64 per sample.
+    rng = np.random.default_rng(4)
+    samples = SampleBlocks(p=3, B=2, L=5, data=tuple(rng.standard_normal((3, 5)) for _ in range(2)))
+    path = tmp_path / "samples.bin"
+    save_samples(samples, path, binary=True)
+    rows = [X[:, n] for X in samples.data for n in range(samples.L)]
+    assert path.read_bytes() == b"".join(np.asarray(r, dtype="<f8").tobytes() for r in rows)
+
+
+def test_binary_blocks_are_read_only_views(tmp_path, model):
+    path = tmp_path / "samples.bin"
+    save_samples(sample_process(model, 9), path, binary=True)
+    X = load_samples(path, binary=True).data[0]
+    with pytest.raises(ValueError):
+        X[0, 0] = 1.0
+
+
+def test_binary_load_does_not_copy_the_payload(tmp_path):
+    p, B, L = 8, 4, 20_000
+    rng = np.random.default_rng(5)
+    samples = SampleBlocks(p=p, B=B, L=L, data=tuple(rng.standard_normal((p, L)) for _ in range(B)))
+    path = tmp_path / "samples.bin"
+    save_samples(samples, path, binary=True)
+    expected = block_grams(samples)
+    del samples
+    tracemalloc.start()
+    try:
+        grams = block_grams(load_samples(path, binary=True))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(grams, expected)
+    assert peak < path.stat().st_size / 8
+
+
 def test_load_model_rejects_garbage(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("not a model\n")
@@ -64,6 +103,41 @@ def test_load_model_rejects_garbage(tmp_path):
     path.write_text("nsgms-model v1 p=2 B=1 L=4 beta=2\nblock 1\n1 0\n")
     with pytest.raises(FormatError):
         load_model(path)
+
+
+@pytest.mark.parametrize("text, where", [
+    ("nsgms-model v1 p=2 B=1 L=4 beta=2\nblock 1\nabc 0\n0 1\n", "line 3"),
+    ("nsgms-model v1 p=2 B=1 L=4 beta=two\nblock 1\n1 0\n0 1\n", "line 1"),
+    ("nsgms-model v1 p=2.5 B=1 L=4 beta=2\nblock 1\n1 0\n0 1\n", "line 1"),
+    ("nsgms-model v1 p=2 B=0 L=4 beta=2\n", "line 1"),
+], ids=["entry", "beta", "fractional-p", "zero-B"])
+def test_load_model_names_the_line_that_does_not_parse(tmp_path, text, where):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(FormatError, match=where):
+        load_model(path)
+
+
+@pytest.mark.parametrize("text, where", [
+    ("nsgms-samples v1 p=2 B=1 L=2\nblock 1\n1 2\nx 4\n", "line 4"),
+    ("nsgms-samples v1 p=two B=1 L=2\nblock 1\n1 2\n3 4\n", "line 1"),
+    ("nsgms-samples v1 p=2 B=1 L=0\nblock 1\n", "line 1"),
+    ("nsgms-samples v1 p=2 B=-1 L=2\n", "line 1"),
+], ids=["entry", "word-p", "zero-L", "negative-B"])
+def test_load_samples_names_the_line_that_does_not_parse(tmp_path, text, where):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(FormatError, match=where):
+        load_samples(path)
+
+
+@pytest.mark.parametrize("meta", ["p=two B=1 L=4", "p=2 B=1 L=0", "p=0 B=1 L=4"])
+def test_binary_meta_sizes_must_be_positive_integers(tmp_path, meta):
+    path = tmp_path / "samples.bin"
+    path.write_bytes(b"")
+    (tmp_path / "samples.bin.meta").write_text(f"nsgms-samples v1 {meta}\n")
+    with pytest.raises(FormatError, match="meta line 1"):
+        load_samples(path, binary=True)
 
 
 def test_load_model_rejects_non_finite_before_inverting(tmp_path):
@@ -83,10 +157,11 @@ def test_load_samples_rejects_truncation(tmp_path):
 
 def test_binary_payload_size_check(tmp_path):
     path = tmp_path / "short.bin"
-    np.zeros(5).tofile(path)
     (tmp_path / "short.bin.meta").write_text("nsgms-samples v1 p=2 B=1 L=4\n")
-    with pytest.raises(FormatError):
-        load_samples(path, binary=True)
+    for n_bytes in (0, 40, 63, 65):  # 0 bytes cannot be memory-mapped at all
+        path.write_bytes(bytes(n_bytes))
+        with pytest.raises(FormatError, match="expected 8\\*p\\*B\\*L = 64"):
+            load_samples(path, binary=True)
 
 
 def test_format_neighborhood(model):
