@@ -28,7 +28,11 @@ from .sampling import SampleBlocks
 
 @dataclass(frozen=True)
 class StationarySeries:
-    """Real p x N record treated as one stationary stretch, with width hint W."""
+    """Real p x N record treated as one stationary stretch, with width hint W.
+
+    The record must be finite: ``decorrelate`` writes its blocks without
+    forming a Gram matrix, so no later check would see a NaN or infinity.
+    """
 
     p: int
     N: int
@@ -38,6 +42,8 @@ class StationarySeries:
     def __post_init__(self):
         if self.data.shape != (self.p, self.N):
             raise InvalidParameterError(f"data shape {self.data.shape} != ({self.p}, {self.N})")
+        if not np.all(np.isfinite(self.data)):
+            raise InvalidParameterError("record contains non-finite values")
         if self.W < 1 or self.N % self.W != 0:
             raise InvalidParameterError(
                 f"correlation width W={self.W} must divide N={self.N}"
@@ -69,6 +75,8 @@ def _real_columns(coeffs: np.ndarray) -> np.ndarray:
 def to_block_samples(series: StationarySeries) -> SampleBlocks:
     """Frequency-domain repackaging into B = W blocks of L = N/W real columns."""
     cols = _real_columns(dft_coefficients(series))
+    if not np.all(np.isfinite(cols)):  # a finite record near the float64 limit
+        raise InvalidParameterError("DFT of the record overflows to non-finite values")
     B, L = series.W, series.N // series.W
     blocks = tuple(np.ascontiguousarray(cols[:, b * L:(b + 1) * L]) for b in range(B))
     return SampleBlocks(p=series.p, B=B, L=L, data=blocks)

@@ -115,12 +115,19 @@ def project_complement(block_data: np.ndarray, T, x: np.ndarray, rank_tol: float
 
 
 def residual_statistic(samples: SampleBlocks, i: int, T, rank_tol: float = DEFAULT_RANK_TOL) -> float:
-    """Average squared residual of node i's samples after projecting out T, per block."""
+    """Average squared residual of node i's samples after projecting out T, per block.
+
+    Reads the columns directly, so it checks the rows it uses, T and i, for
+    non-finite values itself.
+    """
     if not (1 <= i <= samples.p):
         raise InvalidParameterError(f"node {i} outside 1..{samples.p}")
     T = sorted(set(T))
     if i in T:
         raise InvalidParameterError(f"candidate set must not contain the target node {i}")
+    rows = [j - 1 for j in T if 1 <= j <= samples.p] + [i - 1]  # project_complement rejects the rest
+    if not all(np.isfinite(X[rows]).all() for X in samples.data):
+        raise InvalidParameterError("samples contain non-finite values in the rows used")
     total = 0.0
     for X in samples.data:
         r = project_complement(X, T, X[i - 1], rank_tol)

@@ -16,6 +16,13 @@ in a separate namespace for each sampler, so blocks can be generated in
 any order or in parallel and the output never depends on scheduling.
 Variates come from a per-block PCG64 generator and the transforms are
 fixed, so identical seeds give bit-identical output across runs.
+
+Finiteness is checked once, on the Gram stack, by :class:`GramBlocks`.
+A NaN or infinity in row i of a block, or a finite entry whose square
+overflows, makes G_ii = sum of x^2 non-finite, so that check covers the
+samples too and :class:`SampleBlocks` checks shapes only.  The estimators
+raise :class:`InvalidParameterError` "samples or their Gram matrices
+contain non-finite values" for such input.
 """
 
 from __future__ import annotations
@@ -36,7 +43,13 @@ _GRAM_KEY = 0x6A4D
 
 @dataclass(frozen=True)
 class SampleBlocks:
-    """B matrices of shape p x L; column n of block b is sample (b-1)*L + n."""
+    """B matrices of shape p x L; column n of block b is sample (b-1)*L + n.
+
+    Only shapes are checked here, so a mapped file is not read on
+    construction.  Finiteness is checked on the Gram stack that the
+    estimators build from the blocks (see :class:`GramBlocks`); code that
+    reads the columns directly checks the rows it uses.
+    """
 
     p: int
     B: int
@@ -49,8 +62,6 @@ class SampleBlocks:
         for X in self.data:
             if X.shape != (self.p, self.L):
                 raise InvalidParameterError(f"block shape {X.shape} != ({self.p}, {self.L})")
-            if not np.all(np.isfinite(X)):
-                raise InvalidParameterError("samples contain non-finite values")
 
     @property
     def n_samples(self) -> int:
@@ -62,7 +73,8 @@ class GramBlocks:
     """Per-block Gram matrices X_b X_b^T of B blocks of L samples, shape (B, p, p).
 
     The estimator's sufficient statistic: it reads the data through this
-    type only.
+    type only.  A non-finite entry is rejected here; a Gram stack built by
+    :func:`block_grams` has one whenever its samples do.
     """
 
     p: int
@@ -77,7 +89,7 @@ class GramBlocks:
                 f"Gram stack shape {grams.shape} != ({self.B}, {self.p}, {self.p})"
             )
         if not np.all(np.isfinite(grams)):
-            raise InvalidParameterError("Gram matrices contain non-finite values")
+            raise InvalidParameterError("samples or their Gram matrices contain non-finite values")
         object.__setattr__(self, "grams", grams)
 
     @property

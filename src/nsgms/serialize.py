@@ -16,10 +16,15 @@ The binary variant stores the same columns as little-endian float64 in
 block order, with the header line in a ``<path>.meta`` sidecar.  It is
 written one block at a time, and loaded by memory-mapping the payload
 read-only: each block is a transposed view of the mapping, never a copy.
+A text file is parsed line by line into one preallocated array, so either
+way the loaded samples are held once.
 
 Header sizes p, B and L must be positive integers.  A header value or
 matrix entry that does not parse raises :class:`FormatError` naming its
-line.
+line.  Loading samples does not check that they are finite, and so reads
+no page of a binary payload: the estimators check the Gram matrices they
+form from the blocks, and ``decorrelate`` checks its record (see
+:mod:`nsgms.sampling` and :mod:`nsgms.decorrelate`).
 
 All decimals are written with 17 significant digits, which round-trips
 float64 exactly.
@@ -75,15 +80,15 @@ def _sizes(hdr: dict, where: str) -> tuple:
     return tuple(sizes)
 
 
-def _row(line: str, n: int, where: str) -> list:
-    """The n decimals of one whitespace-separated data line."""
+def _row(line: str, n: int, lineno: int) -> list:
+    """The n decimals of data line ``lineno``, whitespace-separated."""
     vals = line.split()
     if len(vals) != n:
-        raise FormatError(f"expected {n} entries at {where}, got {len(vals)}")
+        raise FormatError(f"expected {n} entries at line {lineno}, got {len(vals)}")
     try:
         return [float(v) for v in vals]
     except ValueError as e:
-        raise FormatError(f"bad number at {where}: {e}") from None
+        raise FormatError(f"bad number at line {lineno}: {e}") from None
 
 
 # ---------------------------------------------------------------- models
@@ -119,7 +124,7 @@ def load_model(path) -> BlockModel:
         for _ in range(p):
             if pos >= len(lines):
                 raise FormatError("truncated model file")
-            rows.append(_row(lines[pos], p, f"line {pos + 1}"))
+            rows.append(_row(lines[pos], p, pos + 1))
             pos += 1
     K = np.array(rows).reshape(B, p, p)
     if not np.all(np.isfinite(K)):  # before inv, which may fail on them first
@@ -157,29 +162,32 @@ def load_samples(path, binary: bool = False) -> SampleBlocks:
         size = os.path.getsize(path)
         if size != 8 * p * B * L:
             raise FormatError(f"binary payload has {size} bytes, expected 8*p*B*L = {8 * p * B * L}")
-        # Row n of block b is sample n, so block b's p x L matrix is cols[b].T.
         cols = np.memmap(path, dtype="<f8", mode="r", shape=(B, L, p))
-        return SampleBlocks(p=p, B=B, L=L, data=tuple(block.T for block in cols))
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines:
-        raise FormatError("empty samples file")
-    hdr = _parse_header(lines[0], SAMPLES_MAGIC, ("p", "B", "L"))
-    p, B, L = _sizes(hdr, "line 1")
-    pos = 1
-    data = []
-    for b in range(1, B + 1):
-        if pos >= len(lines) or lines[pos].strip() != f"block {b}":
-            raise FormatError(f"expected 'block {b}' at line {pos + 1}")
-        pos += 1
-        cols = []
-        for _ in range(L):
-            if pos >= len(lines):
+    else:
+        with open(path) as fh:
+            header = fh.readline()
+            if not header:
+                raise FormatError("empty samples file")
+            hdr = _parse_header(header.rstrip("\n"), SAMPLES_MAGIC, ("p", "B", "L"))
+            p, B, L = _sizes(hdr, "line 1")
+            # Every entry takes at least one byte, so a shorter file is truncated;
+            # checking first keeps the array below within 8x the file's size.
+            if os.fstat(fh.fileno()).st_size < p * B * L:
                 raise FormatError("truncated samples file")
-            cols.append(_row(lines[pos], p, f"line {pos + 1}"))
-            pos += 1
-        data.append(np.array(cols).T)
-    return SampleBlocks(p=p, B=B, L=L, data=tuple(data))
+            cols = np.empty((B, L, p))
+            lineno = 1
+            for b, block in enumerate(cols, start=1):
+                lineno += 1
+                if fh.readline().strip() != f"block {b}":
+                    raise FormatError(f"expected 'block {b}' at line {lineno}")
+                for row in block:
+                    lineno += 1
+                    line = fh.readline()
+                    if not line:
+                        raise FormatError("truncated samples file")
+                    row[:] = _row(line, p, lineno)
+    # Row n of block b is sample n, so block b's p x L matrix is cols[b].T.
+    return SampleBlocks(p=p, B=B, L=L, data=tuple(block.T for block in cols))
 
 
 # ---------------------------------------------------------------- estimates

@@ -88,7 +88,7 @@ def test_every_metric_is_fed_by_the_benchmark_commands(tmp_path):
     assert unfed == []
 
 
-@pytest.mark.parametrize("workload", ["estimate_tall", "sample_write"])
+@pytest.mark.parametrize("workload", ["harness_bound", "estimate_wide", "estimate_tall", "sample_write"])
 def test_benchmark_smoke_run_ends_with_its_result(workload):
     # Anything nsgms writes to stdout outside the CLI's own output would
     # displace the result object from the last line.

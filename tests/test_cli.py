@@ -65,7 +65,7 @@ def test_binary_sample_round_trip(tmp_path, model_path):
         assert np.allclose(X1, X2, atol=1e-14)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
 def test_estimate_binary_rejects_non_finite_payload(tmp_path, capsys, model_path, bad):
     spath = tmp_path / "samples.bin"
     assert run("sample", model_path, "--seed", 7, "-o", spath, "--binary") == 0
@@ -73,6 +73,17 @@ def test_estimate_binary_rejects_non_finite_payload(tmp_path, capsys, model_path
     payload[len(payload) // 2 + 3] = bad  # inside the second block
     payload.tofile(spath)
     assert run("estimate", spath, "--binary", "-s", 2, "--lam", 0.01) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e200"])
+def test_estimate_text_rejects_non_finite_samples(tmp_path, capsys, model_path, bad):
+    spath = tmp_path / "samples.txt"
+    assert run("sample", model_path, "--seed", 7, "-o", spath) == 0
+    lines = spath.read_text().splitlines()
+    lines[-5] = " ".join([bad] + lines[-5].split()[1:])  # inside the last block
+    spath.write_text("\n".join(lines) + "\n")
+    assert run("estimate", spath, "-s", 2, "--lam", 0.01) == 2
     assert "non-finite" in capsys.readouterr().err
 
 
@@ -127,6 +138,29 @@ def test_decorrelate_subcommand(tmp_path, capsys):
     blocks = load_samples(out)
     assert (blocks.B, blocks.L) == (4, 16)
     assert "cross_block_energy=" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.nan, "record contains non-finite values"),
+    (np.inf, "record contains non-finite values"),
+    (1e307, "DFT of the record overflows to non-finite values"),  # finite, but the sum is not
+])
+def test_decorrelate_rejects_non_finite_record(tmp_path, capsys, bad, message):
+    from nsgms.sampling import SampleBlocks
+    from nsgms.serialize import save_samples
+
+    data = np.random.default_rng(0).standard_normal((3, 64))
+    if np.isfinite(bad):
+        data[:] = bad
+    else:
+        data[1, 17] = bad
+    spath = tmp_path / "record.txt"
+    save_samples(SampleBlocks(p=3, B=1, L=64, data=(data,)), spath)
+    out = tmp_path / "blocks.txt"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run("decorrelate", spath, "--width", 4, "-o", out) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_lemma_subcommand(tmp_path):

@@ -130,6 +130,17 @@ def test_residual_statistic_monotone_under_inclusion():
         assert z1 >= z2 - 1e-10 * max(z1, 1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_residual_statistic_rejects_non_finite_rows_it_uses(bad):
+    rng = np.random.default_rng(10)
+    samples = random_samples(rng, 5, 2, 8)
+    samples.data[1][4, 3] = bad  # row 5 of the second block
+    assert np.isfinite(residual_statistic(samples, 1, (2, 3)))
+    for i, T in ((5, (2,)), (1, (3, 5))):
+        with pytest.raises(InvalidParameterError, match="non-finite"):
+            residual_statistic(samples, i, T)
+
+
 def test_residual_statistic_rejects_self():
     rng = np.random.default_rng(9)
     samples = random_samples(rng, 4, 1, 6)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsgms import (
     Cig,
@@ -14,6 +16,7 @@ from nsgms import (
     sample_process,
 )
 from nsgms.errors import InvalidParameterError, NotPositiveDefiniteError
+from nsgms.regression import EstimatorConfig, estimate_graph, estimate_neighborhood
 from nsgms.sampling import empirical_block_covariance
 
 
@@ -74,10 +77,21 @@ def test_cholesky_stack_rejects_one_asymmetric_or_nan_block(bad):
         cholesky_factor(C)
 
 
-def test_sample_blocks_rejects_nonfinite():
-    bad = np.full((2, 3), np.nan)
-    with pytest.raises(InvalidParameterError):
-        SampleBlocks(p=2, B=1, L=3, data=(bad,))
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((np.nan, np.inf, -np.inf, 1e200)), st.integers(0, 2),
+       st.integers(0, 4), st.integers(0, 9), st.integers(1, 5))
+def test_estimators_reject_one_non_finite_value(bad, b, row, col, node):
+    # SampleBlocks checks shapes only; the Gram check sees the bad value,
+    # since G_ii sums the squares of row i (1e200 squared overflows).
+    rng = np.random.default_rng(0)
+    data = rng.standard_normal((3, 5, 10))
+    data[b, row, col] = bad
+    samples = SampleBlocks(p=5, B=3, L=10, data=tuple(data))
+    config = EstimatorConfig(s=2, lam=0.1)
+    with pytest.raises(InvalidParameterError, match="non-finite"):
+        estimate_graph(samples, config)
+    with pytest.raises(InvalidParameterError, match="non-finite"):
+        estimate_neighborhood(samples, node, config)
 
 
 def test_sample_process_deterministic():

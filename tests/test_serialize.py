@@ -95,6 +95,40 @@ def test_binary_load_does_not_copy_the_payload(tmp_path):
     assert peak < path.stat().st_size / 8
 
 
+def traced_peak(fn):
+    """The result of ``fn()`` and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("L", [20_000, 200_000])
+def test_binary_load_and_gram_memory_does_not_grow_with_L(tmp_path, L):
+    p, B = 8, 4
+    path = tmp_path / "samples.bin"
+    rng = np.random.default_rng(6)
+    rng.standard_normal(p * B * L).tofile(path)
+    (tmp_path / "samples.bin.meta").write_text(f"nsgms-samples v1 p={p} B={B} L={L}\n")
+    grams, peak = traced_peak(lambda: block_grams(load_samples(path, binary=True)))
+    assert np.all(np.isfinite(grams))
+    assert peak < 64 * 1024
+
+
+def test_text_load_holds_one_copy_of_the_payload(tmp_path):
+    p, B, L = 8, 4, 20_000
+    rng = np.random.default_rng(7)
+    samples = SampleBlocks(p=p, B=B, L=L, data=tuple(rng.standard_normal((p, L)) for _ in range(B)))
+    path = tmp_path / "samples.txt"
+    save_samples(samples, path)
+    back, peak = traced_peak(lambda: load_samples(path))
+    for X1, X2 in zip(samples.data, back.data):
+        assert np.array_equal(X1, X2)
+    assert peak < 1.5 * 8 * p * B * L
+
+
 def test_load_model_rejects_garbage(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("not a model\n")
@@ -150,9 +184,10 @@ def test_load_model_rejects_non_finite_before_inverting(tmp_path):
 
 def test_load_samples_rejects_truncation(tmp_path):
     path = tmp_path / "bad.txt"
-    path.write_text("nsgms-samples v1 p=2 B=1 L=3\nblock 1\n1 2\n")
-    with pytest.raises(FormatError):
-        load_samples(path)
+    for L in (3, 10**12):  # 10**12 rows would not fit in memory
+        path.write_text(f"nsgms-samples v1 p=2 B=1 L={L}\nblock 1\n1 2\n")
+        with pytest.raises(FormatError, match="truncated samples file"):
+            load_samples(path)
 
 
 def test_binary_payload_size_check(tmp_path):
