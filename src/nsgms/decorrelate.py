@@ -51,8 +51,13 @@ class StationarySeries:
 
 
 def dft_coefficients(series: StationarySeries) -> np.ndarray:
-    """Unitary DFT along time, shape (p, N) complex; Parseval-exact."""
-    return np.fft.fft(series.data, axis=1) / np.sqrt(series.N)
+    """Unitary DFT along time, shape (p, N) complex; Parseval-exact.
+
+    A record near the float64 limit can overflow to non-finite coefficients
+    without a warning; :func:`to_block_samples` rejects them.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.fft.fft(series.data, axis=1) / np.sqrt(series.N)
 
 
 def _real_columns(coeffs: np.ndarray) -> np.ndarray:

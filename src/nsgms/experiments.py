@@ -15,7 +15,9 @@ results.  Trials run one after another in one thread.
 Grid entries may be absolute sample counts (``N_grid``), absolute block
 lengths (``L_grid``), or multipliers of the theoretical sample-size
 bound written like ``1.5x``; multipliers are resolved against a pilot
-calibration of the achievable minimum edge strength.
+calibration of the achievable minimum edge strength.  Pilots draw their
+graphs and precisions on the same streams as trials' model builds but
+compute edge strengths only, with no covariances.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigError, InfeasibleConfigError, TrendViolationError
 from .graph import random_cig
-from .model import build_block_model, min_edge_strength
+from .model import build_block_model, min_edge_strength, pilot_min_edge_strength
 from .regression import (
     EstimatorConfig,
     default_lambda,
@@ -180,15 +182,18 @@ def calibrate_rho_min(config: ExperimentConfig) -> float:
 
     Used only to resolve multiplier grid entries into sample counts; rows
     always report the strengths actually achieved during their trials.
+    A pilot draws its graph and precision stack on the same streams as a
+    full model build, but computes only the edge strengths
+    (:func:`~nsgms.model.pilot_min_edge_strength`): nothing reads a pilot's
+    covariances, so none are formed.
     """
     worst = math.inf
     for k in range(_CALIBRATION_PILOTS):
         rng = np.random.default_rng(_trial_seed(config.master_seed, _CALIBRATION_KEY, k))
         cig = random_cig(config.p, config.s_true, rng.integers(2**63))
-        model = build_block_model(
-            cig, config.B, 1, config.beta, config.coupling, rng.integers(2**63)
-        )
-        worst = min(worst, min_edge_strength(model, cig))
+        worst = min(worst, pilot_min_edge_strength(
+            cig, config.B, config.beta, config.coupling, rng.integers(2**63)
+        ))
     return worst
 
 
@@ -215,6 +220,11 @@ def resolve_grid(config: ExperimentConfig) -> list:
     return out
 
 
+def _trial_candidates(cig) -> list:
+    """Nodes with a nonempty neighborhood, ascending: the endpoints of the edges."""
+    return sorted({v for e in cig.edges for v in e})
+
+
 def _run_trial(config: ExperimentConfig, L: int, grid_index: int, trial_index: int):
     """One (model, Gram sample, estimate) trial; returns (is_error, achieved_rho_min)."""
     rng = np.random.default_rng(
@@ -228,7 +238,7 @@ def _run_trial(config: ExperimentConfig, L: int, grid_index: int, trial_index: i
     lam = config.explicit_lambda
     if lam is None:
         lam = default_lambda(rho)
-    candidates = [i for i in range(1, config.p + 1) if cig.degree(i) > 0]
+    candidates = _trial_candidates(cig)
     node = int(candidates[rng.integers(len(candidates))])
     grams = sample_grams(model, rng.integers(2**63))
     est = estimate_neighborhood(grams, node, EstimatorConfig(s=config.s_est, lam=lam))

@@ -44,7 +44,12 @@ class Cig:
 
     @property
     def max_degree(self) -> int:
-        return max((self.degree(i) for i in range(1, self.p + 1)), default=0)
+        """Largest node degree, counted in one pass over the edges."""
+        degree = [0] * (self.p + 1)
+        for e in self.edges:
+            for v in e:
+                degree[v] += 1
+        return max(degree)
 
     def edge_list(self) -> list:
         """Edges as sorted (i, j) tuples with i < j, in lexicographic order."""
@@ -68,7 +73,7 @@ def random_cig(p: int, s_max: int, seed) -> Cig:
     if not (1 <= s_max <= p - 1):
         raise InvalidParameterError(f"need 1 <= s_max <= p-1, got s_max={s_max}")
     rng = np.random.default_rng(seed)
-    degree = np.zeros(p + 1, dtype=int)
+    degree = [0] * (p + 1)
     edges = set()
 
     def add(i, j):
@@ -93,10 +98,12 @@ def random_cig(p: int, s_max: int, seed) -> Cig:
                 break
 
     # Phase 2: sprinkle extra edges, keeping the graph degree-bounded.
+    # One call draws every pair: the same values as one size-2 call per attempt.
+    # Indexing the array, not a .tolist() of it: that list of lists raised the traced peak.
     if s_max >= 2:
         attempts = rng.integers(0, 2 * p, endpoint=True)
-        for _ in range(attempts):
-            i, j = (int(v) for v in rng.integers(1, p + 1, size=2))
-            add(i, j)
+        pairs = rng.integers(1, p + 1, size=(attempts, 2))
+        for k in range(attempts):
+            add(int(pairs[k, 0]), int(pairs[k, 1]))
 
     return Cig(p=p, edges=frozenset(edges))

@@ -16,7 +16,9 @@ not, and the pattern is what encodes the graph.
 
 Edge strength is measured by the block-averaged squared ratio of the
 off-diagonal precision entry to the diagonal one; it is reported, never
-targeted.
+targeted.  It reads the precisions only, so :func:`pilot_min_edge_strength`
+(the harness's calibration pilots) runs the precision half of a build, on
+the same random stream, and forms no covariances.
 """
 
 from __future__ import annotations
@@ -83,9 +85,10 @@ class ModelReport:
 def _spectrum_to_band(K: np.ndarray, beta: float):
     """Affine map of each precision spectrum so covariance eigenvalues hit [1, beta].
 
-    ``K`` is a (B, p, p) stack.  Returns the stacks (K_new, C_new), each block
-    computed from one symmetric eigendecomposition, so every pair is
-    consistent to machine precision.
+    ``K`` is a (B, p, p) stack.  Returns the mapped precision stack K_new
+    together with its eigenvalues and eigenvectors, all from one symmetric
+    eigendecomposition per block; :func:`_covariances` turns the latter two
+    into C_new, so every pair is consistent to machine precision.
     """
     evals, vecs = np.linalg.eigh(K)
     kmin, kmax = evals[:, 0], evals[:, -1]
@@ -98,15 +101,24 @@ def _spectrum_to_band(K: np.ndarray, beta: float):
     new_evals = alpha[:, None] * (evals + gamma[:, None])
     K_new = alpha[:, None, None] * K + (alpha * gamma)[:, None, None] * np.eye(K.shape[-1])
     K_new = 0.5 * (K_new + K_new.swapaxes(1, 2))
+    return K_new, new_evals, vecs
+
+
+def _covariances(new_evals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """C_new = V diag(1/new_evals) V^T per block, symmetrised."""
     C_new = (vecs / new_evals[:, None, :]) @ vecs.swapaxes(1, 2)
-    C_new = 0.5 * (C_new + C_new.swapaxes(1, 2))
-    return K_new, C_new
+    return 0.5 * (C_new + C_new.swapaxes(1, 2))
 
 
-def build_block_model(cig: Cig, B: int, L: int, beta: float, coupling: float, seed) -> BlockModel:
-    """Build a B-block model whose precision support equals the graph's edges."""
-    if B < 1 or L < 1:
-        raise InvalidParameterError(f"need B >= 1 and L >= 1, got B={B}, L={L}")
+def _banded_precisions(cig: Cig, B: int, beta: float, coupling: float, seed, edge_pairs):
+    """The precision half of a model build: draw W, map K = I + W into the band.
+
+    Returns ``_spectrum_to_band``'s (K_new, new_evals, vecs).  The random
+    stream is that of one ``rng.uniform(lo, hi)`` magnitude and one
+    ``rng.integers(0, 2)`` sign per edge and block, in block then edge order.
+    """
+    if B < 1:
+        raise InvalidParameterError(f"need B >= 1, got B={B}")
     if not beta > 1:
         raise InvalidParameterError(f"need beta > 1, got {beta}")
     if not (0 < coupling < 1):
@@ -115,30 +127,64 @@ def build_block_model(cig: Cig, B: int, L: int, beta: float, coupling: float, se
     p = cig.p
     s_max = max(cig.max_degree, 1)
     lo, hi = coupling / (2 * s_max), coupling / s_max
-    edge_pairs = cig.edge_list()
-
+    span = hi - lo
+    signs = (-1.0, 1.0)
+    # lo + span * random() is the arithmetic of rng.uniform(lo, hi), bit for bit.
+    n = len(edge_pairs)
+    draws = np.fromiter(((lo + span * rng.random()) * signs[rng.integers(0, 2)]
+                         for _ in range(B * n)), dtype=float, count=B * n)
     K = np.zeros((B, p, p))
-    for W in K:
-        for (i, j) in edge_pairs:
-            w = rng.uniform(lo, hi) * (-1.0, 1.0)[rng.integers(0, 2)]
-            W[i - 1, j - 1] = W[j - 1, i - 1] = w
+    if edge_pairs:
+        rows, cols = (np.array(edge_pairs, dtype=np.intp) - 1).T
+        K[:, rows, cols] = K[:, cols, rows] = draws.reshape(B, n)
     K += np.eye(p)  # each row of |W| sums to <= coupling < 1: PD by Gershgorin
-    K_new, C_new = _spectrum_to_band(K, beta)
-    err = np.abs(C_new @ K_new - np.eye(p)).max()
-    if err > INVERSION_TOL * p:
+    return _spectrum_to_band(K, beta)
+
+
+def build_block_model(cig: Cig, B: int, L: int, beta: float, coupling: float, seed) -> BlockModel:
+    """Build a B-block model whose precision support equals the graph's edges."""
+    if L < 1:
+        raise InvalidParameterError(f"need L >= 1, got L={L}")
+    K_new, new_evals, vecs = _banded_precisions(cig, B, beta, coupling, seed, cig.edge_list())
+    C_new = _covariances(new_evals, vecs)
+    err = np.abs(C_new @ K_new - np.eye(cig.p)).max()
+    if err > INVERSION_TOL * cig.p:
         raise ConstructionFailure(f"inversion residual {err:.3e} exceeds tolerance")
-    return BlockModel(p=p, B=B, L=L, beta=float(beta), precisions=K_new, covariances=C_new)
+    return BlockModel(p=cig.p, B=B, L=L, beta=float(beta), precisions=K_new, covariances=C_new)
 
 
-def _edge_strengths(model: BlockModel, rows, cols) -> np.ndarray:
+def pilot_min_edge_strength(cig: Cig, B: int, beta: float, coupling: float, seed) -> float:
+    """``min_edge_strength(build_block_model(cig, B, L, ...), cig)`` without the model.
+
+    Draws the same stream and forms the same precision stack, bit for bit,
+    but no covariances, so it skips their inversion-residual check; the
+    precisions get ``BlockModel``'s finiteness check.  Any L >= 1 gives the
+    same value.
+    """
+    edge_pairs = cig.edge_list()
+    K_new, _, _ = _banded_precisions(cig, B, beta, coupling, seed, edge_pairs)
+    if not np.all(np.isfinite(K_new)):
+        raise InvalidParameterError("precisions contain non-finite values")
+    return _min_strength(K_new, edge_pairs)
+
+
+def _edge_strengths(precisions: np.ndarray, rows, cols) -> np.ndarray:
     """Block-averaged (K_ij/K_ii)^2 per 0-based pair (rows[e], cols[e]).
 
     Each pair's B squares are summed along a contiguous last axis: the same
     bits as ``np.mean`` over that pair's 1-D array.
     """
-    K = np.moveaxis(model.precisions, 0, -1)  # (p, p, B)
+    K = np.moveaxis(precisions, 0, -1)  # (p, p, B)
     ratio = K[rows, cols] / K[rows, rows]
     return (ratio * ratio).mean(axis=-1)
+
+
+def _min_strength(precisions: np.ndarray, edge_pairs) -> float:
+    """Minimum of ``_edge_strengths`` over 1-based edge pairs (inf if there are none)."""
+    if not edge_pairs:
+        return float("inf")
+    pairs = np.array(edge_pairs, dtype=np.intp) - 1
+    return float(_edge_strengths(precisions, pairs[:, 0], pairs[:, 1]).min())
 
 
 def partial_correlation(model: BlockModel, i: int, j: int) -> float:
@@ -148,15 +194,12 @@ def partial_correlation(model: BlockModel, i: int, j: int) -> float:
             raise InvalidParameterError(f"node {v} outside 1..{model.p}")
     if i == j:
         raise InvalidParameterError("need two distinct nodes")
-    return float(_edge_strengths(model, [i - 1], [j - 1])[0])
+    return float(_edge_strengths(model.precisions, [i - 1], [j - 1])[0])
 
 
 def min_edge_strength(model: BlockModel, cig: Cig) -> float:
     """Minimum average partial correlation over the graph's edges (inf if edgeless)."""
-    pairs = np.array(cig.edge_list(), dtype=np.intp).reshape(-1, 2) - 1
-    if not len(pairs):
-        return float("inf")
-    return float(_edge_strengths(model, pairs[:, 0], pairs[:, 1]).min())
+    return _min_strength(model.precisions, cig.edge_list())
 
 
 def covariance_eig_range(model: BlockModel):

@@ -168,6 +168,9 @@ def empirical_block_covariance(samples: SampleBlocks, b: int) -> np.ndarray:
 def block_grams(samples: SampleBlocks) -> np.ndarray:
     """Stacked per-block Gram matrices X_b X_b^T, shape (B, p, p)."""
     out = np.empty((samples.B, samples.p, samples.p))
-    for b, X in enumerate(samples.data):
-        out[b] = X @ X.T
+    # A finite value near the float64 limit overflows here; GramBlocks rejects
+    # the non-finite result, so numpy's own warning would only add noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b, X in enumerate(samples.data):
+            out[b] = X @ X.T
     return out

@@ -1,10 +1,14 @@
 """End-to-end command-line checks: pipelines, exit codes, determinism."""
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nsgms
 from nsgms.cli import main
 from nsgms.serialize import load_model, load_samples
 
@@ -157,10 +161,40 @@ def test_decorrelate_rejects_non_finite_record(tmp_path, capsys, bad, message):
     spath = tmp_path / "record.txt"
     save_samples(SampleBlocks(p=3, B=1, L=64, data=(data,)), spath)
     out = tmp_path / "blocks.txt"
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert run("decorrelate", spath, "--width", 4, "-o", out) == 2
+    assert run("decorrelate", spath, "--width", 4, "-o", out) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def run_fresh(*argv):
+    """The CLI in a fresh interpreter that shows every RuntimeWarning on stderr."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = str(Path(nsgms.__file__).parents[1])
+    return subprocess.run(
+        [sys.executable, "-W", "always::RuntimeWarning", "-m", "nsgms.cli", *map(str, argv)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_overflowing_inputs_print_only_the_error_line(tmp_path, model_path):
+    from nsgms.sampling import SampleBlocks
+    from nsgms.serialize import save_samples
+
+    spath = tmp_path / "samples.bin"
+    assert run("sample", model_path, "--seed", 7, "-o", spath, "--binary") == 0
+    payload = np.fromfile(spath, dtype="<f8")
+    payload[len(payload) // 2 + 3] = 1e200  # finite, but its square is not
+    payload.tofile(spath)
+    rpath = tmp_path / "record.txt"
+    save_samples(SampleBlocks(p=3, B=1, L=64, data=(np.full((3, 64), 1e307),)), rpath)
+    for argv, message in [
+        (("estimate", spath, "--binary", "-s", 2, "--lam", 0.01), "non-finite"),
+        (("decorrelate", rpath, "--width", 4, "-o", tmp_path / "blocks.txt"), "overflows"),
+    ]:
+        done = run_fresh(*argv)
+        assert done.returncode == 2
+        [line] = done.stderr.splitlines()
+        assert line.startswith("error:") and message in line
 
 
 def test_lemma_subcommand(tmp_path):

@@ -14,6 +14,7 @@ from nsgms.experiments import (
     CSV_COLUMNS,
     ExperimentConfig,
     _run_trial,
+    calibrate_rho_min,
     check_monotone_trend,
     emit_csv,
     emit_lemma_csv,
@@ -126,6 +127,13 @@ def test_wilson_interval_valid(trials, data):
 
 
 # ---------------------------------------------------------------- sweeps
+
+def test_calibration_is_pinned_on_the_acceptance_config():
+    # Pilots compute edge strengths only; their streams, and so this value, are unchanged.
+    config = small_config(p=8, s_true=2, s_est=2, B=4, grid=(1.0,), coupling=0.4,
+                          beta=2.0, eta=0.1, master_seed=20260824)
+    assert repr(calibrate_rho_min(config)) == "0.0174415429237954"
+
 
 def test_trial_memory_does_not_grow_with_block_length():
     # The acceptance config at the bound (L = 187252): p x L columns would

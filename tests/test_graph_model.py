@@ -1,7 +1,11 @@
 """Graphs, block models, partial correlations, and assumption checks."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsgms import (
     BlockModel,
@@ -13,7 +17,8 @@ from nsgms import (
     verify_assumptions,
 )
 from nsgms.errors import ConstructionFailure, InvalidParameterError
-from nsgms.model import _spectrum_to_band, covariance_eig_range
+from nsgms.experiments import _trial_candidates
+from nsgms.model import _spectrum_to_band, covariance_eig_range, pilot_min_edge_strength
 
 
 def model_from_precisions(precisions, L=4, beta=2.0):
@@ -81,6 +86,65 @@ def test_random_cig_invalid_parameters():
         random_cig(4, 0, 0)
     with pytest.raises(InvalidParameterError):
         random_cig(4, 4, 0)
+
+
+def assert_queries_match_edge_scan(g):
+    A = np.zeros((g.p + 1, g.p + 1), dtype=int)  # brute-force adjacency
+    for (i, j) in g.edge_list():
+        A[i, j] = A[j, i] = 1
+    for i in range(1, g.p + 1):
+        assert g.neighborhood(i) == frozenset(int(j) for j in np.flatnonzero(A[i]))
+        assert g.degree(i) == A[i].sum()
+    assert g.max_degree == A.sum(axis=1).max()
+    assert _trial_candidates(g) == [i for i in range(1, g.p + 1) if A[i].any()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 14), st.data(), st.integers(0, 2**32 - 1))
+def test_graph_queries_match_a_brute_force_edge_scan(p, data, seed):
+    s_max = data.draw(st.integers(1, p - 1))
+    assert_queries_match_edge_scan(random_cig(p, s_max, seed))
+
+
+def test_graph_queries_on_odd_matchings_and_edgeless_graphs():
+    for seed in range(10):
+        g = random_cig(7, 1, seed)  # one node necessarily isolated
+        assert_queries_match_edge_scan(g)
+        assert len(_trial_candidates(g)) == 6
+    assert_queries_match_edge_scan(Cig(p=3))
+    assert Cig(p=3).max_degree == 0 and _trial_candidates(Cig(p=3)) == []
+
+
+def test_degree_rejects_nodes_outside_the_graph():
+    g = random_cig(5, 2, 0)
+    for v in (0, 6):
+        with pytest.raises(InvalidParameterError):
+            g.degree(v)
+
+
+# sha256 of repr(edge_list()) and of the (3, p, p) precision stack of
+# build_block_model(g, 3, 5, 2.0, 0.4, seed + 1).  Batching a draw in the
+# graph or model construction must leave both streams, and so these
+# digests, unchanged.  The precision digests hold for a given numpy and
+# LAPACK build (they pass through eigh).
+STREAM_PINS = [
+    (8, 2, 0, "e04a6e05a9645c59380fe48dc35717778fc6a5c89572e7d5e54da5c3a1076aea",
+     "0f105f7cc68f801abfac74cae1d0025e6d23ead65d2e413103ac5d1fc279c3f0"),
+    (9, 3, 1, "ef809a6392d2149b13e60f294a78ea4dfd2e675f321296c370150515cb816e0a",
+     "913a19b70a95649b33305562c150eb012cd219bad9f24b80665e8a38dc2df573"),
+    (7, 1, 2, "52df0f78474bc5ea6c5580821dc5573ec1fecf2d89112fdc2d1ac54160d9ff75",
+     "51d44dc030b490952a353c482d7f4de544196f35a2a75e4d5d3d727f827fe96e"),
+    (12, 4, 12345, "6a7b6edf43be8181878c1f5c121aa1a8df20bdfc7f41b726c62b3a4f683ac7b5",
+     "d76b454658685b07438602c5145d99b406c9c396a003f4b281ab8971e5451136"),
+]
+
+
+@pytest.mark.parametrize("p, s_max, seed, graph_sha, precision_sha", STREAM_PINS)
+def test_graph_and_model_streams_are_pinned(p, s_max, seed, graph_sha, precision_sha):
+    g = random_cig(p, s_max, seed)
+    assert hashlib.sha256(repr(g.edge_list()).encode()).hexdigest() == graph_sha
+    model = build_block_model(g, 3, 5, 2.0, 0.4, seed + 1)
+    assert hashlib.sha256(model.precisions.tobytes()).hexdigest() == precision_sha
 
 
 # ---------------------------------------------------------------- BlockModel
@@ -183,6 +247,8 @@ def test_build_block_model_invalid_parameters():
     with pytest.raises(InvalidParameterError):
         build_block_model(g, 0, 8, 2.0, 0.4, 0)
     with pytest.raises(InvalidParameterError):
+        build_block_model(g, 2, 0, 2.0, 0.4, 0)
+    with pytest.raises(InvalidParameterError):
         build_block_model(g, 2, 8, 1.0, 0.4, 0)
     with pytest.raises(InvalidParameterError):
         build_block_model(g, 2, 8, 2.0, 1.5, 0)
@@ -245,6 +311,49 @@ def test_min_edge_strength_empty_graph_is_infinite():
     g = Cig(p=3)
     model = build_block_model(g, 1, 4, 2.0, 0.3, 0)
     assert min_edge_strength(model, g) == float("inf")
+
+
+# ---------------------------------------------------------------- pilot_min_edge_strength
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(2, 12), st.data(), st.integers(1, 9), st.floats(1.01, 20.0),
+    st.floats(0.01, 0.99), st.integers(0, 2**63 - 1), st.integers(0, 2**63 - 1),
+    st.booleans(),
+)
+def test_pilot_strength_is_bitwise_the_built_models(p, data, B, beta, coupling,
+                                                     graph_seed, model_seed, edgeless):
+    g = Cig(p=p) if edgeless else random_cig(p, data.draw(st.integers(1, p - 1)), graph_seed)
+    pilot = pilot_min_edge_strength(g, B, beta, coupling, model_seed)
+    built = min_edge_strength(build_block_model(g, B, 1, beta, coupling, model_seed), g)
+    assert np.float64(pilot).tobytes() == np.float64(built).tobytes()
+    assert (pilot == float("inf")) == edgeless
+
+
+def test_pilot_rejects_what_build_block_model_rejects():
+    g = random_cig(4, 2, 0)
+    for B, beta, coupling in [(0, 2.0, 0.4), (2, 1.0, 0.4), (2, 2.0, 1.5), (2, 2.0, 0.0)]:
+        with pytest.raises(InvalidParameterError):
+            pilot_min_edge_strength(g, B, beta, coupling, 0)
+        with pytest.raises(InvalidParameterError):
+            build_block_model(g, B, 8, beta, coupling, 0)
+
+
+def test_pilot_rejects_non_finite_precisions(monkeypatch):
+    # min(inf, nan) is inf, so a NaN strength would vanish from the calibration.
+    import nsgms.model as model_module
+
+    def spoiled(K, beta):
+        K_new, new_evals, vecs = _spectrum_to_band(K, beta)
+        K_new[-1, 0, 0] = np.nan
+        return K_new, new_evals, vecs
+
+    monkeypatch.setattr(model_module, "_spectrum_to_band", spoiled)
+    g = random_cig(6, 2, 1)
+    with pytest.raises(InvalidParameterError, match="non-finite"):
+        pilot_min_edge_strength(g, 2, 2.0, 0.4, 3)
+    with pytest.raises(InvalidParameterError, match="non-finite"):
+        build_block_model(g, 2, 8, 2.0, 0.4, 3)
 
 
 # ---------------------------------------------------------------- verify_assumptions
