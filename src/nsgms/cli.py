@@ -39,6 +39,7 @@ from .model import build_block_model, min_edge_strength
 from .regression import EstimatorConfig, default_lambda, estimate_graph, estimate_neighborhood
 from .sampling import sample_process
 from .serialize import (
+    format_edge_list,
     format_neighborhood,
     load_model,
     load_samples,
@@ -76,20 +77,12 @@ def _cmd_sample(args) -> int:
 
 def _cmd_estimate(args) -> int:
     samples = load_samples(args.samples, binary=args.binary)
-    if args.lam is not None:
-        lam = args.lam
-    elif args.rho_min is not None:
-        lam = default_lambda(args.rho_min)
-    else:
-        raise ConfigError("one of --lam / --rho-min is required")
+    lam = args.lam if args.lam is not None else default_lambda(args.rho_min)
     config = EstimatorConfig(s=args.s, lam=lam, rank_tol=args.rank_tol)
-    lines = []
     if args.node is not None:
-        lines.append(format_neighborhood(estimate_neighborhood(samples, args.node, config)))
+        text = format_neighborhood(estimate_neighborhood(samples, args.node, config)) + "\n"
     else:
-        graph = estimate_graph(samples, config, combine=args.combine)
-        lines.extend(f"edge {i} {j}" for (i, j) in graph.edge_list())
-    text = "\n".join(lines) + ("\n" if lines else "")
+        text = format_edge_list(estimate_graph(samples, config, combine=args.combine))
     if args.output:
         with open(args.output, "w", newline="\n") as fh:
             fh.write(text)
@@ -184,8 +177,9 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("samples")
     q.add_argument("--node", type=int, help="estimate only this node's neighborhood")
     q.add_argument("-s", type=int, required=True, help="subset size budget")
-    q.add_argument("--lam", type=float, help="penalty weight")
-    q.add_argument("--rho-min", type=float, help="derive the penalty as rho_min/6")
+    penalty = q.add_mutually_exclusive_group(required=True)
+    penalty.add_argument("--lam", type=float, help="penalty weight")
+    penalty.add_argument("--rho-min", type=float, help="derive the penalty as rho_min/6")
     q.add_argument("--combine", choices=("OR", "AND"), default="OR")
     q.add_argument("--rank-tol", type=float, default=1e-10)
     q.add_argument("--binary", action="store_true")

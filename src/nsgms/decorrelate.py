@@ -63,17 +63,14 @@ def dft_coefficients(series: StationarySeries) -> np.ndarray:
 def _real_columns(coeffs: np.ndarray) -> np.ndarray:
     """Repackage a conjugate-symmetric spectrum into N real energy-preserving columns."""
     p, N = coeffs.shape
+    m = (N - 1) // 2  # frequencies 1..m have a distinct conjugate partner
     out = np.empty((p, N))
     out[:, 0] = coeffs[:, 0].real  # DC, real for real input
-    half = N // 2
     root2 = np.sqrt(2.0)
-    col = 1
-    for k in range(1, (N + 1) // 2):
-        out[:, col] = root2 * coeffs[:, k].real
-        out[:, col + 1] = root2 * coeffs[:, k].imag
-        col += 2
+    out[:, 1:2 * m + 1:2] = root2 * coeffs[:, 1:m + 1].real
+    out[:, 2:2 * m + 2:2] = root2 * coeffs[:, 1:m + 1].imag
     if N % 2 == 0:
-        out[:, col] = coeffs[:, half].real  # Nyquist, real for real input
+        out[:, N - 1] = coeffs[:, N // 2].real  # Nyquist, real for real input
     return out
 
 
@@ -83,8 +80,8 @@ def to_block_samples(series: StationarySeries) -> SampleBlocks:
     if not np.all(np.isfinite(cols)):  # a finite record near the float64 limit
         raise InvalidParameterError("DFT of the record overflows to non-finite values")
     B, L = series.W, series.N // series.W
-    blocks = tuple(np.ascontiguousarray(cols[:, b * L:(b + 1) * L]) for b in range(B))
-    return SampleBlocks(p=series.p, B=B, L=L, data=blocks)
+    # Block b is columns b*L..(b+1)*L-1: a (B, p, L) view of the (p, N) array.
+    return SampleBlocks(p=series.p, B=B, L=L, data=cols.reshape(series.p, B, L).swapaxes(0, 1))
 
 
 @dataclass(frozen=True)

@@ -65,7 +65,6 @@ class ExperimentConfig:
     trials: int
     eta: float
     master_seed: int
-    combine_rule: str = "OR"
 
     def __post_init__(self):
         if self.trials < 1:
@@ -78,8 +77,6 @@ class ExperimentConfig:
             raise ConfigError(f"need s_est < p, got s_est={self.s_est}, p={self.p}")
         if self.grid_kind not in ("N", "L"):
             raise ConfigError(f"grid kind must be N or L, got {self.grid_kind!r}")
-        if self.combine_rule not in ("OR", "AND"):
-            raise ConfigError(f"combine_rule must be OR or AND, got {self.combine_rule!r}")
         if self.lambda_mode != "default":
             try:
                 float(self.lambda_mode)
@@ -118,7 +115,7 @@ class ExperimentRow:
 
 _INT_KEYS = ("p", "s_true", "s_est", "B", "trials", "master_seed")
 _FLOAT_KEYS = ("beta", "coupling", "eta")
-_OTHER_KEYS = ("L_grid", "N_grid", "lambda_mode", "combine_rule")
+_OTHER_KEYS = ("L_grid", "N_grid", "lambda_mode")
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -164,7 +161,6 @@ def parse_config(text: str) -> ExperimentConfig:
     kw["grid"] = tuple(entries)
     kw["grid_kind"] = grid_kind
     kw["lambda_mode"] = raw.pop("lambda_mode", "default")
-    kw["combine_rule"] = raw.pop("combine_rule", "OR")
     return ExperimentConfig(**kw)
 
 

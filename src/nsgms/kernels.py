@@ -18,6 +18,11 @@ Stat. 1979):
   set.  Children are taken in chunks, so memory stays O(s * B * p^2) plus
   a fixed cap on the batch.
 
+A one-target call scores one target column of the same sweep over the
+caller's stack, with no permuted copy: the bar that keeps each node out of
+its own sets gives every set containing the target an infinite objective,
+so the result is the target's row of a whole-graph call.
+
 Rank drops follow a column-dropping Cholesky factor of G_b[T, T] taken in
 index order: the pivot of node j is dropped in block b when G_b[j, j] <= 0
 or its swept value d satisfies d <= rank_tol^2 * G_b[j, j], so a row whose
@@ -69,19 +74,12 @@ def subset_objectives(grams: np.ndarray, sizes, n_total: int, lam: float,
     sizes = [int(t) for t in sizes]
     if not sizes or sizes != sorted(set(sizes)) or sizes[0] < 0 or sizes[-1] >= p:
         raise ValueError(f"sizes must increase within 0..{p - 1}, got {sizes}")
-    if target is None:
-        nodes, n, targets = np.arange(p), p, slice(0, p)
-    else:
-        # Candidates first in index order, the target last: the candidates
-        # and the targets then each fill a contiguous range of the stack.
-        nodes = np.append(np.delete(np.arange(p), target), target)
-        grams = grams[:, nodes[:, None], nodes]
-        n, targets = p - 1, slice(p - 1, p)
-    sweep = _Sweep(grams, n, targets, n_total, lam, rank_tol, sizes[-1])
+    targets = slice(0, p) if target is None else slice(target, target + 1)
+    sweep = _Sweep(grams, targets, n_total, lam, rank_tol, sizes[-1])
     # Sizes smallest first with strict ``<``: the first minimum over sizes.
     by_size = sweep.best[sizes]
     first = by_size.argmin(axis=0)
-    selected = [tuple(nodes[sweep.chosen[sizes[f], k, :sizes[f]]].tolist())
+    selected = [tuple(sweep.chosen[sizes[f], k, :sizes[f]].tolist())
                 for k, f in enumerate(first)]
     return selected, by_size[first, np.arange(len(first))]
 
@@ -89,14 +87,13 @@ def subset_objectives(grams: np.ndarray, sizes, n_total: int, lam: float,
 class _Sweep:
     """Depth-first sweep recording the best set per (size, target).
 
-    Works on a stack whose first ``n`` nodes are the candidates, in index
-    order, and whose targets are the range ``targets``; sets and targets
-    are recorded as positions in that stack.
+    Every node is a candidate, in index order; the targets are the node
+    range ``targets``, and each is barred from its own sets.
     """
 
-    def __init__(self, grams, n, targets, n_total, lam, rank_tol, s):
+    def __init__(self, grams, targets, n_total, lam, rank_tol, s):
         p = grams.shape[1]
-        self.n, self.targets = n, targets
+        self.p, self.targets = p, targets
         self.n_total, self.lam, self.s = n_total, lam, s
         nt = targets.stop - targets.start
         self.cols = np.arange(nt)
@@ -135,13 +132,13 @@ class _Sweep:
         A is the stack swept by T, and ``barred`` the per-target penalty
         of the nodes in T.
         """
-        if start == self.n:
+        if start == self.p:
             return
         if len(T) + 2 >= self.s:
             self._tail(A, T, start, barred, two_levels=len(T) + 2 == self.s)
             return
         tg, t = self.targets, len(T) + 1
-        for j in range(start, self.n):
+        for j in range(start, self.p):
             den = np.where(A[:, j, j] > self.floor[:, j], A[:, j, j], np.inf)
             col = A[:, :, j]
             child = A - col[:, :, None] * (col / den[:, None])[:, None, :]
@@ -157,13 +154,13 @@ class _Sweep:
         Only the target entries and the pivots' diagonal of each child's
         swept stack are formed.
         """
-        B, tg, t, n = A.shape[0], self.targets, len(T) + 1, self.n
+        B, tg, t, p = A.shape[0], self.targets, len(T) + 1, self.p
         nt = len(self.cols)
         diag = A.diagonal(axis1=1, axis2=2)
         base = diag[:, None, tg]
-        step = max(1, TAIL_ENTRIES // (B * (n - start) * nt))
-        for lo in range(start, n, step):
-            hi = min(lo + step, n)
+        step = max(1, TAIL_ENTRIES // (B * (p - start) * nt))
+        for lo in range(start, p, step):
+            hi = min(lo + step, p)
             a_jj = diag[:, lo:hi]
             den_j = np.where(a_jj > self.floor[:, lo:hi], a_jj, np.inf)[:, :, None]
             c_ji = A[:, lo:hi, tg]
@@ -171,23 +168,23 @@ class _Sweep:
             first, won = self._keep(self._objective(r1, t) + barred + self.own[lo:hi], t)
             self.chosen[t, won, :t - 1] = T
             self.chosen[t, won, t - 1] = lo + first
-            if not two_levels or lo + 1 == n:
+            if not two_levels or lo + 1 == p:
                 continue
-            c_jk = A[:, lo:hi, lo + 1:n]
+            c_jk = A[:, lo:hi, lo + 1:p]
             u = c_jk / den_j
-            a_kk = diag[:, None, lo + 1:n] - u * c_jk
-            den_k = np.where(a_kk > self.floor[:, None, lo + 1:n], a_kk, np.inf)
-            a_ki = A[:, None, lo + 1:n, tg] - u[..., None] * c_ji[:, :, None, :]
+            a_kk = diag[:, None, lo + 1:p] - u * c_jk
+            den_k = np.where(a_kk > self.floor[:, None, lo + 1:p], a_kk, np.inf)
+            a_ki = A[:, None, lo + 1:p, tg] - u[..., None] * c_ji[:, :, None, :]
             a_ki *= a_ki
             a_ki /= den_k[..., None]
             r2 = np.subtract(r1[:, :, None, :], a_ki, out=a_ki)
             obj = self._objective(r2, t + 1)
-            obj += barred + self.own[lo + 1:n]
+            obj += barred + self.own[lo + 1:p]
             obj += self.own[lo:hi, None, :]
             # Grandchild slot kk is candidate lo + 1 + kk: it must follow j = lo + jj.
-            obj[np.tri(hi - lo, n - lo - 1, -1, dtype=bool)] = np.inf
+            obj[np.tri(hi - lo, p - lo - 1, -1, dtype=bool)] = np.inf
             first, won = self._keep(obj.reshape(-1, nt), t + 1)
-            jj, kk = np.divmod(first, n - lo - 1)
+            jj, kk = np.divmod(first, p - lo - 1)
             self.chosen[t + 1, won, :t - 1] = T
             self.chosen[t + 1, won, t - 1] = lo + jj
             self.chosen[t + 1, won, t] = lo + 1 + kk

@@ -126,7 +126,7 @@ def residual_statistic(samples: SampleBlocks, i: int, T, rank_tol: float = DEFAU
     if i in T:
         raise InvalidParameterError(f"candidate set must not contain the target node {i}")
     rows = [j - 1 for j in T if 1 <= j <= samples.p] + [i - 1]  # project_complement rejects the rest
-    if not all(np.isfinite(X[rows]).all() for X in samples.data):
+    if not np.isfinite(samples.data[:, rows]).all():
         raise InvalidParameterError("samples contain non-finite values in the rows used")
     total = 0.0
     for X in samples.data:

@@ -11,6 +11,9 @@ so there are two samplers:
   numbers per block whatever L is.  The Monte Carlo harness uses it and
   never materialises columns.
 
+Samples are one (B, p, L) stack (:class:`SampleBlocks`) and Gram matrices
+one (B, p, p) stack (:class:`GramBlocks`).
+
 Every block gets its own PRNG stream keyed by (master seed, block index),
 in a separate namespace for each sampler, so blocks can be generated in
 any order or in parallel and the output never depends on scheduling.
@@ -43,25 +46,29 @@ _GRAM_KEY = 0x6A4D
 
 @dataclass(frozen=True)
 class SampleBlocks:
-    """B matrices of shape p x L; column n of block b is sample (b-1)*L + n.
+    """B blocks of L samples as one (B, p, L) float64 stack; data[b] is X_b.
 
-    Only shapes are checked here, so a mapped file is not read on
-    construction.  Finiteness is checked on the Gram stack that the
-    estimators build from the blocks (see :class:`GramBlocks`); code that
-    reads the columns directly checks the rows it uses.
+    A sequence of B p x L blocks is stacked; an array is kept as it is, so
+    a view of a mapped file is neither copied nor read here.  Finiteness is
+    checked on the Gram stack the estimators build (see
+    :class:`GramBlocks`); code that reads the columns directly checks the
+    rows it uses.
     """
 
     p: int
     B: int
     L: int
-    data: tuple  # tuple of B arrays, each p x L
+    data: np.ndarray
 
     def __post_init__(self):
-        if len(self.data) != self.B:
-            raise InvalidParameterError("need exactly B data blocks")
-        for X in self.data:
-            if X.shape != (self.p, self.L):
-                raise InvalidParameterError(f"block shape {X.shape} != ({self.p}, {self.L})")
+        shape = (self.B, self.p, self.L)
+        try:
+            data = np.asarray(self.data, dtype=float)
+        except ValueError:  # ragged blocks
+            raise InvalidParameterError(f"sample blocks do not form a {shape} stack") from None
+        if data.shape != shape:
+            raise InvalidParameterError(f"sample stack shape {data.shape} != {shape}")
+        object.__setattr__(self, "data", data)
 
     @property
     def n_samples(self) -> int:
@@ -129,12 +136,12 @@ def block_seed_sequence(seed, block_index: int) -> np.random.SeedSequence:
 def sample_process(model: BlockModel, seed) -> SampleBlocks:
     """Draw B blocks of L i.i.d. columns, block b with covariance C^(b)."""
     factors = cholesky_factor(model.covariances)
-    blocks = []
+    data = np.empty((model.B, model.p, model.L))
     for b, G in enumerate(factors):
         rng = np.random.default_rng(block_seed_sequence(seed, b))
-        Z = rng.standard_normal((model.p, model.L))
-        blocks.append(G @ Z)
-    return SampleBlocks(p=model.p, B=model.B, L=model.L, data=tuple(blocks))
+        # ``out=`` writes the product in place, without a temporary per block.
+        np.matmul(G, rng.standard_normal((model.p, model.L)), out=data[b])
+    return SampleBlocks(p=model.p, B=model.B, L=model.L, data=data)
 
 
 def sample_grams(model: BlockModel, seed) -> GramBlocks:
@@ -167,10 +174,8 @@ def empirical_block_covariance(samples: SampleBlocks, b: int) -> np.ndarray:
 
 def block_grams(samples: SampleBlocks) -> np.ndarray:
     """Stacked per-block Gram matrices X_b X_b^T, shape (B, p, p)."""
-    out = np.empty((samples.B, samples.p, samples.p))
+    X = samples.data
     # A finite value near the float64 limit overflows here; GramBlocks rejects
     # the non-finite result, so numpy's own warning would only add noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        for b, X in enumerate(samples.data):
-            out[b] = X @ X.T
-    return out
+        return X @ X.swapaxes(1, 2)

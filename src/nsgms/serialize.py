@@ -15,9 +15,11 @@ Sample files:
 The binary variant stores the same columns as little-endian float64 in
 block order, with the header line in a ``<path>.meta`` sidecar.  It is
 written one block at a time, and loaded by memory-mapping the payload
-read-only: each block is a transposed view of the mapping, never a copy.
-A text file is parsed line by line into one preallocated array, so either
-way the loaded samples are held once.
+read-only.  One text codec writes and parses the ``block b`` sections of
+both file kinds, line by line into one preallocated array; a file too
+short for its header's sizes is rejected before that array is allocated.
+Either way samples are held once: the loaders hand :class:`SampleBlocks`
+the (B, p, L) transposed view of the (B, L, p) rows, never a copy.
 
 Header sizes p, B and L must be positive integers.  A header value or
 matrix entry that does not parse raises :class:`FormatError` naming its
@@ -91,6 +93,44 @@ def _row(line: str, n: int, lineno: int) -> list:
         raise FormatError(f"bad number at line {lineno}: {e}") from None
 
 
+def _write_blocks(fh, blocks) -> None:
+    """Write each block of a (B, n, p) stack as ``block b`` and then its n rows."""
+    for b, block in enumerate(blocks, start=1):
+        fh.write(f"block {b}\n")
+        for row in block:
+            fh.write(" ".join(_fmt(v) for v in row) + "\n")
+
+
+def _read_header(fh, magic: str, keys, kind: str) -> tuple:
+    """The fields of a text file's header line, and its p, B and L."""
+    header = fh.readline()
+    if not header:
+        raise FormatError(f"empty {kind} file")
+    hdr = _parse_header(header.rstrip("\n"), magic, keys)
+    return hdr, _sizes(hdr, "line 1")
+
+
+def _read_blocks(fh, B: int, n: int, p: int, kind: str) -> np.ndarray:
+    """Parse the B blocks after the header line of ``fh`` into one (B, n, p) array."""
+    # Every entry takes at least one byte, so a shorter file is truncated;
+    # checking first keeps the array below within 8x the file's size.
+    if os.fstat(fh.fileno()).st_size < B * n * p:
+        raise FormatError(f"truncated {kind} file")
+    out = np.empty((B, n, p))
+    lineno = 1
+    for b, block in enumerate(out, start=1):
+        lineno += 1
+        if fh.readline().strip() != f"block {b}":
+            raise FormatError(f"expected 'block {b}' at line {lineno}")
+        for row in block:
+            lineno += 1
+            line = fh.readline()
+            if not line:
+                raise FormatError(f"truncated {kind} file")
+            row[:] = _row(line, p, lineno)
+    return out
+
+
 # ---------------------------------------------------------------- models
 
 def save_model(model: BlockModel, path) -> None:
@@ -98,35 +138,17 @@ def save_model(model: BlockModel, path) -> None:
         fh.write(
             f"{MODEL_MAGIC} p={model.p} B={model.B} L={model.L} beta={_fmt(model.beta)}\n"
         )
-        for b, K in enumerate(model.precisions, start=1):
-            fh.write(f"block {b}\n")
-            for row in K:
-                fh.write(" ".join(_fmt(v) for v in row) + "\n")
+        _write_blocks(fh, model.precisions)
 
 
 def load_model(path) -> BlockModel:
     with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines:
-        raise FormatError("empty model file")
-    hdr = _parse_header(lines[0], MODEL_MAGIC, ("p", "B", "L", "beta"))
-    p, B, L = _sizes(hdr, "line 1")
-    try:
-        beta = float(hdr["beta"])
-    except ValueError:
-        raise FormatError(f"line 1: beta={hdr['beta']!r} is not a number") from None
-    pos = 1
-    rows = []
-    for b in range(1, B + 1):
-        if pos >= len(lines) or lines[pos].strip() != f"block {b}":
-            raise FormatError(f"expected 'block {b}' at line {pos + 1}")
-        pos += 1
-        for _ in range(p):
-            if pos >= len(lines):
-                raise FormatError("truncated model file")
-            rows.append(_row(lines[pos], p, pos + 1))
-            pos += 1
-    K = np.array(rows).reshape(B, p, p)
+        hdr, (p, B, L) = _read_header(fh, MODEL_MAGIC, ("p", "B", "L", "beta"), "model")
+        try:
+            beta = float(hdr["beta"])
+        except ValueError:
+            raise FormatError(f"line 1: beta={hdr['beta']!r} is not a number") from None
+        K = _read_blocks(fh, B, p, p, "model")
     if not np.all(np.isfinite(K)):  # before inv, which may fail on them first
         raise FormatError("model precisions contain non-finite values")
     C = np.linalg.inv(K)
@@ -139,19 +161,18 @@ def load_model(path) -> BlockModel:
 
 def save_samples(samples: SampleBlocks, path, binary: bool = False) -> None:
     header = f"{SAMPLES_MAGIC} p={samples.p} B={samples.B} L={samples.L}"
+    # Row n of block b is sample n: the (B, L, p) layout of both formats.
+    cols = samples.data.swapaxes(1, 2)
     if binary:
         with open(path, "wb") as fh:
-            for X in samples.data:
-                np.ascontiguousarray(X.T, dtype="<f8").tofile(fh)
+            for block in cols:
+                np.ascontiguousarray(block, dtype="<f8").tofile(fh)
         with open(f"{path}.meta", "w", newline="\n") as fh:
             fh.write(header + "\n")
         return
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
-        for b, X in enumerate(samples.data, start=1):
-            fh.write(f"block {b}\n")
-            for col in X.T:
-                fh.write(" ".join(_fmt(v) for v in col) + "\n")
+        _write_blocks(fh, cols)
 
 
 def load_samples(path, binary: bool = False) -> SampleBlocks:
@@ -165,29 +186,9 @@ def load_samples(path, binary: bool = False) -> SampleBlocks:
         cols = np.memmap(path, dtype="<f8", mode="r", shape=(B, L, p))
     else:
         with open(path) as fh:
-            header = fh.readline()
-            if not header:
-                raise FormatError("empty samples file")
-            hdr = _parse_header(header.rstrip("\n"), SAMPLES_MAGIC, ("p", "B", "L"))
-            p, B, L = _sizes(hdr, "line 1")
-            # Every entry takes at least one byte, so a shorter file is truncated;
-            # checking first keeps the array below within 8x the file's size.
-            if os.fstat(fh.fileno()).st_size < p * B * L:
-                raise FormatError("truncated samples file")
-            cols = np.empty((B, L, p))
-            lineno = 1
-            for b, block in enumerate(cols, start=1):
-                lineno += 1
-                if fh.readline().strip() != f"block {b}":
-                    raise FormatError(f"expected 'block {b}' at line {lineno}")
-                for row in block:
-                    lineno += 1
-                    line = fh.readline()
-                    if not line:
-                        raise FormatError("truncated samples file")
-                    row[:] = _row(line, p, lineno)
-    # Row n of block b is sample n, so block b's p x L matrix is cols[b].T.
-    return SampleBlocks(p=p, B=B, L=L, data=tuple(block.T for block in cols))
+            _, (p, B, L) = _read_header(fh, SAMPLES_MAGIC, ("p", "B", "L"), "samples")
+            cols = _read_blocks(fh, B, L, p, "samples")
+    return SampleBlocks(p=p, B=B, L=L, data=cols.swapaxes(1, 2))
 
 
 # ---------------------------------------------------------------- estimates

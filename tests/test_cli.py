@@ -1,5 +1,6 @@
 """End-to-end command-line checks: pipelines, exit codes, determinism."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -56,6 +57,26 @@ def test_sample_then_estimate_pipeline(tmp_path, model_path):
     npath = tmp_path / "node.txt"
     assert run("estimate", spath, "-s", 2, "--lam", 0.01, "--node", 1, "-o", npath) == 0
     assert npath.read_text().startswith("node 1: {")
+
+
+# sha256 of the ``estimate --node i --lam 0.01`` lines for i = 1..6, on the
+# samples of ``sample --seed 7`` from the ``model_path`` model.  The digests
+# hold for a given numpy, LAPACK and BLAS build.
+NODE_PINS = [
+    (2, "c63530a7c54e724450fb5a2d1370af8331bbc0dc3be0c89542d930d6becd99e6"),
+    (3, "fe739199658e26540ebca932ba63d1ce9126adb0e96ab99dd068363ae5c78f2f"),
+]
+
+
+@pytest.mark.parametrize("s, sha", NODE_PINS)
+def test_node_estimates_are_pinned(tmp_path, model_path, s, sha):
+    spath, npath = tmp_path / "samples.txt", tmp_path / "node.txt"
+    assert run("sample", model_path, "--seed", 7, "-o", spath) == 0
+    lines = b""
+    for node in range(1, 7):
+        assert run("estimate", spath, "-s", s, "--lam", 0.01, "--node", node, "-o", npath) == 0
+        lines += npath.read_bytes()
+    assert hashlib.sha256(lines).hexdigest() == sha
 
 
 def test_binary_sample_round_trip(tmp_path, model_path):
@@ -227,14 +248,19 @@ def test_config_errors_exit_2(tmp_path):
     cpath = tmp_path / "bad.txt"
     cpath.write_text(CONFIG + "mystery = 1\n")
     assert run("experiment", cpath, "-o", tmp_path / "out.csv") == 2
-    # estimate without a penalty source
-    spath = tmp_path / "samples.txt"
-    assert run("model", "-p", 4, "--s-max", 1, "-B", 1, "-L", 8, "--beta", 2.0,
-               "--coupling", 0.3, "--seed", 1, "-o", tmp_path / "m.txt") == 0
-    assert run("sample", tmp_path / "m.txt", "--seed", 2, "-o", spath) == 0
-    assert run("estimate", spath, "-s", 1) == 2
     # unreadable input
-    assert run("sample", tmp_path / "missing.txt", "--seed", 2, "-o", spath) == 2
+    assert run("sample", tmp_path / "missing.txt", "--seed", 2, "-o", tmp_path / "s.txt") == 2
+
+
+@pytest.mark.parametrize("penalty", [(), ("--lam", 0.01, "--rho-min", 5.0)],
+                         ids=["neither", "both"])
+def test_estimate_needs_exactly_one_penalty_source(tmp_path, capsys, model_path, penalty):
+    spath = tmp_path / "samples.txt"
+    assert run("sample", model_path, "--seed", 2, "-o", spath) == 0
+    with pytest.raises(SystemExit) as exc:
+        run("estimate", spath, "-s", 1, *penalty)
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])

@@ -9,6 +9,7 @@ from nsgms import (
     dft_coefficients,
     to_block_samples,
 )
+from nsgms.decorrelate import _real_columns
 from nsgms.errors import InvalidParameterError
 from nsgms.sampling import SampleBlocks
 
@@ -67,6 +68,26 @@ def test_energy_preserved_exactly(N):
     series = StationarySeries(p=3, N=N, data=data, W=1)
     blocks = to_block_samples(series)
     assert total_energy(blocks) == pytest.approx(np.sum(data**2), rel=1e-9)
+
+
+@pytest.mark.parametrize("N, W", [(15, 3), (16, 4)])
+def test_real_columns_follow_frequency_order(N, W):
+    # DC, then sqrt(2) Re and sqrt(2) Im of each frequency 1 <= k < N/2,
+    # then, for even N, the Nyquist coefficient; blocks are runs of N/W columns.
+    rng = np.random.default_rng(N)
+    series = StationarySeries(p=3, N=N, data=rng.standard_normal((3, N)), W=W)
+    coeffs = dft_coefficients(series)
+    columns = [coeffs[:, 0].real]
+    for k in range(1, (N + 1) // 2):
+        columns += [np.sqrt(2.0) * coeffs[:, k].real, np.sqrt(2.0) * coeffs[:, k].imag]
+    if N % 2 == 0:
+        columns.append(coeffs[:, N // 2].real)
+    expected = np.column_stack(columns)
+    assert np.array_equal(_real_columns(coeffs), expected)
+    L = N // W
+    blocks = to_block_samples(series)
+    for b in range(W):
+        assert np.array_equal(blocks.data[b], expected[:, b * L:(b + 1) * L])
 
 
 def test_white_noise_keeps_covariance():

@@ -71,6 +71,8 @@ def test_parse_config_l_grid():
 def test_parse_config_rejects_unknown_key():
     with pytest.raises(ConfigError):
         parse_config(BASE_CONFIG + "bogus = 1\n")
+    with pytest.raises(ConfigError, match="unknown key 'combine_rule'"):
+        parse_config(BASE_CONFIG + "combine_rule = OR\n")
 
 
 def test_parse_config_rejects_duplicate_key():
@@ -97,8 +99,6 @@ def test_config_validation():
         small_config(s_est=1)
     with pytest.raises(ConfigError):
         small_config(s_est=6)
-    with pytest.raises(ConfigError):
-        small_config(combine_rule="XOR")
     with pytest.raises(ConfigError):
         small_config(lambda_mode="soft")
     assert small_config(lambda_mode="0.125").explicit_lambda == 0.125

@@ -246,6 +246,20 @@ def test_sweep_matches_oracle_on_degenerate_rows(samples, s, lam):
         assert obj >= lam * len(T)  # each block's residual is clamped at 0
 
 
+@settings(max_examples=60, deadline=None)
+@given(degenerate_samples(), st.integers(1, 3), st.floats(0.0, 0.3), st.data())
+def test_one_target_sweep_is_its_row_of_the_whole_graph_sweep(samples, s, lam, data):
+    s = min(s, samples.p - 1)
+    grams = block_grams(samples)
+    whole_sets, whole_objs = subset_objectives(grams, range(s + 1), samples.n_samples,
+                                               lam, DEFAULT_RANK_TOL)
+    for i in data.draw(st.lists(st.integers(0, samples.p - 1), min_size=1, max_size=3)):
+        (T,), objs = subset_objectives(grams, range(s + 1), samples.n_samples,
+                                       lam, DEFAULT_RANK_TOL, target=i)
+        assert T == whole_sets[i]
+        assert objs.tobytes() == whole_objs[i:i + 1].tobytes()
+
+
 @pytest.mark.xfail(strict=True, reason="resolution limit of the Gram route: a row whose "
                    "relative residual norm lies between rank_tol and about 1e-7 is swept "
                    "below rounding, so neither the keeping nor the dropping oracle is matched")

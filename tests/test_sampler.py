@@ -206,3 +206,15 @@ def test_gram_blocks_rejects_bad_input():
         GramBlocks(p=3, B=1, L=10, grams=good)
     with pytest.raises(InvalidParameterError):
         GramBlocks(p=3, B=2, L=10, grams=good[:, :2, :])
+
+
+def test_sample_blocks_are_one_stack_of_the_declared_shape():
+    rng = np.random.default_rng(3)
+    blocks = tuple(rng.standard_normal((3, 5)) for _ in range(2))
+    samples = SampleBlocks(p=3, B=2, L=5, data=blocks)
+    assert samples.data.shape == (2, 3, 5)
+    assert np.array_equal(samples.data[1], blocks[1])
+    ragged = (blocks[0], blocks[1][:, :4])
+    for bad in (ragged, blocks[:1], np.zeros((2, 5, 3)), np.zeros((3, 5))):
+        with pytest.raises(InvalidParameterError):
+            SampleBlocks(p=3, B=2, L=5, data=bad)

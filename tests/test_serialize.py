@@ -1,5 +1,6 @@
 """On-disk formats: models, samples, estimates, edge lists."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -72,9 +73,12 @@ def test_binary_payload_layout(tmp_path):
 def test_binary_blocks_are_read_only_views(tmp_path, model):
     path = tmp_path / "samples.bin"
     save_samples(sample_process(model, 9), path, binary=True)
-    X = load_samples(path, binary=True).data[0]
+    data = load_samples(path, binary=True).data
+    # The (B, p, L) transpose of the (B, L, p) mapping, not a copy of it.
+    p, L = model.p, model.L
+    assert not data.flags.owndata and data.strides == (8 * L * p, 8, 8 * p)
     with pytest.raises(ValueError):
-        X[0, 0] = 1.0
+        data[0][0, 0] = 1.0
 
 
 def test_binary_load_does_not_copy_the_payload(tmp_path):
@@ -129,6 +133,46 @@ def test_text_load_holds_one_copy_of_the_payload(tmp_path):
     assert peak < 1.5 * 8 * p * B * L
 
 
+# sha256 of save_samples' text file, binary payload and .meta for
+# sample_process(model, seed) on the ``model`` fixture.  The digests hold
+# for a given numpy and BLAS build (the samples pass through a Cholesky
+# factor and a matrix product).
+SAMPLE_PINS = [
+    (9, "64a49f5763cf262dbae4ba8c58538b071c97c1aaf5e205cf06308017dc52978b",
+     "025622cccc132c405cc40ca2653d403e90cbfcff8fa649f83e3f57e75933ac88"),
+    (10, "99f2b59aa27b181acb83b8665f6cd99074d010342c8b7297fec41c5a1fea0b79",
+     "1773e5c1c955eb3750b40732f080abaf3d7b764621afb9a03a67fc38441ed869"),
+]
+META_SHA = "06318cd4babf6aa373ba691a0905c348ff0bf509832a2e37105055079bc4e7b6"
+
+
+@pytest.mark.parametrize("seed, text_sha, binary_sha", SAMPLE_PINS)
+def test_saved_sample_bytes_are_pinned(tmp_path, model, seed, text_sha, binary_sha):
+    samples = sample_process(model, seed)
+    save_samples(samples, tmp_path / "s.txt")
+    save_samples(samples, tmp_path / "s.bin", binary=True)
+    for name, sha in (("s.txt", text_sha), ("s.bin", binary_sha), ("s.bin.meta", META_SHA)):
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == sha
+
+
+def test_text_model_load_holds_about_three_copies_of_the_precisions(tmp_path):
+    # The precisions, their inverse and the symmetrised covariances; the
+    # file's lines are parsed one at a time, never held as a whole.
+    p, B = 100, 4
+    rng = np.random.default_rng(8)
+    A = 0.01 * rng.standard_normal((B, p, p))
+    K = np.eye(p) + A + A.swapaxes(1, 2)
+    path = tmp_path / "model.txt"
+    with open(path, "w") as fh:
+        fh.write(f"nsgms-model v1 p={p} B={B} L=10 beta=2\n")
+        for b, block in enumerate(K, start=1):
+            fh.write(f"block {b}\n")
+            fh.writelines(" ".join(format(v, ".17g") for v in row) + "\n" for row in block)
+    back, peak = traced_peak(lambda: load_model(path))
+    assert np.array_equal(back.precisions, K)
+    assert peak < 4 * K.nbytes
+
+
 def test_load_model_rejects_garbage(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("not a model\n")
@@ -179,6 +223,13 @@ def test_load_model_rejects_non_finite_before_inverting(tmp_path):
     path = tmp_path / "inf.txt"
     path.write_text("nsgms-model v1 p=2 B=1 L=4 beta=2\nblock 1\ninf 0\n0 0\n")
     with pytest.raises(FormatError, match="non-finite"):
+        load_model(path)
+
+
+def test_load_model_rejects_truncation_before_allocating(tmp_path):
+    path = tmp_path / "bad.txt"  # 10**12 precision entries would not fit in memory
+    path.write_text(f"nsgms-model v1 p={10**6} B=1 L=4 beta=2\nblock 1\n1 0\n")
+    with pytest.raises(FormatError, match="truncated model file"):
         load_model(path)
 
 
