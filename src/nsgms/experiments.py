@@ -7,17 +7,29 @@ from a seed derived from (master seed, grid index, trial index), picks a
 random target node with a nonempty neighborhood, and counts an error
 when the estimated neighborhood differs from the true one.  A trial
 draws each block's Gram matrix straight from its Wishart law
-(:func:`~nsgms.sampling.sample_grams`) and never materialises the p x L
-columns, so its time and memory do not grow with the block length.
+(:func:`~nsgms.sampling.sample_gram_stack`) and never materialises the
+p x L columns, so its time and memory do not grow with the block length.
 Everything is a pure function of the config, so reruns give identical
-results.  Trials run one after another in one thread.
+results.
+
+A grid point's trials run in one thread, in chunks of
+:data:`MODELS_PER_STACK`.  Within a chunk each trial makes its own
+scalar draws on its own streams, in the order a lone trial makes them;
+the chunk's models and Gram matrices are then built on one stack of
+chunk * B blocks (:func:`~nsgms.model.build_model_stack`), which gives
+each trial bit for bit what it would get alone, and each trial's
+one-target sweep runs on its own Gram stack.  Memory depends on the
+chunk size, not on the number of trials.  A chunk that raises is rerun
+one trial at a time, so a failure raises the error of the first failing
+trial, as a trial-by-trial loop would.
 
 Grid entries may be absolute sample counts (``N_grid``), absolute block
 lengths (``L_grid``), or multipliers of the theoretical sample-size
 bound written like ``1.5x``; multipliers are resolved against a pilot
 calibration of the achievable minimum edge strength.  Pilots draw their
 graphs and precisions on the same streams as trials' model builds but
-compute edge strengths only, with no covariances.
+compute edge strengths only, with no covariances, in chunks of the same
+size.
 """
 
 from __future__ import annotations
@@ -30,7 +42,7 @@ import numpy as np
 
 from .errors import ConfigError, InfeasibleConfigError, TrendViolationError
 from .graph import random_cig
-from .model import build_block_model, min_edge_strength, pilot_min_edge_strength
+from .model import build_model_stack, min_edge_strengths, pilot_min_edge_strengths
 from .regression import (
     EstimatorConfig,
     default_lambda,
@@ -38,11 +50,14 @@ from .regression import (
     rho_condition_holds,
     sample_size_bound,
 )
-from .sampling import sample_grams
+from .sampling import GramBlocks, sample_gram_stack
 
 _Z95 = 1.959963984540054
 _CALIBRATION_PILOTS = 32
 _CALIBRATION_KEY = 0x5EED  # spawn-key namespace separating pilots from trials
+
+#: models built on one stack: calibration pilots, or trials of one grid point
+MODELS_PER_STACK = 4
 
 CSV_COLUMNS = (
     "N", "B", "L", "p", "s_true", "s_est", "beta", "rho_min", "lambda",
@@ -71,6 +86,13 @@ class ExperimentConfig:
             raise ConfigError(f"need trials >= 1, got {self.trials}")
         if not self.grid:
             raise ConfigError("grid must be nonempty")
+        for entry in self.grid:
+            if isinstance(entry, float) and not (math.isfinite(entry) and entry > 0):
+                raise ConfigError(f"grid multiplier must be finite and positive, got {entry!r}x")
+            if isinstance(entry, int) and entry < 1:
+                raise ConfigError(f"grid entry must be a positive count, got {entry}")
+        if not (math.isfinite(self.eta) and self.eta > 0):
+            raise ConfigError(f"need a finite eta > 0, got {self.eta!r}")
         if self.s_est < self.s_true:
             raise ConfigError(f"need s_est >= s_true, got {self.s_est} < {self.s_true}")
         if self.s_est >= self.p:
@@ -173,6 +195,40 @@ def _trial_seed(master_seed: int, *key) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=master_seed, spawn_key=tuple(key))
 
 
+def _chunked(count: int, run, *args):
+    """Yield ``run(*args, chunk)`` over consecutive ranges of ``range(count)``.
+
+    Each chunk holds at most :data:`MODELS_PER_STACK` indices.  A chunk
+    that raises, whatever the exception, is rerun one index at a time, so
+    the error raised is the one the first failing index raises alone, as
+    in a loop over single indices; a stacked step checks all of a chunk's
+    models before a later step checks any, so its own error may belong to
+    a later index or a later step.
+    """
+    for start in range(0, count, MODELS_PER_STACK):
+        chunk = range(start, min(start + MODELS_PER_STACK, count))
+        try:
+            result = run(*args, chunk)
+        except Exception as error:
+            failure = error
+        else:
+            yield result
+            continue
+        for k in chunk:
+            run(*args, range(k, k + 1))
+        raise failure
+
+
+def _pilot_min(config: ExperimentConfig, pilots) -> float:
+    """Smallest edge strength over pilots ``pilots``, built on one stack."""
+    cigs, seeds = [], []
+    for k in pilots:
+        rng = np.random.default_rng(_trial_seed(config.master_seed, _CALIBRATION_KEY, k))
+        cigs.append(random_cig(config.p, config.s_true, rng.integers(2**63)))
+        seeds.append(rng.integers(2**63))
+    return min(pilot_min_edge_strengths(cigs, config.B, config.beta, config.coupling, seeds))
+
+
 def calibrate_rho_min(config: ExperimentConfig) -> float:
     """Smallest edge strength seen over a pilot batch of models.
 
@@ -180,17 +236,12 @@ def calibrate_rho_min(config: ExperimentConfig) -> float:
     always report the strengths actually achieved during their trials.
     A pilot draws its graph and precision stack on the same streams as a
     full model build, but computes only the edge strengths
-    (:func:`~nsgms.model.pilot_min_edge_strength`): nothing reads a pilot's
-    covariances, so none are formed.
+    (:func:`~nsgms.model.pilot_min_edge_strengths`): nothing reads a
+    pilot's covariances, so none are formed.  Pilots draw one by one and
+    are mapped to the band in chunks of :data:`MODELS_PER_STACK`, on one
+    stack per chunk.
     """
-    worst = math.inf
-    for k in range(_CALIBRATION_PILOTS):
-        rng = np.random.default_rng(_trial_seed(config.master_seed, _CALIBRATION_KEY, k))
-        cig = random_cig(config.p, config.s_true, rng.integers(2**63))
-        worst = min(worst, pilot_min_edge_strength(
-            cig, config.B, config.beta, config.coupling, rng.integers(2**63)
-        ))
-    return worst
+    return min(_chunked(_CALIBRATION_PILOTS, _pilot_min, config))
 
 
 def resolve_grid(config: ExperimentConfig) -> list:
@@ -203,7 +254,10 @@ def resolve_grid(config: ExperimentConfig) -> list:
     out = []
     for entry in config.grid:
         if isinstance(entry, float):
-            L = max(int(math.ceil(entry * bound / config.B)), 1)
+            length = entry * bound / config.B
+            if not math.isfinite(length):
+                raise ConfigError(f"grid entry {entry!r}x overflows the block length")
+            L = max(int(math.ceil(length)), 1)
         elif config.grid_kind == "L":
             L = entry
         else:
@@ -221,24 +275,40 @@ def _trial_candidates(cig) -> list:
     return sorted({v for e in cig.edges for v in e})
 
 
-def _run_trial(config: ExperimentConfig, L: int, grid_index: int, trial_index: int):
-    """One (model, Gram sample, estimate) trial; returns (is_error, achieved_rho_min)."""
-    rng = np.random.default_rng(
-        _trial_seed(config.master_seed, grid_index, trial_index)
+def _run_trials(config: ExperimentConfig, L: int, grid_index: int, trials):
+    """Trials ``trials`` of one grid point on one stack; returns (errors, min rho).
+
+    Each trial draws its graph, model seed, target node and Gram seed on
+    its (master, grid, trial) stream, and its W entries and Bartlett
+    variates on theirs, as a lone trial does; models and Gram matrices are
+    then built for the whole chunk at once, and each trial's one-target
+    sweep runs on its own Gram stack.
+    """
+    cigs, model_seeds, nodes, gram_seeds = [], [], [], []
+    for t in trials:
+        rng = np.random.default_rng(_trial_seed(config.master_seed, grid_index, t))
+        cig = random_cig(config.p, config.s_true, rng.integers(2**63))
+        model_seeds.append(rng.integers(2**63))
+        candidates = _trial_candidates(cig)
+        nodes.append(int(candidates[rng.integers(len(candidates))]))
+        gram_seeds.append(rng.integers(2**63))
+        cigs.append(cig)
+    precisions, covariances = build_model_stack(
+        cigs, config.B, config.beta, config.coupling, model_seeds
     )
-    cig = random_cig(config.p, config.s_true, rng.integers(2**63))
-    model = build_block_model(
-        cig, config.B, L, config.beta, config.coupling, rng.integers(2**63)
-    )
-    rho = min_edge_strength(model, cig)
-    lam = config.explicit_lambda
-    if lam is None:
-        lam = default_lambda(rho)
-    candidates = _trial_candidates(cig)
-    node = int(candidates[rng.integers(len(candidates))])
-    grams = sample_grams(model, rng.integers(2**63))
-    est = estimate_neighborhood(grams, node, EstimatorConfig(s=config.s_est, lam=lam))
-    return est.selected != cig.neighborhood(node), rho
+    rhos = min_edge_strengths(precisions, cigs)
+    del precisions
+    grams = sample_gram_stack(covariances, L, gram_seeds)
+    del covariances
+    errors = 0
+    for cig, node, rho, W in zip(cigs, nodes, rhos, grams):
+        lam = config.explicit_lambda
+        if lam is None:
+            lam = default_lambda(rho)
+        est = estimate_neighborhood(GramBlocks(p=config.p, B=config.B, L=L, grams=W), node,
+                                    EstimatorConfig(s=config.s_est, lam=lam))
+        errors += est.selected != cig.neighborhood(node)
+    return errors, min(rhos)
 
 
 def wilson_interval(errors: int, trials: int, z: float = _Z95):
@@ -256,10 +326,11 @@ def run_node_recovery(config: ExperimentConfig, timings: bool = True) -> list:
     rows = []
     for g, (N, L) in enumerate(resolve_grid(config)):
         t0 = time.perf_counter()
-        results = [_run_trial(config, L, g, t) for t in range(config.trials)]
+        errors, rho_min = 0, math.inf
+        for chunk_errors, chunk_rho in _chunked(config.trials, _run_trials, config, L, g):
+            errors += chunk_errors
+            rho_min = min(rho_min, chunk_rho)
         wall_ms = (time.perf_counter() - t0) * 1e3 if timings else 0.0
-        errors = sum(1 for err, _ in results if err)
-        rho_min = min(rho for _, rho in results)
         rate = errors / config.trials
         ci_low, ci_high = wilson_interval(errors, config.trials)
         lam = config.explicit_lambda

@@ -16,14 +16,22 @@ not, and the pattern is what encodes the graph.
 
 Edge strength is measured by the block-averaged squared ratio of the
 off-diagonal precision entry to the diagonal one; it is reported, never
-targeted.  It reads the precisions only, so :func:`pilot_min_edge_strength`
+targeted.  It reads the precisions only, so :func:`pilot_min_edge_strengths`
 (the harness's calibration pilots) runs the precision half of a build, on
-the same random stream, and forms no covariances.
+the same random streams, and forms no covariances.
+
+n models of one shape are built on one (n*B, p, p) stack
+(:func:`build_model_stack`): each model draws its W entries on its own
+stream, one scalar draw at a time, and then one scatter, one ``eigh``, one
+band map, one covariance product and one inversion check serve them all.
+Every step is per block, so a stacked model is bit for bit the model built
+alone; :func:`build_block_model` is the case n = 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -85,10 +93,11 @@ class ModelReport:
 def _spectrum_to_band(K: np.ndarray, beta: float):
     """Affine map of each precision spectrum so covariance eigenvalues hit [1, beta].
 
-    ``K`` is a (B, p, p) stack.  Returns the mapped precision stack K_new
-    together with its eigenvalues and eigenvectors, all from one symmetric
-    eigendecomposition per block; :func:`_covariances` turns the latter two
-    into C_new, so every pair is consistent to machine precision.
+    ``K`` is a (B, p, p) stack; it is overwritten.  Returns the mapped
+    precision stack K_new together with its eigenvalues and eigenvectors,
+    all from one symmetric eigendecomposition per block;
+    :func:`_covariances` turns the latter two into C_new, so every pair is
+    consistent to machine precision.
     """
     evals, vecs = np.linalg.eigh(K)
     kmin, kmax = evals[:, 0], evals[:, -1]
@@ -99,23 +108,66 @@ def _spectrum_to_band(K: np.ndarray, beta: float):
     alpha = np.where(flat, 1.0 / kmax, (1.0 - 1.0 / beta) / np.where(flat, 1.0, kmax - kmin))
     gamma = np.where(flat, 0.0, 1.0 / alpha - kmax)
     new_evals = alpha[:, None] * (evals + gamma[:, None])
-    K_new = alpha[:, None, None] * K + (alpha * gamma)[:, None, None] * np.eye(K.shape[-1])
-    K_new = 0.5 * (K_new + K_new.swapaxes(1, 2))
-    return K_new, new_evals, vecs
+    # alpha*K + (alpha*gamma)*I, formed in K's own buffer with the same bits.
+    K *= alpha[:, None, None]
+    diag = np.arange(K.shape[-1])
+    K[:, diag, diag] += (alpha * gamma)[:, None]
+    return _symmetrised(K), new_evals, vecs
+
+
+def _symmetrised(A: np.ndarray) -> np.ndarray:
+    """0.5 * (A + A^T) per block, bit for bit.
+
+    The transpose is copied first, so the sum runs on two contiguous stacks;
+    a sum with the strided transpose makes numpy allocate an iteration buffer
+    as large as the stack.
+    """
+    out = A.swapaxes(-1, -2).copy()
+    out += A
+    out *= 0.5
+    return out
 
 
 def _covariances(new_evals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """C_new = V diag(1/new_evals) V^T per block, symmetrised."""
-    C_new = (vecs / new_evals[:, None, :]) @ vecs.swapaxes(1, 2)
-    return 0.5 * (C_new + C_new.swapaxes(1, 2))
+    return _symmetrised((vecs / new_evals[:, None, :]) @ vecs.swapaxes(1, 2))
 
 
-def _banded_precisions(cig: Cig, B: int, beta: float, coupling: float, seed, edge_pairs):
-    """The precision half of a model build: draw W, map K = I + W into the band.
+def _coupling_draws(cig: Cig, B: int, coupling: float, seed):
+    """One model's W entries, in block then edge order, from its own stream.
 
-    Returns ``_spectrum_to_band``'s (K_new, new_evals, vecs).  The random
-    stream is that of one ``rng.uniform(lo, hi)`` magnitude and one
-    ``rng.integers(0, 2)`` sign per edge and block, in block then edge order.
+    The stream is that of one ``rng.uniform(lo, hi)`` magnitude and one
+    ``rng.integers(0, 2)`` sign per edge and block; the sign is drawn as
+    ``rng.integers(2)``, the same draw with less argument handling.
+    """
+    rng = np.random.default_rng(seed)
+    s_max = max(cig.max_degree, 1)
+    lo, hi = coupling / (2 * s_max), coupling / s_max
+    span = hi - lo
+    signs = (-1.0, 1.0)
+    # lo + span * random() is the arithmetic of rng.uniform(lo, hi), bit for bit.
+    for _ in range(B * len(cig.edges)):
+        yield (lo + span * rng.random()) * signs[rng.integers(2)]
+
+
+def _edge_index(edge_lists, B: int):
+    """Block, row and column index arrays of the 1-based edges of n models.
+
+    Model k's edges (i, j) appear as (b, i - 1, j - 1) for each of its
+    blocks b = k*B, ..., k*B + B - 1, in block then edge order.
+    """
+    flat = np.fromiter(chain.from_iterable(
+        (b, i - 1, j - 1) for k, edges in enumerate(edge_lists)
+        for b in range(k * B, (k + 1) * B) for i, j in edges
+    ), dtype=np.intp)
+    return flat.reshape(-1, 3).T
+
+
+def _banded_precisions(cigs, B: int, beta: float, coupling: float, seeds, edge_lists):
+    """The precision half of n model builds: draw each W, map K = I + W into the band.
+
+    Returns ``_spectrum_to_band``'s (K_new, new_evals, vecs) over the
+    (n*B, p, p) stack, whose blocks k*B to k*B + B - 1 are model k's.
     """
     if B < 1:
         raise InvalidParameterError(f"need B >= 1, got B={B}")
@@ -123,68 +175,105 @@ def _banded_precisions(cig: Cig, B: int, beta: float, coupling: float, seed, edg
         raise InvalidParameterError(f"need beta > 1, got {beta}")
     if not (0 < coupling < 1):
         raise InvalidParameterError(f"need 0 < coupling < 1, got {coupling}")
-    rng = np.random.default_rng(seed)
-    p = cig.p
-    s_max = max(cig.max_degree, 1)
-    lo, hi = coupling / (2 * s_max), coupling / s_max
-    span = hi - lo
-    signs = (-1.0, 1.0)
-    # lo + span * random() is the arithmetic of rng.uniform(lo, hi), bit for bit.
-    n = len(edge_pairs)
-    draws = np.fromiter(((lo + span * rng.random()) * signs[rng.integers(0, 2)]
-                         for _ in range(B * n)), dtype=float, count=B * n)
-    K = np.zeros((B, p, p))
-    if edge_pairs:
-        rows, cols = (np.array(edge_pairs, dtype=np.intp) - 1).T
-        K[:, rows, cols] = K[:, cols, rows] = draws.reshape(B, n)
+    p = cigs[0].p
+    if any(cig.p != p for cig in cigs):
+        raise InvalidParameterError("graphs of one stack differ in p")
+    draws = np.fromiter(chain.from_iterable(
+        _coupling_draws(cig, B, coupling, seed) for cig, seed in zip(cigs, seeds)
+    ), dtype=float)
+    blocks, rows, cols = _edge_index(edge_lists, B)
+    K = np.zeros((len(cigs) * B, p, p))
+    K[blocks, rows, cols] = K[blocks, cols, rows] = draws
     K += np.eye(p)  # each row of |W| sums to <= coupling < 1: PD by Gershgorin
     return _spectrum_to_band(K, beta)
+
+
+def _check_finite(stack: np.ndarray, name: str) -> None:
+    if not np.all(np.isfinite(stack)):
+        raise InvalidParameterError(f"{name} contain non-finite values")
+
+
+def build_model_stack(cigs, B: int, beta: float, coupling: float, seeds):
+    """Precision and covariance stacks, each (n, B, p, p), of n models built at once.
+
+    Model k has graph ``cigs[k]`` and draws on ``seeds[k]``; it is bit for
+    bit the model :func:`build_block_model` builds from that pair.  Each
+    model gets the inversion-residual check and ``BlockModel``'s finiteness
+    check; the first model that fails raises.
+    """
+    n, p = len(cigs), cigs[0].p
+    edge_lists = [cig.edge_list() for cig in cigs]
+    K_new, new_evals, vecs = _banded_precisions(cigs, B, beta, coupling, seeds, edge_lists)
+    C_new = _covariances(new_evals, vecs)
+    del vecs
+    residual = C_new @ K_new
+    residual -= np.eye(p)
+    err = np.abs(residual, out=residual).reshape(n, -1).max(axis=1)
+    del residual
+    for e in err:
+        if e > INVERSION_TOL * p:
+            raise ConstructionFailure(f"inversion residual {e:.3e} exceeds tolerance")
+    _check_finite(K_new, "precisions")
+    _check_finite(C_new, "covariances")
+    return K_new.reshape(n, B, p, p), C_new.reshape(n, B, p, p)
 
 
 def build_block_model(cig: Cig, B: int, L: int, beta: float, coupling: float, seed) -> BlockModel:
     """Build a B-block model whose precision support equals the graph's edges."""
     if L < 1:
         raise InvalidParameterError(f"need L >= 1, got L={L}")
-    K_new, new_evals, vecs = _banded_precisions(cig, B, beta, coupling, seed, cig.edge_list())
-    C_new = _covariances(new_evals, vecs)
-    err = np.abs(C_new @ K_new - np.eye(cig.p)).max()
-    if err > INVERSION_TOL * cig.p:
-        raise ConstructionFailure(f"inversion residual {err:.3e} exceeds tolerance")
-    return BlockModel(p=cig.p, B=B, L=L, beta=float(beta), precisions=K_new, covariances=C_new)
+    (precisions,), (covariances,) = build_model_stack([cig], B, beta, coupling, [seed])
+    return BlockModel(p=cig.p, B=B, L=L, beta=float(beta),
+                      precisions=precisions, covariances=covariances)
+
+
+def pilot_min_edge_strengths(cigs, B: int, beta: float, coupling: float, seeds) -> list:
+    """``min_edge_strength`` of each model of ``build_model_stack(cigs, ...)``, without the models.
+
+    Draws the same streams and forms the same precision stack, bit for
+    bit, but no covariances, so it skips their inversion-residual check;
+    the precisions get the finiteness check.
+    """
+    edge_lists = [cig.edge_list() for cig in cigs]
+    K_new = _banded_precisions(cigs, B, beta, coupling, seeds, edge_lists)[0]
+    _check_finite(K_new, "precisions")
+    p = cigs[0].p
+    return _min_strengths(K_new.reshape(len(cigs), B, p, p), edge_lists)
 
 
 def pilot_min_edge_strength(cig: Cig, B: int, beta: float, coupling: float, seed) -> float:
     """``min_edge_strength(build_block_model(cig, B, L, ...), cig)`` without the model.
 
-    Draws the same stream and forms the same precision stack, bit for bit,
-    but no covariances, so it skips their inversion-residual check; the
-    precisions get ``BlockModel``'s finiteness check.  Any L >= 1 gives the
-    same value.
+    The case n = 1 of :func:`pilot_min_edge_strengths`; any L >= 1 gives
+    the same value.
     """
-    edge_pairs = cig.edge_list()
-    K_new, _, _ = _banded_precisions(cig, B, beta, coupling, seed, edge_pairs)
-    if not np.all(np.isfinite(K_new)):
-        raise InvalidParameterError("precisions contain non-finite values")
-    return _min_strength(K_new, edge_pairs)
+    return pilot_min_edge_strengths([cig], B, beta, coupling, [seed])[0]
 
 
-def _edge_strengths(precisions: np.ndarray, rows, cols) -> np.ndarray:
-    """Block-averaged (K_ij/K_ii)^2 per 0-based pair (rows[e], cols[e]).
+def _edge_strengths(precisions: np.ndarray, models, rows, cols) -> np.ndarray:
+    """Block-averaged (K_ij/K_ii)^2 of model models[e] per 0-based pair (rows[e], cols[e]).
 
-    Each pair's B squares are summed along a contiguous last axis: the same
-    bits as ``np.mean`` over that pair's 1-D array.
+    ``precisions`` is an (n, B, p, p) stack.  Each pair's B squares are
+    summed along a contiguous last axis: the same bits as ``np.mean`` over
+    that pair's 1-D array.
     """
-    K = np.moveaxis(precisions, 0, -1)  # (p, p, B)
-    ratio = K[rows, cols] / K[rows, rows]
+    K = precisions.transpose(0, 2, 3, 1)  # (n, p, p, B)
+    ratio = K[models, rows, cols] / K[models, rows, rows]
     return (ratio * ratio).mean(axis=-1)
 
 
-def _min_strength(precisions: np.ndarray, edge_pairs) -> float:
-    """Minimum of ``_edge_strengths`` over 1-based edge pairs (inf if there are none)."""
-    if not edge_pairs:
-        return float("inf")
-    pairs = np.array(edge_pairs, dtype=np.intp) - 1
-    return float(_edge_strengths(precisions, pairs[:, 0], pairs[:, 1]).min())
+def _min_strengths(precisions: np.ndarray, edge_lists) -> list:
+    """Per model of an (n, B, p, p) stack, the minimum ``_edge_strengths`` over
+    its 1-based edge pairs ``edge_lists[k]`` (inf if it has none)."""
+    models, rows, cols = _edge_index(edge_lists, 1)
+    out = np.full(len(edge_lists), np.inf)
+    np.minimum.at(out, models, _edge_strengths(precisions, models, rows, cols))
+    return out.tolist()
+
+
+def min_edge_strengths(precisions: np.ndarray, cigs) -> list:
+    """``min_edge_strength`` of each model of an (n, B, p, p) precision stack and its graph."""
+    return _min_strengths(precisions, [cig.edge_list() for cig in cigs])
 
 
 def partial_correlation(model: BlockModel, i: int, j: int) -> float:
@@ -194,12 +283,12 @@ def partial_correlation(model: BlockModel, i: int, j: int) -> float:
             raise InvalidParameterError(f"node {v} outside 1..{model.p}")
     if i == j:
         raise InvalidParameterError("need two distinct nodes")
-    return float(_edge_strengths(model.precisions, [i - 1], [j - 1])[0])
+    return float(_edge_strengths(model.precisions[None], [0], [i - 1], [j - 1])[0])
 
 
 def min_edge_strength(model: BlockModel, cig: Cig) -> float:
     """Minimum average partial correlation over the graph's edges (inf if edgeless)."""
-    return _min_strength(model.precisions, cig.edge_list())
+    return min_edge_strengths(model.precisions[None], [cig])[0]
 
 
 def covariance_eig_range(model: BlockModel):

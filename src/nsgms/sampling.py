@@ -8,8 +8,9 @@ so there are two samplers:
   z standard normal.  The ``sample`` command and every check that needs
   columns, such as the projection oracle, use it.
 - :func:`sample_grams` draws W_b itself from its Wishart law, in O(p^2)
-  numbers per block whatever L is.  The Monte Carlo harness uses it and
-  never materialises columns.
+  numbers per block whatever L is; :func:`sample_gram_stack` does so for
+  n models at once.  The Monte Carlo harness uses the latter and never
+  materialises columns.
 
 Samples are one (B, p, L) stack (:class:`SampleBlocks`) and Gram matrices
 one (B, p, p) stack (:class:`GramBlocks`).
@@ -114,15 +115,22 @@ def cholesky_factor(C: np.ndarray) -> np.ndarray:
     if C.ndim not in (2, 3) or C.shape[-1] != C.shape[-2]:
         raise InvalidParameterError(f"expected p x p or (B, p, p), got shape {C.shape}")
     scale = np.abs(C).max(axis=(-2, -1))
+    # C^T - C on a contiguous copy of C^T: no stack-sized iteration buffer.
+    asymmetry = C.swapaxes(-1, -2).copy()
+    asymmetry -= C
     # A NaN compares false, so it fails here as in np.allclose.
-    tol = 1e-12 * np.maximum(1.0, scale)[..., None, None]
-    if not np.all(np.abs(C - C.swapaxes(-1, -2)) <= tol):
+    if not np.all(np.abs(asymmetry, out=asymmetry).max(axis=(-2, -1))
+                  <= 1e-12 * np.maximum(1.0, scale)):
         raise InvalidParameterError("matrix is not symmetric")
+    del asymmetry
     try:
         G = np.linalg.cholesky(C)
     except np.linalg.LinAlgError:
         raise NotPositiveDefiniteError("matrix is not positive definite") from None
-    err = np.abs(G @ G.swapaxes(-1, -2) - C).max(axis=(-2, -1))
+    residual = G @ G.swapaxes(-1, -2)
+    residual -= C
+    err = np.abs(residual, out=residual).max(axis=(-2, -1))
+    del residual
     if np.any(err > CHOLESKY_TOL * np.maximum(scale, 1e-300)):
         raise NotPositiveDefiniteError(f"Cholesky reconstruction error {err.max():.3e} too large")
     return G
@@ -144,26 +152,52 @@ def sample_process(model: BlockModel, seed) -> SampleBlocks:
     return SampleBlocks(p=model.p, B=model.B, L=model.L, data=data)
 
 
-def sample_grams(model: BlockModel, seed) -> GramBlocks:
-    """Draw each block's Gram matrix X_b X_b^T directly, without its L columns.
+def sample_gram_stack(covariances: np.ndarray, L: int, seeds) -> np.ndarray:
+    """Draw the Gram matrices of n models' blocks at once, without their columns.
 
+    ``covariances`` is an (n, B, p, p) stack and model k draws on
+    ``seeds[k]``; returns the (n, B, p, p) stack of W_b = X_b X_b^T, each
+    block bit for bit what :func:`sample_grams` draws for that model alone.
     W_b = (G A)(G A)^T, with G the Cholesky factor of C^(b) and A the
     p x min(p, L) lower-trapezoidal Bartlett factor: A_kk = sqrt(chi^2_{L-k})
     for k = 0, 1, ..., and N(0, 1) entries below the diagonal (Bartlett 1933;
     Odell & Feiveson 1966).  A is distributed as the L-factor of the LQ
     decomposition of a p x L standard normal matrix, so W_b has the law of
-    X_b X_b^T for every L >= 1, rank min(p, L) included.
+    X_b X_b^T for every L >= 1, rank min(p, L) included.  Block b of a
+    model draws its A on the stream keyed by (seed, Gram namespace, b); one
+    Cholesky factorisation and two products then serve the whole stack.
     """
-    p, L = model.p, model.L
+    n, B, p, _ = covariances.shape
     m = min(p, L)
-    rows, cols = np.tril_indices(p, -1, m)
-    A = np.zeros((model.B, p, m))
-    for b, A_b in enumerate(A):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(_GRAM_KEY, b)))
-        A_b[np.arange(m), np.arange(m)] = np.sqrt(rng.chisquare(L - np.arange(m)))
-        A_b[rows, cols] = rng.standard_normal(rows.size)
-    M = cholesky_factor(model.covariances) @ A
-    return GramBlocks(p=p, B=model.B, L=L, grams=M @ M.swapaxes(1, 2))
+    # np.tril_indices(p, -1, m), which also adds a tuple to the free list per call
+    rows, cols = np.nonzero(np.tri(p, m, -1, dtype=bool))
+    diag = np.arange(m)
+    chi = np.empty((n, B, m))
+    normals = np.empty((n, B, rows.size))
+    for k, seed in enumerate(seeds):
+        for b in range(B):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(_GRAM_KEY, b)))
+            # One scalar draw per degree of freedom: the stream of rng.chisquare(L - diag).
+            # Each array call adds a 1-tuple to CPython's free list (up to 2,000), which
+            # tracemalloc counts as live, so a run's traced peak grew with its trials.
+            chi[k, b] = [rng.chisquare(L - j) for j in range(m)]
+            rng.standard_normal(out=normals[k, b])
+    A = np.zeros((n * B, p, m))
+    A[:, diag, diag] = np.sqrt(chi, out=chi).reshape(n * B, m)
+    A[:, rows, cols] = normals.reshape(n * B, -1)
+    del chi, normals
+    M = cholesky_factor(covariances.reshape(n * B, p, p)) @ A
+    del A
+    return (M @ M.swapaxes(1, 2)).reshape(n, B, p, p)
+
+
+def sample_grams(model: BlockModel, seed) -> GramBlocks:
+    """Draw each block's Gram matrix X_b X_b^T directly, without its L columns.
+
+    The case n = 1 of :func:`sample_gram_stack`, which gives the law.
+    """
+    (grams,) = sample_gram_stack(model.covariances[None], model.L, [seed])
+    return GramBlocks(p=model.p, B=model.B, L=model.L, grams=grams)
 
 
 def empirical_block_covariance(samples: SampleBlocks, b: int) -> np.ndarray:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import nsgms
-from nsgms.cli import main
+from nsgms.cli import build_parser, main
 from nsgms.serialize import load_model, load_samples
 
 CONFIG = """
@@ -250,6 +250,46 @@ def test_config_errors_exit_2(tmp_path):
     assert run("experiment", cpath, "-o", tmp_path / "out.csv") == 2
     # unreadable input
     assert run("sample", tmp_path / "missing.txt", "--seed", 2, "-o", tmp_path / "s.txt") == 2
+
+
+@pytest.mark.parametrize("line", ["N_grid = nanx", "N_grid = infx", "N_grid = 1e400x",
+                                  "N_grid = 0x", "N_grid = -1x", "eta = nan"])
+def test_bad_multipliers_and_eta_exit_2(tmp_path, capsys, line):
+    key = line.split(" = ")[0]
+    text = "".join(f"{line}\n" if row.startswith(key) else f"{row}\n"
+                   for row in CONFIG.strip().splitlines())
+    cpath = tmp_path / "bad.txt"
+    cpath.write_text(text)
+    assert run("experiment", cpath, "-o", tmp_path / "out.csv") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_repeated_in_process_calls_give_the_same_bytes(tmp_path, capsys):
+    # The parser is built once per process; parsing, a usage error and
+    # --version must leave it as it was.
+    assert build_parser() is build_parser()
+    cpath = tmp_path / "sweep.txt"
+    cpath.write_text(CONFIG)
+    rounds = []
+    for k in range(2):
+        csv, model = tmp_path / f"out{k}.csv", tmp_path / f"model{k}.txt"
+        assert run("experiment", cpath, "-o", csv, "--no-timings") == 0
+        assert run("model", "-p", 6, "--s-max", 2, "-B", 2, "-L", 64, "--beta", 2.0,
+                   "--coupling", 0.4, "--seed", 3, "-o", model) == 0
+        printed = capsys.readouterr()
+        with pytest.raises(SystemExit) as usage:
+            run("model", "-p", 6)
+        usage_err = capsys.readouterr().err
+        with pytest.raises(SystemExit) as version:
+            run("--version")
+        version_out = capsys.readouterr().out
+        assert (usage.value.code, version.value.code) == (2, 0)
+        rounds.append((csv.read_bytes(), model.read_bytes(), printed.out, printed.err,
+                       usage_err, version_out))
+    assert rounds[0] == rounds[1]
+    assert "usage:" in rounds[0][4] and "nsgms" in rounds[0][5]
 
 
 @pytest.mark.parametrize("penalty", [(), ("--lam", 0.01, "--rho-min", 5.0)],

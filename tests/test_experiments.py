@@ -1,5 +1,6 @@
 """Config parsing, Monte Carlo sweeps, and CSV emission."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -8,12 +9,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nsgms.experiments as experiments
+import nsgms.model as model_module
 from nsgms import QuadraticForm, sample_size_bound
-from nsgms.errors import ConfigError, InfeasibleConfigError, TrendViolationError
+from nsgms.cli import main
+from nsgms.errors import (
+    ConfigError,
+    InfeasibleConfigError,
+    NotPositiveDefiniteError,
+    TrendViolationError,
+)
 from nsgms.experiments import (
     CSV_COLUMNS,
+    MODELS_PER_STACK,
     ExperimentConfig,
-    _run_trial,
+    _run_trials,
     calibrate_rho_min,
     check_monotone_trend,
     emit_csv,
@@ -104,6 +114,24 @@ def test_config_validation():
     assert small_config(lambda_mode="0.125").explicit_lambda == 0.125
 
 
+@pytest.mark.parametrize("entry", ["nanx", "infx", "1e400x", "0x", "-1x", "0", "-4"])
+def test_parse_config_rejects_bad_grid_entries(entry):
+    with pytest.raises(ConfigError, match="grid"):
+        parse_config(BASE_CONFIG.replace("200, 400", f"200, {entry}"))
+
+
+@pytest.mark.parametrize("eta", ["nan", "inf", "-inf", "0", "-0.1"])
+def test_parse_config_rejects_bad_eta(eta):
+    with pytest.raises(ConfigError, match="eta"):
+        parse_config(BASE_CONFIG.replace("eta = 0.1", f"eta = {eta}"))
+
+
+def test_resolve_grid_rejects_a_multiplier_that_overflows():
+    # Finite, but entry * bound / B is not.
+    with pytest.raises(ConfigError, match="overflows"):
+        resolve_grid(small_config(grid=(1e306,)))
+
+
 def test_resolve_grid_rejects_tiny_blocks():
     with pytest.raises(InfeasibleConfigError):
         resolve_grid(small_config(grid=(4,), grid_kind="N"))
@@ -137,15 +165,117 @@ def test_calibration_is_pinned_on_the_acceptance_config():
 
 def test_trial_memory_does_not_grow_with_block_length():
     # The acceptance config at the bound (L = 187252): p x L columns would
-    # take 12 MB per block; a trial draws only the 8 x 8 Gram matrices.
-    cfg = small_config(p=8, B=4, grid=(1.0,), trials=1, master_seed=20260824)
+    # take 12 MB per block; a chunk of trials draws only the 8 x 8 Gram matrices.
+    cfg = small_config(p=8, B=4, grid=(1.0,), trials=MODELS_PER_STACK, master_seed=20260824)
     tracemalloc.start()
     try:
-        _run_trial(cfg, 187252, 0, 0)
+        _run_trials(cfg, 187252, 0, range(MODELS_PER_STACK))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_recovery_memory_does_not_grow_with_trials():
+    # 4, 64 and 256 trials of the acceptance config at the bound: one chunk, or
+    # many.  The peaks may differ by the index arrays of the largest chunk's
+    # graphs, a few KB, but not by anything kept per trial.
+    def config(trials):
+        return small_config(p=8, B=4, grid=(749008,), trials=trials, master_seed=20260824)
+
+    run_node_recovery(config(MODELS_PER_STACK), timings=False)  # first-call set-up
+    peaks = []
+    for chunks in (1, 16, 64):
+        tracemalloc.start()
+        try:
+            run_node_recovery(config(chunks * MODELS_PER_STACK), timings=False)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) - min(peaks) < 8192, peaks
+
+
+def test_chunked_trials_match_trial_by_trial_runs(monkeypatch):
+    cfg = small_config(p=8, B=4, grid=(1.0, 0.01, 300), trials=2 * MODELS_PER_STACK + 3,
+                       master_seed=7)
+    chunked = run_node_recovery(cfg, timings=False)
+    monkeypatch.setattr(experiments, "MODELS_PER_STACK", 1)
+    assert run_node_recovery(cfg, timings=False) == chunked
+
+
+def test_a_spoiled_trial_raises_what_the_trial_by_trial_loop_raises(monkeypatch):
+    # Trial 1 of a chunk gets a covariance block that is negative definite, so
+    # it fails only at its Cholesky factor; trial 3 gets a NaN precision,
+    # which the model check catches earlier in the pipeline.  Run alone,
+    # trial 1 fails first, so that is the error a chunk must raise too.
+    cfg = small_config(p=8, B=4, grid=(2000,), trials=MODELS_PER_STACK, master_seed=20260824)
+    assert MODELS_PER_STACK >= 4
+    original = model_module._spectrum_to_band
+    seen = []
+
+    def recording(K, beta):
+        seen.append(K.copy())
+        return original(K, beta)
+
+    monkeypatch.setattr(model_module, "_spectrum_to_band", recording)
+    run_node_recovery(cfg, timings=False)
+    assert len(seen) == 1  # one stack for the whole chunk
+    negated, nan = seen[0][1 * cfg.B], seen[0][3 * cfg.B]
+
+    def spoiled(K, beta):
+        hits = [[i for i, block in enumerate(K) if np.array_equal(block, target)]
+                for target in (negated, nan)]
+        K_new, new_evals, vecs = original(K, beta)
+        for i in hits[0]:
+            K_new[i] *= -1.0
+            new_evals[i] *= -1.0
+        for i in hits[1]:
+            K_new[i, 0, 0] = np.nan
+        return K_new, new_evals, vecs
+
+    monkeypatch.setattr(model_module, "_spectrum_to_band", spoiled)
+    with pytest.raises(Exception) as chunked:
+        run_node_recovery(cfg, timings=False)
+    monkeypatch.setattr(experiments, "MODELS_PER_STACK", 1)
+    with pytest.raises(Exception) as single:
+        run_node_recovery(cfg, timings=False)
+    assert type(chunked.value) is type(single.value) is NotPositiveDefiniteError
+    assert str(chunked.value) == str(single.value)
+
+
+ACCEPTANCE = """\
+p = 8
+s_true = 2
+s_est = 2
+B = 4
+{grid}
+beta = 2.0
+coupling = 0.4
+trials = {trials}
+eta = 0.1
+master_seed = {seed}
+"""
+
+
+# sha256 of ``experiment --no-timings`` CSVs, recorded before trials and
+# pilots were built on stacks; the bytes must not move.
+@pytest.mark.parametrize("text, sha", [
+    (ACCEPTANCE.format(grid="N_grid = 1e-4x, 0.1x, 1x, 752", trials=20, seed=20260824),
+     "80d15f4009cff99ff1f967a35303017894641bbbe8eec805d61e82724fc17467"),
+    (ACCEPTANCE.format(grid="N_grid = 0.01x, 1x, 300", trials=7, seed=3),
+     "9cf71fa52b513ad163449fdb4c99ba81faac214db8fe823fec610671d3167ec9"),
+    ("p = 10\ns_true = 2\ns_est = 3\nB = 3\nN_grid = 0.05x, 1x, 600\nbeta = 2.5\n"
+     "coupling = 0.5\ntrials = 9\neta = 0.05\nmaster_seed = 11\n",
+     "208fc40d514998ef96913058f0743fece124366590d8f7a9f46987cc567cc47f"),
+    ("p = 7\ns_true = 2\ns_est = 2\nB = 9\nL_grid = 10, 40, 400\nbeta = 3.0\n"
+     "coupling = 0.3\ntrials = 6\neta = 0.1\nmaster_seed = 42\nlambda_mode = 0.01\n",
+     "8c73b468e8454b12e4081f7f4e464a21dd5c8f4468bcc1476bb5bf61a608eed7"),
+], ids=["acceptance", "trials-7", "p10-s3-B3", "L-grid"])
+def test_experiment_csv_bytes_are_pinned(tmp_path, text, sha):
+    cpath, out = tmp_path / "sweep.cfg", tmp_path / "sweep.csv"
+    cpath.write_text(text)
+    assert main(["experiment", str(cpath), "-o", str(out), "--no-timings"]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
 
 
 def test_row_fields_consistent():

@@ -18,7 +18,14 @@ from nsgms import (
 )
 from nsgms.errors import ConstructionFailure, InvalidParameterError
 from nsgms.experiments import _trial_candidates
-from nsgms.model import _spectrum_to_band, covariance_eig_range, pilot_min_edge_strength
+from nsgms.model import (
+    _spectrum_to_band,
+    build_model_stack,
+    covariance_eig_range,
+    min_edge_strengths,
+    pilot_min_edge_strength,
+    pilot_min_edge_strengths,
+)
 
 
 def model_from_precisions(precisions, L=4, beta=2.0):
@@ -328,6 +335,40 @@ def test_pilot_strength_is_bitwise_the_built_models(p, data, B, beta, coupling,
     built = min_edge_strength(build_block_model(g, B, 1, beta, coupling, model_seed), g)
     assert np.float64(pilot).tobytes() == np.float64(built).tobytes()
     assert (pilot == float("inf")) == edgeless
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 10), st.integers(1, 9), st.integers(1, 5), st.floats(1.01, 20.0),
+    st.floats(0.01, 0.99), st.data(),
+)
+def test_stacked_models_are_bitwise_the_models_built_alone(p, B, n, beta, coupling, data):
+    # B >= 8 is where a (B, E) mean along the wrong axis changes the last bits.
+    cigs, seeds = [], []
+    for _ in range(n):
+        if data.draw(st.booleans()):
+            cigs.append(Cig(p=p))
+        else:
+            s_max = data.draw(st.integers(1, p - 1))
+            cigs.append(random_cig(p, s_max, data.draw(st.integers(0, 2**63 - 1))))
+        seeds.append(data.draw(st.integers(0, 2**63 - 1)))
+    precisions, covariances = build_model_stack(cigs, B, beta, coupling, seeds)
+    assert precisions.shape == covariances.shape == (n, B, p, p)
+    strengths = min_edge_strengths(precisions, cigs)
+    pilots = pilot_min_edge_strengths(cigs, B, beta, coupling, seeds)
+    for k, (cig, seed) in enumerate(zip(cigs, seeds)):
+        alone = build_block_model(cig, B, 1, beta, coupling, seed)
+        assert precisions[k].tobytes() == alone.precisions.tobytes()
+        assert covariances[k].tobytes() == alone.covariances.tobytes()
+        rho = np.float64(min_edge_strength(alone, cig)).tobytes()
+        assert np.float64(strengths[k]).tobytes() == rho
+        assert np.float64(pilots[k]).tobytes() == rho
+        assert (strengths[k] == float("inf")) == (not cig.edges)
+
+
+def test_model_stack_rejects_graphs_of_different_sizes():
+    with pytest.raises(InvalidParameterError, match="differ in p"):
+        build_model_stack([random_cig(5, 2, 0), random_cig(6, 2, 0)], 2, 2.0, 0.4, [1, 2])
 
 
 def test_pilot_rejects_what_build_block_model_rejects():

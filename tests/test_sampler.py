@@ -1,5 +1,7 @@
 """Cholesky factorization and seeded block sampling, as columns and as Grams."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,8 @@ from nsgms import (
 )
 from nsgms.errors import InvalidParameterError, NotPositiveDefiniteError
 from nsgms.regression import EstimatorConfig, estimate_graph, estimate_neighborhood
-from nsgms.sampling import empirical_block_covariance
+from nsgms.model import build_model_stack
+from nsgms.sampling import empirical_block_covariance, sample_gram_stack
 
 
 def test_cholesky_identity():
@@ -186,6 +189,39 @@ def test_sample_grams_rank_is_min_p_l(L):
     for W in grams.grams:
         assert np.array_equal(W, W.T)
         assert np.linalg.matrix_rank(W) == min(6, L)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 9), st.integers(1, 9), st.integers(1, 5), st.integers(1, 400), st.data())
+def test_gram_stack_is_bitwise_the_grams_sampled_alone(p, B, n, L, data):
+    # L < p covers the rank-deficient Bartlett factor, m = min(p, L) columns.
+    cigs = [random_cig(p, data.draw(st.integers(1, p - 1)), data.draw(st.integers(0, 2**32)))
+            for _ in range(n)]
+    model_seeds = [data.draw(st.integers(0, 2**63 - 1)) for _ in range(n)]
+    gram_seeds = [data.draw(st.integers(0, 2**63 - 1)) for _ in range(n)]
+    _, covariances = build_model_stack(cigs, B, 2.0, 0.4, model_seeds)
+    grams = sample_gram_stack(covariances, L, gram_seeds)
+    assert grams.shape == (n, B, p, p)
+    for k in range(n):
+        model = build_block_model(cigs[k], B, L, 2.0, 0.4, model_seeds[k])
+        assert grams[k].tobytes() == sample_grams(model, gram_seeds[k]).grams.tobytes()
+
+
+# sha256 of covariance and Gram stack bytes, recorded before models and Gram
+# matrices were built on stacks of several models.
+@pytest.mark.parametrize("p, s, B, L, seed, cov_sha, gram_sha", [
+    (8, 2, 4, 187252, 1, "ba3caaeb7868c315ac240e1fa8ae03a833e1578c94ddfc68a9e636b559d0c364",
+     "90a2269171654ab0a15e031f1b41a0291f88324bb1f68d3b593cb749cf49e28e"),
+    (6, 3, 9, 4, 7, "374e3e732518232a23673a896222679f174ce6fa18dde833e6bbe922d34a3a3e",
+     "a38f0192b39dffc1e86cebbfd47c01ae2e18359c24e38aad561eae66c39db047"),
+    (10, 3, 3, 50, 2026, "e6ffc9ae6c2bc4a066d3f11b38efc3ef18bbb620871b3f82dbc71debccaf7cfd",
+     "da7fd6a03e215957915699805150da453e786c5168e0aa98747b456be9e8c249"),
+])
+def test_covariance_and_gram_streams_are_pinned(p, s, B, L, seed, cov_sha, gram_sha):
+    model = build_block_model(random_cig(p, s, seed), B, L, 2.0, 0.4, seed + 1)
+    assert hashlib.sha256(model.covariances.tobytes()).hexdigest() == cov_sha
+    grams = sample_grams(model, seed + 2).grams
+    assert hashlib.sha256(grams.tobytes()).hexdigest() == gram_sha
 
 
 def test_sample_grams_deterministic():
