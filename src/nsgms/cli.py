@@ -20,9 +20,7 @@ from .decorrelate import StationarySeries, decorrelation_report, to_block_sample
 from .errors import (
     ConfigError,
     ConstructionFailure,
-    FormatError,
     InfeasibleConfigError,
-    InvalidParameterError,
     NotPositiveDefiniteError,
     NsgmsError,
     TrendViolationError,
@@ -37,7 +35,7 @@ from .experiments import (
 )
 from .graph import random_cig
 from .model import build_block_model, min_edge_strength
-from .regression import EstimatorConfig, default_lambda, estimate_graph, estimate_neighborhood
+from .regression import DEFAULT_RANK_TOL, EstimatorConfig, default_lambda, estimate_graph, estimate_neighborhood
 from .sampling import sample_process
 from .serialize import (
     format_edge_list,
@@ -49,7 +47,6 @@ from .serialize import (
     save_samples,
 )
 
-_CONFIG_ERRORS = (ConfigError, FormatError, InvalidParameterError)
 _NUMERICAL_ERRORS = (
     ConstructionFailure,
     NotPositiveDefiniteError,
@@ -144,6 +141,17 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+def _int_at_least(least: int):
+    """An argparse type: an integer >= ``least``; anything else is a usage error."""
+    def parse(text: str) -> int:
+        if int(text) < least:
+            raise argparse.ArgumentTypeError(f"need an integer >= {least}, got {text}")
+        return int(text)
+
+    parse.__name__ = "int"  # argparse says "invalid int value" for a non-integer
+    return parse
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process; parsing does not change it."""
@@ -164,14 +172,14 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("-L", "--length", type=int, required=True)
     q.add_argument("--beta", type=float, required=True, help="covariance eigenvalue cap")
     q.add_argument("--coupling", type=float, required=True)
-    q.add_argument("--seed", type=int, required=True)
+    q.add_argument("--seed", type=_int_at_least(0), required=True)
     q.add_argument("-o", "--output", required=True)
     q.add_argument("--graph", help="also write the ground-truth edge list here")
     q.set_defaults(func=_cmd_model)
 
     q = sub.add_parser("sample", help="draw samples from a serialized model")
     q.add_argument("model")
-    q.add_argument("--seed", type=int, required=True)
+    q.add_argument("--seed", type=_int_at_least(0), required=True)
     q.add_argument("-o", "--output", required=True)
     q.add_argument("--binary", action="store_true", help="write raw float64 plus .meta sidecar")
     q.set_defaults(func=_cmd_sample)
@@ -184,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     penalty.add_argument("--lam", type=float, help="penalty weight")
     penalty.add_argument("--rho-min", type=float, help="derive the penalty as rho_min/6")
     q.add_argument("--combine", choices=("OR", "AND"), default="OR")
-    q.add_argument("--rank-tol", type=float, default=1e-10)
+    q.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL)
     q.add_argument("--binary", action="store_true")
     q.add_argument("-o", "--output")
     q.set_defaults(func=_cmd_estimate)
@@ -200,12 +208,12 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("lemma", help="tail bound vs Monte Carlo for a quadratic form")
     q.add_argument("--a", help="comma-separated quadratic coefficients")
     q.add_argument("--b", help="comma-separated linear coefficients")
-    q.add_argument("--random-len", type=int, help="draw coefficients uniform in [-1,1]")
+    q.add_argument("--random-len", type=_int_at_least(1), help="draw coefficients uniform in [-1,1]")
     q.add_argument("--etas", help="comma-separated deviation levels")
-    q.add_argument("--eta-points", type=int, default=10,
+    q.add_argument("--eta-points", type=_int_at_least(1), default=10,
                    help="auto grid size spanning [0.1,10] x (|a|+|b|)")
     q.add_argument("--trials", type=int, default=100_000)
-    q.add_argument("--seed", type=int, required=True)
+    q.add_argument("--seed", type=_int_at_least(0), required=True)
     q.add_argument("-o", "--output", required=True)
     q.set_defaults(func=_cmd_lemma)
 
@@ -225,9 +233,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _CONFIG_ERRORS as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except _NUMERICAL_ERRORS as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3

@@ -23,6 +23,14 @@ chunk size, not on the number of trials.  A chunk that raises is rerun
 one trial at a time, so a failure raises the error of the first failing
 trial, as a trial-by-trial loop would.
 
+A pilot and a trial open their (master seed, key) stream alike and draw
+a graph, then a model seed, on it; a trial goes on to draw its target
+node and Gram seed.  The model build returns each model's minimum edge
+strength rho_min beside its stacks, and :meth:`ExperimentConfig.lam` turns
+rho_min into the penalty of a trial and of a row.  Both CSVs go through
+one writer, and the experiment CSV's columns are :class:`ExperimentRow`'s
+fields, with ``lam`` written as ``lambda``.
+
 Grid entries may be absolute sample counts (``N_grid``), absolute block
 lengths (``L_grid``), or multipliers of the theoretical sample-size
 bound written like ``1.5x``; multipliers are resolved against a pilot
@@ -36,13 +44,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import astuple, dataclass, fields as dc_fields
 
 import numpy as np
 
-from .errors import ConfigError, InfeasibleConfigError, TrendViolationError
+from .errors import ConfigError, InfeasibleConfigError, InvalidParameterError, TrendViolationError
 from .graph import random_cig
-from .model import build_model_stack, min_edge_strengths, pilot_min_edge_strengths
+from .model import build_model_stack, pilot_min_edge_strengths
 from .regression import (
     EstimatorConfig,
     default_lambda,
@@ -58,13 +66,6 @@ _CALIBRATION_KEY = 0x5EED  # spawn-key namespace separating pilots from trials
 
 #: models built on one stack: calibration pilots, or trials of one grid point
 MODELS_PER_STACK = 4
-
-CSV_COLUMNS = (
-    "N", "B", "L", "p", "s_true", "s_est", "beta", "rho_min", "lambda",
-    "trials", "errors", "error_rate", "ci_low", "ci_high", "bound_N",
-    "rho_cond", "wall_ms",
-)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -82,8 +83,9 @@ class ExperimentConfig:
     master_seed: int
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ConfigError(f"need trials >= 1, got {self.trials}")
+        for name, least in (("B", 1), ("trials", 1), ("master_seed", 0)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"need {name} >= {least}, got {getattr(self, name)}")
         if not self.grid:
             raise ConfigError("grid must be nonempty")
         for entry in self.grid:
@@ -101,15 +103,19 @@ class ExperimentConfig:
             raise ConfigError(f"grid kind must be N or L, got {self.grid_kind!r}")
         if self.lambda_mode != "default":
             try:
-                float(self.lambda_mode)
+                lam = float(self.lambda_mode)
             except ValueError:
-                raise ConfigError(
-                    f"lambda_mode must be 'default' or a number, got {self.lambda_mode!r}"
-                ) from None
+                lam = math.nan
+            if not (math.isfinite(lam) and lam >= 0):
+                raise ConfigError(f"lambda_mode must be 'default' or a finite number >= 0, "
+                                  f"got {self.lambda_mode!r}")
 
-    @property
-    def explicit_lambda(self):
-        return None if self.lambda_mode == "default" else float(self.lambda_mode)
+    def lam(self, rho_min: float) -> float:
+        """The penalty weight at minimum edge strength ``rho_min``: the
+        configured number, or ``default_lambda(rho_min)`` by default."""
+        if self.lambda_mode == "default":
+            return default_lambda(rho_min)
+        return float(self.lambda_mode)
 
 
 @dataclass(frozen=True)
@@ -134,6 +140,8 @@ class ExperimentRow:
     rho_cond: bool
     wall_ms: float
 
+
+CSV_COLUMNS = tuple("lambda" if f.name == "lam" else f.name for f in dc_fields(ExperimentRow))
 
 _INT_KEYS = ("p", "s_true", "s_est", "B", "trials", "master_seed")
 _FLOAT_KEYS = ("beta", "coupling", "eta")
@@ -191,8 +199,12 @@ def load_config(path) -> ExperimentConfig:
         return parse_config(fh.read())
 
 
-def _trial_seed(master_seed: int, *key) -> np.random.SeedSequence:
-    return np.random.SeedSequence(entropy=master_seed, spawn_key=tuple(key))
+def _draw_model(config: ExperimentConfig, *key) -> tuple:
+    """Open the (master seed, *key) stream, draw a graph and then a model seed on it,
+    and return (stream, graph, model seed); a trial draws on from the stream."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=config.master_seed, spawn_key=key))
+    cig = random_cig(config.p, config.s_true, rng.integers(2**63))
+    return rng, cig, rng.integers(2**63)
 
 
 def _chunked(count: int, run, *args):
@@ -223,9 +235,9 @@ def _pilot_min(config: ExperimentConfig, pilots) -> float:
     """Smallest edge strength over pilots ``pilots``, built on one stack."""
     cigs, seeds = [], []
     for k in pilots:
-        rng = np.random.default_rng(_trial_seed(config.master_seed, _CALIBRATION_KEY, k))
-        cigs.append(random_cig(config.p, config.s_true, rng.integers(2**63)))
-        seeds.append(rng.integers(2**63))
+        _, cig, seed = _draw_model(config, _CALIBRATION_KEY, k)
+        cigs.append(cig)
+        seeds.append(seed)
     return min(pilot_min_edge_strengths(cigs, config.B, config.beta, config.coupling, seeds))
 
 
@@ -234,21 +246,20 @@ def calibrate_rho_min(config: ExperimentConfig) -> float:
 
     Used only to resolve multiplier grid entries into sample counts; rows
     always report the strengths actually achieved during their trials.
-    A pilot draws its graph and precision stack on the same streams as a
-    full model build, but computes only the edge strengths
-    (:func:`~nsgms.model.pilot_min_edge_strengths`): nothing reads a
-    pilot's covariances, so none are formed.  Pilots draw one by one and
-    are mapped to the band in chunks of :data:`MODELS_PER_STACK`, on one
-    stack per chunk.
+    A pilot draws its graph and model seed as a trial does, and its
+    precision stack on the same streams as a full model build, but gets
+    only the strengths (:func:`~nsgms.model.pilot_min_edge_strengths`),
+    the same values ``build_model_stack`` returns: nothing reads a pilot's
+    covariances, so none are formed.  Pilots are mapped to the band in
+    chunks of :data:`MODELS_PER_STACK`, on one stack per chunk.
     """
     return min(_chunked(_CALIBRATION_PILOTS, _pilot_min, config))
 
 
 def resolve_grid(config: ExperimentConfig) -> list:
     """Turn grid entries into (N, L) pairs with N = B * L."""
-    mults = [e for e in config.grid if isinstance(e, float)]
     bound = None
-    if mults:
+    if any(isinstance(entry, float) for entry in config.grid):
         rho_ref = calibrate_rho_min(config)
         bound = sample_size_bound(config.beta, rho_ref, config.p, config.s_est, config.eta)
     out = []
@@ -263,9 +274,7 @@ def resolve_grid(config: ExperimentConfig) -> list:
         else:
             L = max(entry // config.B, 1)
         if config.s_est >= L:
-            raise InfeasibleConfigError(
-                f"grid entry gives L={L} <= s_est={config.s_est}"
-            )
+            raise InfeasibleConfigError(f"grid entry gives L={L} <= s_est={config.s_est}")
         out.append((config.B * L, L))
     return out
 
@@ -286,27 +295,22 @@ def _run_trials(config: ExperimentConfig, L: int, grid_index: int, trials):
     """
     cigs, model_seeds, nodes, gram_seeds = [], [], [], []
     for t in trials:
-        rng = np.random.default_rng(_trial_seed(config.master_seed, grid_index, t))
-        cig = random_cig(config.p, config.s_true, rng.integers(2**63))
-        model_seeds.append(rng.integers(2**63))
+        rng, cig, model_seed = _draw_model(config, grid_index, t)
         candidates = _trial_candidates(cig)
         nodes.append(int(candidates[rng.integers(len(candidates))]))
         gram_seeds.append(rng.integers(2**63))
         cigs.append(cig)
-    precisions, covariances = build_model_stack(
+        model_seeds.append(model_seed)
+    # Slicing drops the precision stack here, before the Gram matrices are drawn.
+    covariances, rhos = build_model_stack(
         cigs, config.B, config.beta, config.coupling, model_seeds
-    )
-    rhos = min_edge_strengths(precisions, cigs)
-    del precisions
+    )[1:]
     grams = sample_gram_stack(covariances, L, gram_seeds)
     del covariances
     errors = 0
     for cig, node, rho, W in zip(cigs, nodes, rhos, grams):
-        lam = config.explicit_lambda
-        if lam is None:
-            lam = default_lambda(rho)
         est = estimate_neighborhood(GramBlocks(p=config.p, B=config.B, L=L, grams=W), node,
-                                    EstimatorConfig(s=config.s_est, lam=lam))
+                                    EstimatorConfig(s=config.s_est, lam=config.lam(rho)))
         errors += est.selected != cig.neighborhood(node)
     return errors, min(rhos)
 
@@ -331,19 +335,13 @@ def run_node_recovery(config: ExperimentConfig, timings: bool = True) -> list:
             errors += chunk_errors
             rho_min = min(rho_min, chunk_rho)
         wall_ms = (time.perf_counter() - t0) * 1e3 if timings else 0.0
-        rate = errors / config.trials
         ci_low, ci_high = wilson_interval(errors, config.trials)
-        lam = config.explicit_lambda
-        if lam is None:
-            lam = default_lambda(rho_min)
         rows.append(ExperimentRow(
             N=N, B=config.B, L=L, p=config.p, s_true=config.s_true,
-            s_est=config.s_est, beta=config.beta, rho_min=rho_min, lam=lam,
-            trials=config.trials, errors=errors, error_rate=rate,
+            s_est=config.s_est, beta=config.beta, rho_min=rho_min, lam=config.lam(rho_min),
+            trials=config.trials, errors=errors, error_rate=errors / config.trials,
             ci_low=ci_low, ci_high=ci_high,
-            bound_N=sample_size_bound(
-                config.beta, rho_min, config.p, config.s_est, config.eta
-            ),
+            bound_N=sample_size_bound(config.beta, rho_min, config.p, config.s_est, config.eta),
             rho_cond=rho_condition_holds(rho_min, config.beta, L),
             wall_ms=wall_ms,
         ))
@@ -380,34 +378,20 @@ def run_lemma_check(form, eta_grid, trials: int, seed) -> list:
     """
     from .concentration import _draw_y, tail_bound
 
-    y = _draw_y(form, trials, seed)
-    dev = np.abs(y - form.mean)
-    out = []
-    for eta in eta_grid:
-        out.append((
-            float(eta),
-            tail_bound(form, eta),
-            float(np.mean(dev >= eta)),
-            trials,
-        ))
-    return out
+    if trials < 1:
+        raise InvalidParameterError(f"need trials >= 1, got {trials}")
+    dev = np.abs(_draw_y(form, trials, seed) - form.mean)
+    return [(float(eta), tail_bound(form, eta), float(np.mean(dev >= eta)), trials)
+            for eta in eta_grid]
 
 
 def emit_lemma_csv(rows, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("eta,bound,empirical,trials\n")
-        for eta, bound, empirical, trials in rows:
-            fh.write(
-                f"{format(eta, '.17g')},{format(bound, '.17g')},"
-                f"{format(empirical, '.17g')},{trials}\n"
-            )
+    _write_csv(path, ("eta", "bound", "empirical", "trials"), rows)
 
 
 # ---------------------------------------------------------------- CSV
 
-def _csv_value(name: str, value) -> str:
-    if name == "rho_cond":
-        return "true" if value else "false"
+def _csv_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -415,37 +399,31 @@ def _csv_value(name: str, value) -> str:
     return format(float(value), ".17g")
 
 
-def emit_csv(rows, path) -> None:
-    """Header plus one line per grid point; 17 significant digits, LF endings."""
+def _write_csv(path, columns, rows) -> None:
+    """Header plus one line per row of values; 17 significant digits, LF endings."""
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
+        fh.write(",".join(columns) + "\n")
         for row in rows:
-            names = [f.name for f in dc_fields(row)]
-            fh.write(",".join(
-                _csv_value(col, getattr(row, name))
-                for col, name in zip(CSV_COLUMNS, names)
-            ) + "\n")
+            fh.write(",".join(map(_csv_value, row)) + "\n")
+
+
+def emit_csv(rows, path) -> None:
+    """Header plus one line per grid point, in ``CSV_COLUMNS`` order."""
+    _write_csv(path, CSV_COLUMNS, map(astuple, rows))
 
 
 def parse_result_csv(path) -> list:
-    """Inverse of emit_csv."""
+    """Inverse of emit_csv; each column is read as its ``ExperimentRow`` field's type."""
+    parse = {"int": int, "float": float, "bool": "true".__eq__}
+    fields = dc_fields(ExperimentRow)
     with open(path) as fh:
         header = fh.readline().strip()
         if header != ",".join(CSV_COLUMNS):
             raise ConfigError(f"unexpected CSV header {header!r}")
         rows = []
-        names = [f.name for f in dc_fields(ExperimentRow)]
         for line in fh:
             vals = line.strip().split(",")
             if len(vals) != len(CSV_COLUMNS):
                 raise ConfigError(f"bad CSV row: {line!r}")
-            kw = {}
-            for name, col, v in zip(names, CSV_COLUMNS, vals):
-                if col == "rho_cond":
-                    kw[name] = v == "true"
-                elif col in ("N", "B", "L", "p", "s_true", "s_est", "trials", "errors"):
-                    kw[name] = int(v)
-                else:
-                    kw[name] = float(v)
-            rows.append(ExperimentRow(**kw))
+            rows.append(ExperimentRow(**{f.name: parse[f.type](v) for f, v in zip(fields, vals)}))
     return rows

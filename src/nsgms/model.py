@@ -16,16 +16,21 @@ not, and the pattern is what encodes the graph.
 
 Edge strength is measured by the block-averaged squared ratio of the
 off-diagonal precision entry to the diagonal one; it is reported, never
-targeted.  It reads the precisions only, so :func:`pilot_min_edge_strengths`
-(the harness's calibration pilots) runs the precision half of a build, on
-the same random streams, and forms no covariances.
+targeted.  One reduction gives each model's minimum, rho_min (inf for an
+edgeless graph), to every caller: :func:`build_model_stack` returns it
+beside the stacks, and :func:`min_edge_strength` and
+:func:`partial_correlation` apply it to one model.  It reads the precisions
+only, so :func:`pilot_min_edge_strengths` (the harness's calibration
+pilots) runs the precision half of a build, on the same random streams,
+and forms no covariances.
 
 n models of one shape are built on one (n*B, p, p) stack
 (:func:`build_model_stack`): each model draws its W entries on its own
 stream, one scalar draw at a time, and then one scatter, one ``eigh``, one
-band map, one covariance product and one inversion check serve them all.
-Every step is per block, so a stacked model is bit for bit the model built
-alone; :func:`build_block_model` is the case n = 1.
+band map, one covariance product, one inversion check and one strength
+reduction serve them all.  Every step is per block, so a stacked model is
+bit for bit the model built alone; :func:`build_block_model` is the case
+n = 1.
 """
 
 from __future__ import annotations
@@ -70,8 +75,7 @@ class BlockModel:
                 raise InvalidParameterError(
                     f"{name} stack shape {stack.shape} != ({self.B}, {self.p}, {self.p})"
                 )
-            if not np.all(np.isfinite(stack)):
-                raise InvalidParameterError(f"{name} contain non-finite values")
+            _check_finite(stack, name)
             object.__setattr__(self, name, stack)
 
     @property
@@ -194,7 +198,8 @@ def _check_finite(stack: np.ndarray, name: str) -> None:
 
 
 def build_model_stack(cigs, B: int, beta: float, coupling: float, seeds):
-    """Precision and covariance stacks, each (n, B, p, p), of n models built at once.
+    """Precision and covariance stacks, each (n, B, p, p), of n models built at
+    once, and each model's minimum edge strength.
 
     Model k has graph ``cigs[k]`` and draws on ``seeds[k]``; it is bit for
     bit the model :func:`build_block_model` builds from that pair.  Each
@@ -205,7 +210,7 @@ def build_model_stack(cigs, B: int, beta: float, coupling: float, seeds):
     edge_lists = [cig.edge_list() for cig in cigs]
     K_new, new_evals, vecs = _banded_precisions(cigs, B, beta, coupling, seeds, edge_lists)
     C_new = _covariances(new_evals, vecs)
-    del vecs
+    del new_evals, vecs
     residual = C_new @ K_new
     residual -= np.eye(p)
     err = np.abs(residual, out=residual).reshape(n, -1).max(axis=1)
@@ -215,20 +220,21 @@ def build_model_stack(cigs, B: int, beta: float, coupling: float, seeds):
             raise ConstructionFailure(f"inversion residual {e:.3e} exceeds tolerance")
     _check_finite(K_new, "precisions")
     _check_finite(C_new, "covariances")
-    return K_new.reshape(n, B, p, p), C_new.reshape(n, B, p, p)
+    rhos = _rho_mins(K_new, edge_lists)
+    return K_new.reshape(n, B, p, p), C_new.reshape(n, B, p, p), rhos
 
 
 def build_block_model(cig: Cig, B: int, L: int, beta: float, coupling: float, seed) -> BlockModel:
     """Build a B-block model whose precision support equals the graph's edges."""
     if L < 1:
         raise InvalidParameterError(f"need L >= 1, got L={L}")
-    (precisions,), (covariances,) = build_model_stack([cig], B, beta, coupling, [seed])
+    (precisions,), (covariances,), _ = build_model_stack([cig], B, beta, coupling, [seed])
     return BlockModel(p=cig.p, B=B, L=L, beta=float(beta),
                       precisions=precisions, covariances=covariances)
 
 
 def pilot_min_edge_strengths(cigs, B: int, beta: float, coupling: float, seeds) -> list:
-    """``min_edge_strength`` of each model of ``build_model_stack(cigs, ...)``, without the models.
+    """The strengths ``build_model_stack(cigs, ...)`` returns, without the models.
 
     Draws the same streams and forms the same precision stack, bit for
     bit, but no covariances, so it skips their inversion-residual check;
@@ -237,43 +243,24 @@ def pilot_min_edge_strengths(cigs, B: int, beta: float, coupling: float, seeds) 
     edge_lists = [cig.edge_list() for cig in cigs]
     K_new = _banded_precisions(cigs, B, beta, coupling, seeds, edge_lists)[0]
     _check_finite(K_new, "precisions")
-    p = cigs[0].p
-    return _min_strengths(K_new.reshape(len(cigs), B, p, p), edge_lists)
+    return _rho_mins(K_new, edge_lists)
 
 
-def pilot_min_edge_strength(cig: Cig, B: int, beta: float, coupling: float, seed) -> float:
-    """``min_edge_strength(build_block_model(cig, B, L, ...), cig)`` without the model.
+def _rho_mins(precisions: np.ndarray, edge_lists) -> list:
+    """Per model k of an (n*B, p, p) precision stack, the minimum
+    over its 1-based edges ``edge_lists[k]`` of the block-averaged
+    (K_ij/K_ii)^2, or inf if it has none.
 
-    The case n = 1 of :func:`pilot_min_edge_strengths`; any L >= 1 gives
-    the same value.
+    Each edge's B squares are summed along a contiguous last axis: the same
+    bits as ``np.mean`` over that edge's 1-D array.
     """
-    return pilot_min_edge_strengths([cig], B, beta, coupling, [seed])[0]
-
-
-def _edge_strengths(precisions: np.ndarray, models, rows, cols) -> np.ndarray:
-    """Block-averaged (K_ij/K_ii)^2 of model models[e] per 0-based pair (rows[e], cols[e]).
-
-    ``precisions`` is an (n, B, p, p) stack.  Each pair's B squares are
-    summed along a contiguous last axis: the same bits as ``np.mean`` over
-    that pair's 1-D array.
-    """
-    K = precisions.transpose(0, 2, 3, 1)  # (n, p, p, B)
-    ratio = K[models, rows, cols] / K[models, rows, rows]
-    return (ratio * ratio).mean(axis=-1)
-
-
-def _min_strengths(precisions: np.ndarray, edge_lists) -> list:
-    """Per model of an (n, B, p, p) stack, the minimum ``_edge_strengths`` over
-    its 1-based edge pairs ``edge_lists[k]`` (inf if it has none)."""
     models, rows, cols = _edge_index(edge_lists, 1)
-    out = np.full(len(edge_lists), np.inf)
-    np.minimum.at(out, models, _edge_strengths(precisions, models, rows, cols))
+    n, p = len(edge_lists), precisions.shape[-1]
+    K = precisions.reshape(n, -1, p, p).transpose(0, 2, 3, 1)  # (n, p, p, B)
+    ratio = K[models, rows, cols] / K[models, rows, rows]
+    out = np.full(n, np.inf)
+    np.minimum.at(out, models, (ratio * ratio).mean(axis=-1))
     return out.tolist()
-
-
-def min_edge_strengths(precisions: np.ndarray, cigs) -> list:
-    """``min_edge_strength`` of each model of an (n, B, p, p) precision stack and its graph."""
-    return _min_strengths(precisions, [cig.edge_list() for cig in cigs])
 
 
 def partial_correlation(model: BlockModel, i: int, j: int) -> float:
@@ -283,12 +270,12 @@ def partial_correlation(model: BlockModel, i: int, j: int) -> float:
             raise InvalidParameterError(f"node {v} outside 1..{model.p}")
     if i == j:
         raise InvalidParameterError("need two distinct nodes")
-    return float(_edge_strengths(model.precisions[None], [0], [i - 1], [j - 1])[0])
+    return _rho_mins(model.precisions, [[(i, j)]])[0]
 
 
 def min_edge_strength(model: BlockModel, cig: Cig) -> float:
     """Minimum average partial correlation over the graph's edges (inf if edgeless)."""
-    return min_edge_strengths(model.precisions[None], [cig])[0]
+    return _rho_mins(model.precisions, [cig.edge_list()])[0]
 
 
 def covariance_eig_range(model: BlockModel):

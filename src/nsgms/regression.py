@@ -58,8 +58,8 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.s < 0:
             raise InvalidParameterError(f"need s >= 0, got {self.s}")
-        if self.lam < 0:
-            raise InvalidParameterError(f"need lambda >= 0, got {self.lam}")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise InvalidParameterError(f"need a finite lambda >= 0, got {self.lam}")
         if not (0 < self.rank_tol < 1):
             raise InvalidParameterError(f"need 0 < rank_tol < 1, got {self.rank_tol}")
 
@@ -206,8 +206,8 @@ def estimate_graph(data: SampleBlocks | GramBlocks, config: EstimatorConfig,
 
 def default_lambda(rho_min: float) -> float:
     """Penalty weight that makes the recovery guarantee go through: rho_min/6."""
-    if rho_min <= 0:
-        raise InvalidParameterError(f"need rho_min > 0, got {rho_min}")
+    if not (math.isfinite(rho_min) and rho_min > 0):
+        raise InvalidParameterError(f"need a finite rho_min > 0, got {rho_min}")
     return rho_min / 6.0
 
 

@@ -97,8 +97,7 @@ def _write_blocks(fh, blocks) -> None:
     """Write each block of a (B, n, p) stack as ``block b`` and then its n rows."""
     for b, block in enumerate(blocks, start=1):
         fh.write(f"block {b}\n")
-        for row in block:
-            fh.write(" ".join(_fmt(v) for v in row) + "\n")
+        np.savetxt(fh, block, fmt="%.17g")
 
 
 def _read_header(fh, magic: str, keys, kind: str) -> tuple:

@@ -227,6 +227,24 @@ def test_lemma_subcommand(tmp_path):
     assert len(lines) == 4
 
 
+# sha256 of a ``lemma`` CSV, and of the ``model_path`` fixture's file with the
+# line ``model`` prints for it.  The model digest holds for a given numpy and
+# BLAS build (the precisions pass through an eigendecomposition).
+LEMMA_SHA = "5627cf944e8016d926bf5ce0e0046ee1cb52353fa088792c5317d7ce045531af"
+MODEL_SHA = "07fd980c69af43013d040bf85fed58be07c4a6927f0dee45e780f17fbf73cabb"
+
+
+def test_lemma_csv_bytes_are_pinned(tmp_path):
+    out = tmp_path / "lemma.csv"
+    assert run("lemma", "--random-len", 12, "--trials", 20000, "--seed", 3, "-o", out) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == LEMMA_SHA
+
+
+def test_model_file_bytes_are_pinned(capsys, model_path):
+    assert capsys.readouterr().out == "rho_min_achieved=0.0200116\n"
+    assert hashlib.sha256(model_path.read_bytes()).hexdigest() == MODEL_SHA
+
+
 def test_experiment_subcommand(tmp_path):
     cpath = tmp_path / "config.txt"
     cpath.write_text(CONFIG)
@@ -264,6 +282,64 @@ def test_bad_multipliers_and_eta_exit_2(tmp_path, capsys, line):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "out.csv").exists()
+
+
+def exit_code(*argv) -> int:
+    """``main``'s return value, or the code of the SystemExit a usage error raises."""
+    try:
+        return run(*argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def config_with(tmp_path, line):
+    key = line.split(" = ")[0]
+    rows = [row for row in CONFIG.strip().splitlines() if not row.startswith(f"{key} ")]
+    path = tmp_path / "config.txt"
+    path.write_text("\n".join(rows + [line]) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("penalty", [("--lam", "nan"), ("--lam", "inf"),
+                                     ("--rho-min", "nan", "--node", 1),
+                                     ("--rho-min", "inf", "--node", 1), "lambda_mode = nan"],
+                         ids=lambda v: v if isinstance(v, str) else " ".join(map(str, v)))
+def test_non_finite_penalties_exit_2(tmp_path, capsys, model_path, penalty):
+    # Each used to exit 0 with an empty graph, or a row of error rate 1.
+    if isinstance(penalty, str):
+        argv = ("experiment", config_with(tmp_path, penalty), "-o", tmp_path / "out.csv")
+    else:
+        spath = tmp_path / "samples.txt"
+        assert run("sample", model_path, "--seed", 7, "-o", spath) == 0
+        argv = ("estimate", spath, "-s", 2, *penalty)
+    capsys.readouterr()
+    assert run(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, args", [
+    ("experiment", "B = 0"), ("experiment", "B = -2"), ("experiment", "master_seed = -5"),
+    ("model", ("--seed", -1)), ("sample", ("--seed", -1)), ("lemma", ("--seed", -1)),
+    ("lemma", ("--trials", 0)), ("lemma", ("--random-len", -1)), ("lemma", ("--eta-points", 0)),
+], ids=lambda v: v if isinstance(v, str) else " ".join(map(str, v)))
+def test_bad_counts_and_seeds_exit_2(tmp_path, capsys, model_path, command, args):
+    out = tmp_path / "out"
+    if command == "experiment":
+        argv = ("experiment", config_with(tmp_path, args), "-o", out)
+    elif command == "model":
+        argv = ("model", "-p", 6, "--s-max", 2, "-B", 2, "-L", 64, "--beta", 2.0,
+                "--coupling", 0.4, "-o", out, *args)
+    elif command == "sample":
+        argv = ("sample", model_path, "-o", out, *args)
+    else:  # the bad value comes last, and argparse keeps the last of a repeated option
+        argv = ("lemma", "--random-len", 4, "--trials", 100, "--seed", 3, "-o", out, *args)
+    capsys.readouterr()
+    assert exit_code(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") or (err.startswith("error: ") and err.count("\n") == 1), err
+    assert not out.exists()
 
 
 def test_repeated_in_process_calls_give_the_same_bytes(tmp_path, capsys):

@@ -16,6 +16,7 @@ from nsgms.cli import main
 from nsgms.errors import (
     ConfigError,
     InfeasibleConfigError,
+    InvalidParameterError,
     NotPositiveDefiniteError,
     TrendViolationError,
 )
@@ -111,7 +112,18 @@ def test_config_validation():
         small_config(s_est=6)
     with pytest.raises(ConfigError):
         small_config(lambda_mode="soft")
-    assert small_config(lambda_mode="0.125").explicit_lambda == 0.125
+    assert small_config(lambda_mode="0.125").lam(0.3) == 0.125
+    assert small_config().lam(0.3) == 0.3 / 6
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("lambda_mode", "nan", "lambda_mode"), ("lambda_mode", "inf", "lambda_mode"),
+    ("lambda_mode", "-inf", "lambda_mode"), ("lambda_mode", "-0.01", "lambda_mode"),
+    ("B", 0, "B >= 1"), ("B", -2, "B >= 1"), ("master_seed", -5, "master_seed >= 0"),
+])
+def test_config_rejects_bad_lambda_counts_and_seeds(field, value, match):
+    with pytest.raises(ConfigError, match=match):
+        small_config(**{field: value})
 
 
 @pytest.mark.parametrize("entry", ["nanx", "infx", "1e400x", "0x", "-1x", "0", "-4"])
@@ -193,6 +205,29 @@ def test_recovery_memory_does_not_grow_with_trials():
         finally:
             tracemalloc.stop()
     assert max(peaks) - min(peaks) < 8192, peaks
+
+
+# tracemalloc peaks, in bytes, of one calibration and of one trial chunk on
+# the acceptance config after a warm-up (numpy 2.4, Python 3.11).  Holding
+# one (MODELS_PER_STACK * B, p, p) stack longer than needed, such as the
+# precisions during Gram sampling, raises a peak by that stack's 8192 bytes.
+HARNESS_PEAKS = {"calibration": 43736, "trial chunk": 46888}
+
+
+@pytest.mark.parametrize("step", sorted(HARNESS_PEAKS))
+def test_harness_peaks_do_not_rise_by_one_stack(step):
+    cfg = small_config(p=8, B=4, grid=(1.0,), trials=MODELS_PER_STACK, master_seed=20260824)
+    run = {"calibration": lambda: calibrate_rho_min(cfg),
+           "trial chunk": lambda: _run_trials(cfg, 187252, 0, range(MODELS_PER_STACK))}[step]
+    run()  # first-call set-up
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stack = MODELS_PER_STACK * cfg.B * cfg.p * cfg.p * 8
+    assert peak < HARNESS_PEAKS[step] + stack, (peak, HARNESS_PEAKS[step])
 
 
 def test_chunked_trials_match_trial_by_trial_runs(monkeypatch):
@@ -388,3 +423,10 @@ def test_lemma_rows_and_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "eta,bound,empirical,trials"
     assert len(lines) == 4
+
+
+def test_lemma_check_needs_a_trial():
+    # Zero trials gave a mean of an empty array: a RuntimeWarning and NaN rates.
+    form = QuadraticForm(a=np.array([0.5, -0.2]), b=np.array([1.0, 0.0]))
+    with pytest.raises(InvalidParameterError, match="trials >= 1"):
+        run_lemma_check(form, [0.5], 0, 3)

@@ -22,8 +22,6 @@ from nsgms.model import (
     _spectrum_to_band,
     build_model_stack,
     covariance_eig_range,
-    min_edge_strengths,
-    pilot_min_edge_strength,
     pilot_min_edge_strengths,
 )
 
@@ -320,7 +318,7 @@ def test_min_edge_strength_empty_graph_is_infinite():
     assert min_edge_strength(model, g) == float("inf")
 
 
-# ---------------------------------------------------------------- pilot_min_edge_strength
+# ---------------------------------------------------------------- pilot_min_edge_strengths
 
 @settings(max_examples=80, deadline=None)
 @given(
@@ -331,7 +329,7 @@ def test_min_edge_strength_empty_graph_is_infinite():
 def test_pilot_strength_is_bitwise_the_built_models(p, data, B, beta, coupling,
                                                      graph_seed, model_seed, edgeless):
     g = Cig(p=p) if edgeless else random_cig(p, data.draw(st.integers(1, p - 1)), graph_seed)
-    pilot = pilot_min_edge_strength(g, B, beta, coupling, model_seed)
+    [pilot] = pilot_min_edge_strengths([g], B, beta, coupling, [model_seed])
     built = min_edge_strength(build_block_model(g, B, 1, beta, coupling, model_seed), g)
     assert np.float64(pilot).tobytes() == np.float64(built).tobytes()
     assert (pilot == float("inf")) == edgeless
@@ -352,9 +350,8 @@ def test_stacked_models_are_bitwise_the_models_built_alone(p, B, n, beta, coupli
             s_max = data.draw(st.integers(1, p - 1))
             cigs.append(random_cig(p, s_max, data.draw(st.integers(0, 2**63 - 1))))
         seeds.append(data.draw(st.integers(0, 2**63 - 1)))
-    precisions, covariances = build_model_stack(cigs, B, beta, coupling, seeds)
+    precisions, covariances, strengths = build_model_stack(cigs, B, beta, coupling, seeds)
     assert precisions.shape == covariances.shape == (n, B, p, p)
-    strengths = min_edge_strengths(precisions, cigs)
     pilots = pilot_min_edge_strengths(cigs, B, beta, coupling, seeds)
     for k, (cig, seed) in enumerate(zip(cigs, seeds)):
         alone = build_block_model(cig, B, 1, beta, coupling, seed)
@@ -375,7 +372,7 @@ def test_pilot_rejects_what_build_block_model_rejects():
     g = random_cig(4, 2, 0)
     for B, beta, coupling in [(0, 2.0, 0.4), (2, 1.0, 0.4), (2, 2.0, 1.5), (2, 2.0, 0.0)]:
         with pytest.raises(InvalidParameterError):
-            pilot_min_edge_strength(g, B, beta, coupling, 0)
+            pilot_min_edge_strengths([g], B, beta, coupling, [0])
         with pytest.raises(InvalidParameterError):
             build_block_model(g, B, 8, beta, coupling, 0)
 
@@ -392,7 +389,7 @@ def test_pilot_rejects_non_finite_precisions(monkeypatch):
     monkeypatch.setattr(model_module, "_spectrum_to_band", spoiled)
     g = random_cig(6, 2, 1)
     with pytest.raises(InvalidParameterError, match="non-finite"):
-        pilot_min_edge_strength(g, 2, 2.0, 0.4, 3)
+        pilot_min_edge_strengths([g], 2, 2.0, 0.4, [3])
     with pytest.raises(InvalidParameterError, match="non-finite"):
         build_block_model(g, 2, 8, 2.0, 0.4, 3)
 

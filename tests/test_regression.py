@@ -495,6 +495,15 @@ def test_default_lambda_values():
         default_lambda(0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-3])
+def test_non_finite_or_negative_penalties_are_rejected(bad):
+    # NaN slipped past `lam < 0` and `rho_min <= 0` and selected no set at all.
+    with pytest.raises(InvalidParameterError, match="finite lambda"):
+        EstimatorConfig(s=1, lam=bad)
+    with pytest.raises(InvalidParameterError, match="finite rho_min"):
+        default_lambda(bad)
+
+
 def test_sample_size_bound_values():
     assert sample_size_bound(1.0, 1.0, 1, 1, 6.0) == 0.0
     expected = 3456.0 * math.log(34560.0)

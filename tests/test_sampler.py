@@ -199,7 +199,7 @@ def test_gram_stack_is_bitwise_the_grams_sampled_alone(p, B, n, L, data):
             for _ in range(n)]
     model_seeds = [data.draw(st.integers(0, 2**63 - 1)) for _ in range(n)]
     gram_seeds = [data.draw(st.integers(0, 2**63 - 1)) for _ in range(n)]
-    _, covariances = build_model_stack(cigs, B, 2.0, 0.4, model_seeds)
+    covariances = build_model_stack(cigs, B, 2.0, 0.4, model_seeds)[1]
     grams = sample_gram_stack(covariances, L, gram_seeds)
     assert grams.shape == (n, B, p, p)
     for k in range(n):
