@@ -38,7 +38,7 @@ from .model import build_block_model, min_edge_strength
 from .regression import DEFAULT_RANK_TOL, EstimatorConfig, default_lambda, estimate_graph, estimate_neighborhood
 from .sampling import sample_process
 from .serialize import (
-    format_edge_list,
+    format_edges,
     format_neighborhood,
     load_model,
     load_samples,
@@ -80,7 +80,7 @@ def _cmd_estimate(args) -> int:
     if args.node is not None:
         text = format_neighborhood(estimate_neighborhood(samples, args.node, config)) + "\n"
     else:
-        text = format_edge_list(estimate_graph(samples, config, combine=args.combine))
+        text = format_edges(estimate_graph(samples, config, combine=args.combine))
     if args.output:
         with open(args.output, "w", newline="\n") as fh:
             fh.write(text)

@@ -47,10 +47,15 @@ class QuadraticForm:
         return not (np.any(self.a) or np.any(self.b))
 
 
+def _check_eta(eta: float) -> None:
+    """Reject a deviation level that is not a finite eta > 0 (NaN included)."""
+    if not (math.isfinite(eta) and eta > 0):
+        raise InvalidParameterError(f"need a finite eta > 0, got {eta}")
+
+
 def tail_bound(form: QuadraticForm, eta: float) -> float:
     """Two-sided deviation bound at level eta; raw value, possibly above 1."""
-    if eta <= 0:
-        raise InvalidParameterError(f"need eta > 0, got {eta}")
+    _check_eta(eta)
     if form.is_degenerate():
         raise DegenerateFormError("both coefficient vectors are zero")
     a, b = form.a, form.b
@@ -94,8 +99,7 @@ def empirical_tail(form: QuadraticForm, eta: float, trials: int, seed) -> float:
     """Fraction of Monte Carlo draws with |y - E y| >= eta."""
     if trials < 1:
         raise InvalidParameterError(f"need trials >= 1, got {trials}")
-    if eta <= 0:
-        raise InvalidParameterError(f"need eta > 0, got {eta}")
+    _check_eta(eta)
     y = _draw_y(form, trials, seed)
     return float(np.mean(np.abs(y - form.mean) >= eta))
 

@@ -3,11 +3,16 @@
 Nodes are labelled 1..p.  Graphs are simple (no self-loops, no duplicate
 edges) and every graph produced by :func:`random_cig` respects a maximum
 degree bound, so the precision matrices built on top of it stay sparse.
+
+Edges are stored in the one form every reader wants, the lexicographically
+sorted tuple of ``(i, j)`` pairs of plain ints with ``i < j``; :class:`Cig`
+alone sorts and validates pairs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,47 +21,48 @@ from .errors import InvalidParameterError
 
 @dataclass(frozen=True)
 class Cig:
-    """Simple undirected graph on nodes 1..p."""
+    """Simple undirected graph on nodes 1..p.
+
+    ``edges`` may be given as any iterable of 2-node pairs (tuples, lists,
+    frozensets, or rows of ``np.argwhere(...).tolist()``), with nodes of any
+    integer type; it is stored as ``tuple(sorted({(min, max)}))`` of plain
+    ints, so reversed and repeated pairs merge.  A pair that is not two
+    distinct integer nodes in 1..p is rejected.
+    """
 
     p: int
-    edges: frozenset = field(default_factory=frozenset)
+    edges: tuple = ()
 
     def __post_init__(self):
         if self.p < 1:
             raise InvalidParameterError(f"node count must be >= 1, got {self.p}")
-        edges = frozenset(frozenset(e) for e in self.edges)
-        for e in edges:
-            if len(e) != 2:
-                raise InvalidParameterError(f"edge {set(e)} is not a pair of distinct nodes")
-            for v in e:
-                if not (1 <= v <= self.p):
-                    raise InvalidParameterError(f"node {v} outside 1..{self.p}")
-        object.__setattr__(self, "edges", edges)
+        pairs = set()
+        for e in self.edges:
+            try:
+                i, j = sorted(map(operator.index, e))
+            except (TypeError, ValueError):  # not two nodes, or a node not an integer
+                i = j = None
+            if i is None or i == j:
+                raise InvalidParameterError(f"edge {e!r} is not a pair of distinct integer nodes")
+            if i < 1 or j > self.p:
+                raise InvalidParameterError(f"edge {e!r} has a node outside 1..{self.p}")
+            pairs.add((i, j))
+        object.__setattr__(self, "edges", tuple(sorted(pairs)))
 
     def neighborhood(self, i: int) -> frozenset:
         """Nodes adjacent to i."""
         if not (1 <= i <= self.p):
             raise InvalidParameterError(f"node {i} outside 1..{self.p}")
-        return frozenset(v for e in self.edges for v in e if i in e and v != i)
-
-    def degree(self, i: int) -> int:
-        return len(self.neighborhood(i))
+        return frozenset(k if j == i else j for j, k in self.edges if i in (j, k))
 
     @property
     def max_degree(self) -> int:
         """Largest node degree, counted in one pass over the edges."""
         degree = [0] * (self.p + 1)
-        for e in self.edges:
-            for v in e:
-                degree[v] += 1
+        for i, j in self.edges:
+            degree[i] += 1
+            degree[j] += 1
         return max(degree)
-
-    def edge_list(self) -> list:
-        """Edges as sorted (i, j) tuples with i < j, in lexicographic order."""
-        return sorted(tuple(sorted(e)) for e in self.edges)
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return frozenset((i, j)) in self.edges
 
 
 def random_cig(p: int, s_max: int, seed) -> Cig:
@@ -77,7 +83,7 @@ def random_cig(p: int, s_max: int, seed) -> Cig:
     edges = set()
 
     def add(i, j):
-        e = frozenset((i, j))
+        e = (i, j) if i < j else (j, i)
         if i != j and e not in edges and degree[i] < s_max and degree[j] < s_max:
             edges.add(e)
             degree[i] += 1
@@ -106,4 +112,4 @@ def random_cig(p: int, s_max: int, seed) -> Cig:
         for k in range(attempts):
             add(int(pairs[k, 0]), int(pairs[k, 1]))
 
-    return Cig(p=p, edges=frozenset(edges))
+    return Cig(p=p, edges=edges)

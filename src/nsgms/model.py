@@ -154,20 +154,20 @@ def _coupling_draws(cig: Cig, B: int, coupling: float, seed):
         yield (lo + span * rng.random()) * signs[rng.integers(2)]
 
 
-def _edge_index(edge_lists, B: int):
+def _edge_index(model_edges, B: int):
     """Block, row and column index arrays of the 1-based edges of n models.
 
     Model k's edges (i, j) appear as (b, i - 1, j - 1) for each of its
     blocks b = k*B, ..., k*B + B - 1, in block then edge order.
     """
     flat = np.fromiter(chain.from_iterable(
-        (b, i - 1, j - 1) for k, edges in enumerate(edge_lists)
+        (b, i - 1, j - 1) for k, edges in enumerate(model_edges)
         for b in range(k * B, (k + 1) * B) for i, j in edges
     ), dtype=np.intp)
     return flat.reshape(-1, 3).T
 
 
-def _banded_precisions(cigs, B: int, beta: float, coupling: float, seeds, edge_lists):
+def _banded_precisions(cigs, B: int, beta: float, coupling: float, seeds):
     """The precision half of n model builds: draw each W, map K = I + W into the band.
 
     Returns ``_spectrum_to_band``'s (K_new, new_evals, vecs) over the
@@ -185,7 +185,7 @@ def _banded_precisions(cigs, B: int, beta: float, coupling: float, seeds, edge_l
     draws = np.fromiter(chain.from_iterable(
         _coupling_draws(cig, B, coupling, seed) for cig, seed in zip(cigs, seeds)
     ), dtype=float)
-    blocks, rows, cols = _edge_index(edge_lists, B)
+    blocks, rows, cols = _edge_index([cig.edges for cig in cigs], B)
     K = np.zeros((len(cigs) * B, p, p))
     K[blocks, rows, cols] = K[blocks, cols, rows] = draws
     K += np.eye(p)  # each row of |W| sums to <= coupling < 1: PD by Gershgorin
@@ -207,8 +207,7 @@ def build_model_stack(cigs, B: int, beta: float, coupling: float, seeds):
     check; the first model that fails raises.
     """
     n, p = len(cigs), cigs[0].p
-    edge_lists = [cig.edge_list() for cig in cigs]
-    K_new, new_evals, vecs = _banded_precisions(cigs, B, beta, coupling, seeds, edge_lists)
+    K_new, new_evals, vecs = _banded_precisions(cigs, B, beta, coupling, seeds)
     C_new = _covariances(new_evals, vecs)
     del new_evals, vecs
     residual = C_new @ K_new
@@ -220,7 +219,7 @@ def build_model_stack(cigs, B: int, beta: float, coupling: float, seeds):
             raise ConstructionFailure(f"inversion residual {e:.3e} exceeds tolerance")
     _check_finite(K_new, "precisions")
     _check_finite(C_new, "covariances")
-    rhos = _rho_mins(K_new, edge_lists)
+    rhos = _rho_mins(K_new, [cig.edges for cig in cigs])
     return K_new.reshape(n, B, p, p), C_new.reshape(n, B, p, p), rhos
 
 
@@ -240,22 +239,21 @@ def pilot_min_edge_strengths(cigs, B: int, beta: float, coupling: float, seeds) 
     bit, but no covariances, so it skips their inversion-residual check;
     the precisions get the finiteness check.
     """
-    edge_lists = [cig.edge_list() for cig in cigs]
-    K_new = _banded_precisions(cigs, B, beta, coupling, seeds, edge_lists)[0]
+    K_new = _banded_precisions(cigs, B, beta, coupling, seeds)[0]
     _check_finite(K_new, "precisions")
-    return _rho_mins(K_new, edge_lists)
+    return _rho_mins(K_new, [cig.edges for cig in cigs])
 
 
-def _rho_mins(precisions: np.ndarray, edge_lists) -> list:
+def _rho_mins(precisions: np.ndarray, model_edges) -> list:
     """Per model k of an (n*B, p, p) precision stack, the minimum
-    over its 1-based edges ``edge_lists[k]`` of the block-averaged
+    over its 1-based edges ``model_edges[k]`` of the block-averaged
     (K_ij/K_ii)^2, or inf if it has none.
 
     Each edge's B squares are summed along a contiguous last axis: the same
     bits as ``np.mean`` over that edge's 1-D array.
     """
-    models, rows, cols = _edge_index(edge_lists, 1)
-    n, p = len(edge_lists), precisions.shape[-1]
+    models, rows, cols = _edge_index(model_edges, 1)
+    n, p = len(model_edges), precisions.shape[-1]
     K = precisions.reshape(n, -1, p, p).transpose(0, 2, 3, 1)  # (n, p, p, B)
     ratio = K[models, rows, cols] / K[models, rows, rows]
     out = np.full(n, np.inf)
@@ -275,7 +273,7 @@ def partial_correlation(model: BlockModel, i: int, j: int) -> float:
 
 def min_edge_strength(model: BlockModel, cig: Cig) -> float:
     """Minimum average partial correlation over the graph's edges (inf if edgeless)."""
-    return _rho_mins(model.precisions, [cig.edge_list()])[0]
+    return _rho_mins(model.precisions, [cig.edges])[0]
 
 
 def covariance_eig_range(model: BlockModel):

@@ -66,12 +66,11 @@ class EstimatorConfig:
 
 @dataclass(frozen=True)
 class NeighborhoodEstimate:
-    """Selected index set for one node plus search diagnostics."""
+    """Selected index set for one node and its penalized objective."""
 
     node: int
     selected: frozenset
     objective: float
-    evaluated: int
 
 
 def project_complement(block_data: np.ndarray, T, x: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
@@ -145,10 +144,6 @@ def candidate_sets(p: int, i: int, s: int):
         yield from combinations(others, t)
 
 
-def n_candidate_sets(p: int, s: int) -> int:
-    return sum(math.comb(p - 1, t) for t in range(s + 1))
-
-
 def _checked_grams(data: SampleBlocks | GramBlocks, config: EstimatorConfig) -> GramBlocks:
     """The Gram stack of ``data``, after checking the budget against it."""
     if isinstance(data, SampleBlocks):
@@ -180,13 +175,18 @@ def estimate_neighborhood(data: SampleBlocks | GramBlocks, i: int,
         node=i,
         selected=frozenset(j + 1 for j in best),
         objective=float(objective),
-        evaluated=n_candidate_sets(gb.p, config.s),
     )
 
 
 def estimate_graph(data: SampleBlocks | GramBlocks, config: EstimatorConfig,
                    combine: str = "OR") -> Cig:
-    """Assemble a graph estimate from all per-node neighborhood estimates."""
+    """Assemble a graph estimate from all per-node neighborhood estimates.
+
+    Node i picking node j sets entry (i, j) of a p x p "picked" matrix.  The
+    OR rule joins i and j when either picks the other (``picked | picked.T``),
+    the AND rule when both do (``picked & picked.T``); the upper triangle of
+    the result, read in row-major order, is the lexicographic edge list.
+    """
     if combine not in ("OR", "AND"):
         raise InvalidParameterError(f"combine rule must be OR or AND, got {combine!r}")
     gb = _checked_grams(data, config)
@@ -194,14 +194,11 @@ def estimate_graph(data: SampleBlocks | GramBlocks, config: EstimatorConfig,
     best, _ = subset_objectives(
         gb.grams, range(config.s + 1), gb.n_samples, config.lam, config.rank_tol,
     )
-    selected = {i: {j + 1 for j in best[i - 1]} for i in range(1, p + 1)}
-    edges = set()
-    for i in range(1, p + 1):
-        for j in range(i + 1, p + 1):
-            hit_i, hit_j = j in selected[i], i in selected[j]
-            if (hit_i or hit_j) if combine == "OR" else (hit_i and hit_j):
-                edges.add(frozenset((i, j)))
-    return Cig(p=p, edges=frozenset(edges))
+    picked = np.zeros((p, p), dtype=bool)
+    for i, T in enumerate(best):
+        picked[i, list(T)] = True
+    adjacent = picked | picked.T if combine == "OR" else picked & picked.T
+    return Cig(p=p, edges=(np.argwhere(np.triu(adjacent, 1)) + 1).tolist())
 
 
 def default_lambda(rho_min: float) -> float:

@@ -136,17 +136,12 @@ def cholesky_factor(C: np.ndarray) -> np.ndarray:
     return G
 
 
-def block_seed_sequence(seed, block_index: int) -> np.random.SeedSequence:
-    """Seed stream for one block, keyed by (master seed, block index)."""
-    return np.random.SeedSequence(entropy=seed, spawn_key=(block_index,))
-
-
 def sample_process(model: BlockModel, seed) -> SampleBlocks:
     """Draw B blocks of L i.i.d. columns, block b with covariance C^(b)."""
     factors = cholesky_factor(model.covariances)
     data = np.empty((model.B, model.p, model.L))
     for b, G in enumerate(factors):
-        rng = np.random.default_rng(block_seed_sequence(seed, b))
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(b,)))
         # ``out=`` writes the product in place, without a temporary per block.
         np.matmul(G, rng.standard_normal((model.p, model.L)), out=data[b])
     return SampleBlocks(p=model.p, B=model.B, L=model.L, data=data)
@@ -198,12 +193,6 @@ def sample_grams(model: BlockModel, seed) -> GramBlocks:
     """
     (grams,) = sample_gram_stack(model.covariances[None], model.L, [seed])
     return GramBlocks(p=model.p, B=model.B, L=model.L, grams=grams)
-
-
-def empirical_block_covariance(samples: SampleBlocks, b: int) -> np.ndarray:
-    """(1/L) X_b X_b^T for block index b (0-based)."""
-    X = samples.data[b]
-    return (X @ X.T) / samples.L
 
 
 def block_grams(samples: SampleBlocks) -> np.ndarray:

@@ -197,10 +197,10 @@ def format_neighborhood(est: NeighborhoodEstimate) -> str:
     return f"node {est.node}: {{{inner}}} objective={_fmt(est.objective)}"
 
 
-def format_edge_list(graph: Cig) -> str:
-    return "".join(f"edge {i} {j}\n" for (i, j) in graph.edge_list())
+def format_edges(graph: Cig) -> str:
+    return "".join(f"edge {i} {j}\n" for (i, j) in graph.edges)
 
 
 def save_graph(graph: Cig, path) -> None:
     with open(path, "w", newline="\n") as fh:
-        fh.write(format_edge_list(graph))
+        fh.write(format_edges(graph))

@@ -227,6 +227,18 @@ def test_lemma_subcommand(tmp_path):
     assert len(lines) == 4
 
 
+@pytest.mark.parametrize("etas", ["nan", "inf"])
+def test_lemma_rejects_non_finite_etas(tmp_path, etas):
+    # Each used to exit 0, writing nan,nan or (after a RuntimeWarning) inf,nan.
+    out = tmp_path / "lemma.csv"
+    done = run_fresh("lemma", "--a", "1,0.5", "--b", "0,1", "--etas", f"1,{etas}",
+                     "--trials", 100, "--seed", 5, "-o", out)
+    assert done.returncode == 2
+    [line] = done.stderr.splitlines()
+    assert line.startswith("error:") and "finite eta" in line
+    assert not out.exists()
+
+
 # sha256 of a ``lemma`` CSV, and of the ``model_path`` fixture's file with the
 # line ``model`` prints for it.  The model digest holds for a given numpy and
 # BLAS build (the precisions pass through an eigendecomposition).

@@ -51,6 +51,16 @@ def test_tail_bound_degenerate_and_bad_eta():
         tail_bound(QuadraticForm(a=np.ones(1), b=np.zeros(1)), 0.0)
 
 
+@pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_tail_bound_and_empirical_tail_need_a_finite_positive_eta(eta):
+    # NaN and infinity used to pass an ``eta <= 0`` check: a row of nan, or a warning.
+    form = QuadraticForm(a=np.ones(2), b=np.zeros(2))
+    with pytest.raises(InvalidParameterError, match="finite eta"):
+        tail_bound(form, eta)
+    with pytest.raises(InvalidParameterError, match="finite eta"):
+        empirical_tail(form, eta, 100, 0)
+
+
 def test_mgf_term_closed_forms():
     assert mgf_term(0.7, 1.3, 0.0) == 1.0
     assert mgf_term(0.0, 1.0, 1.0) == pytest.approx(math.exp(0.5))

@@ -20,7 +20,7 @@ from nsgms import (
 from nsgms.errors import InvalidParameterError, NotPositiveDefiniteError
 from nsgms.regression import EstimatorConfig, estimate_graph, estimate_neighborhood
 from nsgms.model import build_model_stack
-from nsgms.sampling import empirical_block_covariance, sample_gram_stack
+from nsgms.sampling import block_grams, sample_gram_stack
 
 
 def test_cholesky_identity():
@@ -126,7 +126,7 @@ def test_block_covariances_match_model():
     samples = sample_process(model, 12)
     assert not np.allclose(model.covariances[0], model.covariances[1])
     for b in range(2):
-        emp = empirical_block_covariance(samples, b)
+        emp = block_grams(samples)[b] / samples.L
         err = np.linalg.norm(emp - model.covariances[b])
         assert err <= 10.0 * model.p / np.sqrt(L)
 
@@ -146,7 +146,7 @@ def test_empirical_covariance_consistency():
     ok = 0
     for seed in range(10):
         samples = sample_process(model, seed)
-        emp = empirical_block_covariance(samples, 0)
+        emp = block_grams(samples)[0] / samples.L
         ok += np.linalg.norm(emp - model.covariances[0]) <= 0.15
     assert ok >= 9
 

@@ -11,7 +11,7 @@ from nsgms.errors import FormatError
 from nsgms.regression import EstimatorConfig
 from nsgms.sampling import SampleBlocks, block_grams
 from nsgms.serialize import (
-    format_edge_list,
+    format_edges,
     format_neighborhood,
     load_model,
     load_samples,
@@ -263,7 +263,7 @@ def test_format_neighborhood(model):
 
 def test_edge_list_sorted(tmp_path):
     g = random_cig(6, 2, 7)
-    text = format_edge_list(g)
+    text = format_edges(g)
     lines = text.splitlines()
     pairs = [tuple(int(v) for v in ln.split()[1:]) for ln in lines]
     assert pairs == sorted(pairs)
