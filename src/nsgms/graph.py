@@ -27,15 +27,21 @@ class Cig:
     frozensets, or rows of ``np.argwhere(...).tolist()``), with nodes of any
     integer type; it is stored as ``tuple(sorted({(min, max)}))`` of plain
     ints, so reversed and repeated pairs merge.  A pair that is not two
-    distinct integer nodes in 1..p is rejected.
+    distinct integer nodes in 1..p is rejected.  ``p`` must be an integer
+    >= 1 of any integer type but bool, and is stored as a plain int.
     """
 
     p: int
     edges: tuple = ()
 
     def __post_init__(self):
-        if self.p < 1:
-            raise InvalidParameterError(f"node count must be >= 1, got {self.p}")
+        try:
+            p = operator.index(self.p)
+        except TypeError:  # not an integer, e.g. 2.5
+            p = 0
+        if isinstance(self.p, bool) or p < 1:
+            raise InvalidParameterError(f"node count must be an integer >= 1, got {self.p!r}")
+        object.__setattr__(self, "p", p)
         pairs = set()
         for e in self.edges:
             try:

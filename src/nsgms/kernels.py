@@ -15,8 +15,11 @@ Stat. 1979):
   (B, p, p) stack.
 - The last two levels are batched over all children of a parent.  They
   need only the swept diagonal and the target columns, never a stack per
-  set.  Children are taken in chunks, so memory stays O(s * B * p^2) plus
-  a fixed cap on the batch.
+  set.  Children are taken in chunks that write into one scratch buffer,
+  so memory stays O(s * B * p^2) plus ``TAIL_ENTRIES`` floats.
+- From s = 3 on, first-level roots are bounded (the "bounds" half of
+  leaps-and-bounds, in the branch-and-bound form of Gatu &
+  Kontoghiorghes, JCGS 2006), below.
 
 A one-target call scores one target column of the same sweep over the
 caller's stack, with no permuted copy: the bar that keeps each node out of
@@ -30,6 +33,33 @@ relative residual norm given the earlier pivots is at most ``rank_tol``
 adds nothing to that block.  Each block's residual is clamped at 0 before
 the sum over blocks, and a set's objective is that sum over N plus
 lam * |T|.
+
+Bounds: every set of two or more nodes under the root j lies inside
+S = {j..p-1}, and projecting out more rows never raises a residual (a
+dropped pivot only projects out fewer), so for target i each such set
+scores at least
+
+    min(2 * lam, s * lam) + (1/N) sum_b r_b,i(S minus i).
+
+``_root_bounds`` reads these for every root and target
+from one Cholesky factor of the index-reversed stack.  Before the sweep
+descends under root j, a target whose best so far over the scanned sizes
+lies below that bound by more than the slack, ``SLACK`` * (sum_b G_ii / N
++ |lam| * s), is dropped from the subtree, and a subtree with no target
+left is skipped.  With several targets, only roots whose tails are large
+(``SMALL_TAIL``) are checked; with one target every root is.
+
+Why the argmin stays exact: a pruned set scores more than the best so far
+plus the slack, so it is strictly worse than the final winner and can
+neither win nor tie.  Every set that is scored is scored by the same
+operations as without pruning, so the first minimum of the (size,
+lex)-ordered enumeration and its objective keep every bit.  The slack
+covers the rounding of the sweep and of the bound only where both are
+accurate, so a block whose reverse pivot of a node k >= j is at or below
+``UNSAFE_PIVOT`` * G_kk adds 0 to root j's bound.  The lowest index of a
+near-collinear group of rows gets such a pivot, which covers the rows of
+the resolution limit below.  Where the factorization fails (a
+rank-deficient block, as when L <= p), nothing is pruned.
 
 Tie-break: sets of one size are visited in lexicographic order, and the
 best set per (target, size) is kept with a strict ``<``, so the first
@@ -48,12 +78,27 @@ the row.  The projection route remains the reference.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 # Cap, in float64 entries, on a batched tail's (B, children, grandchildren,
-# targets) temporaries: the children of one parent are taken in chunks
-# below it (at least one child per chunk).
+# targets) term: the children of one parent are taken in chunks below it (at
+# least one child per chunk), and a tail of several chunks writes the term
+# into one scratch buffer.
 TAIL_ENTRIES = 1 << 16
+# A tail whose (B, children, grandchildren, targets) term has fewer entries
+# than this is bound by call overhead.  It allocates its term instead of a
+# scratch buffer, and with more than one target its first-level root is not
+# checked against the bound, since cutting targets saves less than the check
+# costs.  With one target a check can skip the whole tail.
+SMALL_TAIL = 1 << 13
+# A block whose reverse pivot of node k is at or below this share of G_kk
+# adds nothing to the root bounds of k and every earlier root.
+UNSAFE_PIVOT = 1e-4
+# A bound prunes only when it beats the best so far by this share of the
+# target's objective scale, sum_b G_ii / N + |lam| * s.
+SLACK = 1e-9
 
 
 def subset_objectives(grams: np.ndarray, sizes, n_total: int, lam: float,
@@ -75,13 +120,64 @@ def subset_objectives(grams: np.ndarray, sizes, n_total: int, lam: float,
     if not sizes or sizes != sorted(set(sizes)) or sizes[0] < 0 or sizes[-1] >= p:
         raise ValueError(f"sizes must increase within 0..{p - 1}, got {sizes}")
     targets = slice(0, p) if target is None else slice(target, target + 1)
-    sweep = _Sweep(grams, targets, n_total, lam, rank_tol, sizes[-1])
+    sweep = _Sweep(grams, targets, n_total, lam, rank_tol, sizes)
     # Sizes smallest first with strict ``<``: the first minimum over sizes.
     by_size = sweep.best[sizes]
     first = by_size.argmin(axis=0)
     selected = [tuple(sweep.chosen[sizes[f], k, :sizes[f]].tolist())
                 for k, f in enumerate(first)]
     return selected, by_size[first, np.arange(len(first))]
+
+
+def _root_bounds(grams, n_total):
+    """Lower bound on (1/N) sum_b r_b,i over the sets under each first-level root.
+
+    Entry [j, i] bounds, for target i, every set that holds root j and more
+    candidates, all from S = {j..p-1}: r_b,i(S minus i), and inf for i = j.
+    Read from one Cholesky factor C of the index-reversed stack: for i < j,
+    G_ii minus the leading squares of i's row of C; for i in S, the
+    leave-one-out 1/[(G_SS)^-1]_ii from the leading columns of C^-1.  A
+    block adds 0 to root j once a reverse pivot of a node k >= j is at or
+    below ``UNSAFE_PIVOT`` * G_kk.  None, so that nothing is pruned, when
+    the factorization fails, as it mostly does for a rank-deficient block
+    (L <= p); where rounding lets one through, its pivot is tiny, so unsafe.
+    """
+    p = grams.shape[1]
+    rev = grams[:, ::-1, ::-1]
+    try:
+        C = np.linalg.cholesky(rev)
+    except np.linalg.LinAlgError:
+        return None
+    g = rev.diagonal(axis1=1, axis2=2)
+    safe = np.logical_and.accumulate(C.diagonal(axis1=1, axis2=2) ** 2 > UNSAFE_PIVOT * g, axis=1)
+    # [b, q, m]: reversed node m given reversed nodes 0..q, less m itself.
+    r = np.cumsum(C * C, axis=2).transpose(0, 2, 1)
+    np.subtract(g[:, None, :], r, out=r)
+    # inv of the upper factor C^T is a pure back substitution, so C^-1's
+    # leading columns depend on C's leading block alone.
+    with np.errstate(over="ignore"):
+        inv = np.linalg.inv(C.transpose(0, 2, 1))
+        del C  # the passes below work in place, so the peak holds two stacks
+        inv *= inv
+        loo = np.cumsum(inv, axis=2, out=inv).transpose(0, 2, 1)
+    np.divide(1.0, loo, out=r, where=np.tri(p, dtype=bool))
+    np.copyto(r, 0.0, where=~safe[:, :, None])
+    bounds = r.sum(axis=0)[::-1, ::-1] / n_total
+    np.fill_diagonal(bounds, np.inf)
+    return bounds
+
+
+class _Targets(NamedTuple):
+    """The targets a subtree scores.
+
+    ``nodes`` are their columns of the stack, ``rows`` their rows of
+    ``best`` (None for every target) and ``own`` the per-(node, target)
+    penalty that bars each target from its own sets.
+    """
+
+    nodes: slice | np.ndarray
+    rows: np.ndarray | None
+    own: np.ndarray
 
 
 class _Sweep:
@@ -91,100 +187,148 @@ class _Sweep:
     range ``targets``, and each is barred from its own sets.
     """
 
-    def __init__(self, grams, targets, n_total, lam, rank_tol, s):
-        p = grams.shape[1]
-        self.p, self.targets = p, targets
-        self.n_total, self.lam, self.s = n_total, lam, s
+    def __init__(self, grams, targets, n_total, lam, rank_tol, sizes):
+        p, s = grams.shape[1], sizes[-1]
+        self.p, self.n_total, self.lam, self.s = p, n_total, lam, s
         nt = targets.stop - targets.start
         self.cols = np.arange(nt)
         # Objective penalty per (node, target): inf where the node is the
         # target, since a target is never in its own set.
-        self.own = np.where(np.arange(p)[:, None] == np.arange(p)[targets], np.inf, 0.0)
+        own = np.where(np.arange(p)[:, None] == np.arange(p)[targets], np.inf, 0.0)
+        self.every = _Targets(targets, None, own)
         diag = grams.diagonal(axis1=1, axis2=2)
         # A swept pivot at or below its floor drops; G_jj <= 0 always drops.
         self.floor = np.where(diag > 0, rank_tol * rank_tol * diag, np.inf)
         self.best = np.full((s + 1, nt), np.inf)
         self.chosen = np.zeros((s + 1, nt, max(s, 1)), dtype=np.intp)
-        self._keep(self._objective(diag[:, None, targets], 0), 0)
+        self._keep(self._objective(diag[:, None, targets], 0), 0, None)
+        # cut[j, k]: target k skips root j's subtree once its best over the
+        # scanned sizes is below cut[j, k], the root bound plus the least
+        # penalty of a set of 2..s nodes, less the slack.  There is a row per
+        # checked root: every root for one target, else the first roots,
+        # whose tails are large.
+        B = grams.shape[0]
+        checked = (0 if s < 3 else p if nt == 1 else
+                   sum(B * (p - j - 1) ** 2 * nt >= SMALL_TAIL for j in range(p)))
+        bounds = _root_bounds(grams, n_total) if checked else None
+        self.checked = 0 if bounds is None else checked
+        if bounds is not None:
+            self.counted = slice(sizes[0], None) if sizes == list(range(sizes[0], s + 1)) else sizes
+            scale = diag[:, targets].sum(axis=0) / n_total + abs(lam) * s
+            self.cut = bounds[:checked, targets] + (min(2 * lam, s * lam) - SLACK * scale)
+        # Grandchild slot kk of child slot jj precedes it where kk < jj.
+        self.before = np.tri(p, p, -1, dtype=bool)
         if s > 0:
-            self._descend(grams, (), 0, np.zeros(nt))
+            self._descend(grams, (), 0, np.zeros(nt), self.every)
 
     def _objective(self, residuals, t):
         """(1/N) sum_b max(r_b, 0) + lam * t over the leading block axis."""
         return np.maximum(residuals, 0.0).sum(axis=0) / self.n_total + self.lam * t
 
-    def _keep(self, obj, t):
+    def _keep(self, obj, t, rows):
         """Fold candidates of size t into the best kept so far.
 
-        ``obj`` is (candidates in lexicographic order, targets).  Returns
-        the rows of the first strict minima that beat the best so far, and
-        the targets they win.
+        ``obj`` is (candidates in lexicographic order, targets), for the
+        ``rows`` of ``best`` (None: all).  Returns the candidates of the
+        first strict minima that beat the best so far, and the rows they win.
         """
         first = obj.argmin(axis=0)
-        value = obj[first, self.cols]
-        won = np.flatnonzero(value < self.best[t])
-        self.best[t, won] = value[won]
-        return first[won], won
+        value = obj[first, self.cols[:len(first)]]
+        won = (value < (self.best[t] if rows is None else self.best[t, rows])).nonzero()[0]
+        first, value = first[won], value[won]
+        if rows is not None:
+            won = rows[won]
+        self.best[t, won] = value
+        return first, won
 
-    def _descend(self, A, T, start, barred):
+    def _descend(self, A, T, start, barred, view):
         """Score the supersets of T that add candidates from ``start`` on.
 
-        A is the stack swept by T, and ``barred`` the per-target penalty
-        of the nodes in T.
+        A is the stack swept by T, ``barred`` the per-target penalty of the
+        nodes in T, and ``view`` the targets scored.
         """
         if start == self.p:
             return
         if len(T) + 2 >= self.s:
-            self._tail(A, T, start, barred, two_levels=len(T) + 2 == self.s)
+            self._tail(A, T, start, barred, view, two_levels=len(T) + 2 == self.s)
             return
-        tg, t = self.targets, len(T) + 1
+        t = len(T) + 1
         for j in range(start, self.p):
             den = np.where(A[:, j, j] > self.floor[:, j], A[:, j, j], np.inf)
             col = A[:, :, j]
             child = A - col[:, :, None] * (col / den[:, None])[:, None, :]
-            child_barred = barred + self.own[j]
+            child_barred = barred + view.own[j]
             diag = child.diagonal(axis1=1, axis2=2)
-            _, won = self._keep(self._objective(diag[:, None, tg], t) + child_barred, t)
+            _, won = self._keep(self._objective(diag[:, None, view.nodes], t) + child_barred,
+                                t, view.rows)
             self.chosen[t, won, :t] = T + (j,)
-            self._descend(child, T + (j,), j + 1, child_barred)
+            sub = view
+            if t == 1 and j < self.checked:
+                alive = (self.cut[j] <= self.best[self.counted].min(axis=0)).nonzero()[0]
+                if not len(alive):
+                    continue
+                if len(alive) < len(barred):
+                    sub = _Targets(alive + view.nodes.start, alive, view.own.take(alive, axis=1))
+                    child_barred = child_barred[alive]
+            self._descend(child, T + (j,), j + 1, child_barred, sub)
 
-    def _tail(self, A, T, start, barred, two_levels):
+    def _tail(self, A, T, start, barred, view, two_levels):
         """Score T + {j} and, if asked, T + {j, k}, for candidates j < k from ``start``.
 
         Only the target entries and the pivots' diagonal of each child's
         swept stack are formed.
         """
-        B, tg, t, p = A.shape[0], self.targets, len(T) + 1, self.p
-        nt = len(self.cols)
+        B, t, p = A.shape[0], len(T) + 1, self.p
+        nodes, rows, own = view
+        nt = len(barred)
         diag = A.diagonal(axis1=1, axis2=2)
-        base = diag[:, None, tg]
+        if rows is None:
+            A_t, base = A[:, :, nodes], diag[:, None, nodes]
+        else:  # one gather, C-ordered: indexing would put the target axis outermost
+            A_t, base = A.take(nodes, axis=2), diag.take(nodes, axis=1)[:, None, :]
         step = max(1, TAIL_ENTRIES // (B * (p - start) * nt))
+        # Sized to the first chunk, the largest; a small tail allocates its
+        # one term and sums it the short way.
+        entries = B * min(step, p - start) * (p - start - 1) * nt
+        scratch = np.empty(entries) if two_levels and entries >= SMALL_TAIL else None
         for lo in range(start, p, step):
             hi = min(lo + step, p)
             a_jj = diag[:, lo:hi]
             den_j = np.where(a_jj > self.floor[:, lo:hi], a_jj, np.inf)[:, :, None]
-            c_ji = A[:, lo:hi, tg]
+            c_ji = A_t[:, lo:hi]
             r1 = base - c_ji * c_ji / den_j
-            first, won = self._keep(self._objective(r1, t) + barred + self.own[lo:hi], t)
+            first, won = self._keep(self._objective(r1, t) + barred + own[lo:hi], t, rows)
             self.chosen[t, won, :t - 1] = T
             self.chosen[t, won, t - 1] = lo + first
             if not two_levels or lo + 1 == p:
                 continue
+            nj, nk = hi - lo, p - lo - 1
             c_jk = A[:, lo:hi, lo + 1:p]
             u = c_jk / den_j
             a_kk = diag[:, None, lo + 1:p] - u * c_jk
             den_k = np.where(a_kk > self.floor[:, None, lo + 1:p], a_kk, np.inf)
-            a_ki = A[:, None, lo + 1:p, tg] - u[..., None] * c_ji[:, :, None, :]
-            a_ki *= a_ki
-            a_ki /= den_k[..., None]
-            r2 = np.subtract(r1[:, :, None, :], a_ki, out=a_ki)
-            obj = self._objective(r2, t + 1)
-            obj += barred + self.own[lo + 1:p]
-            obj += self.own[lo:hi, None, :]
+            # The ops of _objective, in place and in the same order.
+            out = None if scratch is None else scratch[:B * nj * nk * nt].reshape(B, nj, nk, nt)
+            r2 = np.multiply(u[..., None], c_ji[:, :, None, :], out=out)
+            np.subtract(A_t[:, None, lo + 1:p], r2, out=r2)
+            r2 *= r2
+            r2 /= den_k[..., None]
+            np.subtract(r1[:, :, None, :], r2, out=r2)
+            np.maximum(r2, 0.0, out=r2)
+            if scratch is None:
+                obj = r2.sum(axis=0)
+            else:  # block 0 takes the sum, in the order of sum(axis=0)
+                obj = r2[0]
+                for b in range(1, B):
+                    obj += r2[b]
+            obj /= self.n_total
+            obj += self.lam * (t + 1)
+            obj += barred + own[lo + 1:p]
+            obj += own[lo:hi, None, :]
             # Grandchild slot kk is candidate lo + 1 + kk: it must follow j = lo + jj.
-            obj[np.tri(hi - lo, p - lo - 1, -1, dtype=bool)] = np.inf
-            first, won = self._keep(obj.reshape(-1, nt), t + 1)
-            jj, kk = np.divmod(first, p - lo - 1)
+            np.copyto(obj, np.inf, where=self.before[:nj, :nk, None])
+            first, won = self._keep(obj.reshape(-1, nt), t + 1, rows)
+            jj, kk = np.divmod(first, nk)
             self.chosen[t + 1, won, :t - 1] = T
             self.chosen[t + 1, won, t - 1] = lo + jj
             self.chosen[t + 1, won, t] = lo + 1 + kk

@@ -45,6 +45,19 @@ def test_cig_rejects_out_of_range_node():
         Cig(p=3, edges=frozenset({frozenset({1, 4})}))
 
 
+@pytest.mark.parametrize("p", [2.5, True, 3.0, "3", 0])
+def test_cig_rejects_a_node_count_that_is_not_a_positive_integer(p):
+    # Cig(p=2.5) used to be built, and its max_degree then raised TypeError.
+    with pytest.raises(InvalidParameterError):
+        Cig(p=p, edges=[(1, 2)])
+
+
+def test_cig_accepts_a_numpy_integer_node_count():
+    g = Cig(p=np.int64(3), edges=[(1, 2)])
+    assert g.p == 3 and type(g.p) is int
+    assert g.max_degree == 1 and g == Cig(p=3, edges=[(1, 2)])
+
+
 @pytest.mark.parametrize("edge", [(2, 2), [3, 3], (0, 1), (1, 4), (3,), (1, 2, 3),
                                   (1, 1.5), (1.0, 2), frozenset({1, 1.5}), ("1", "2"), 7])
 def test_cig_rejects_what_is_not_two_distinct_integer_nodes(edge):

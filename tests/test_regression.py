@@ -1,6 +1,8 @@
 """Projections, the residual statistic, and the exhaustive subset search."""
 
 import math
+import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from nsgms import (
     sample_process,
     sample_size_bound,
 )
+from nsgms import kernels
 from nsgms.errors import InfeasibleConfigError, InvalidParameterError
 from nsgms.kernels import subset_objectives
 from nsgms.regression import DEFAULT_RANK_TOL, candidate_sets
@@ -280,6 +283,197 @@ def test_gram_route_resolves_rows_just_above_rank_tol():
             drop = residual_statistic(samples, i, [j for j in T if j != 4])
             gaps.append(min(abs(obj - keep), abs(obj - drop)) / keep)
     assert max(gaps) <= 1e-7
+
+
+# ---------------------------------------------------------------- pruning
+
+def planted_samples(rng, p, B, L, degree=3):
+    """Blocks drawn from sparse planted precision matrices, on which the bounds prune."""
+    degrees = [0] * p
+    edges = set()
+    for i, j in rng.integers(0, p, size=(3 * p, 2)).tolist():
+        if i != j and (min(i, j), max(i, j)) not in edges and max(degrees[i], degrees[j]) < degree:
+            edges.add((min(i, j), max(i, j)))
+            degrees[i] += 1
+            degrees[j] += 1
+    blocks = []
+    for _ in range(B):
+        K = np.eye(p)
+        for i, j in edges:
+            K[i, j] = K[j, i] = rng.uniform(0.5, 0.9) / degree * rng.choice((-1.0, 1.0))
+        blocks.append(np.linalg.cholesky(np.linalg.inv(K)) @ rng.standard_normal((p, L)))
+    return SampleBlocks(p=p, B=B, L=L, data=tuple(blocks))
+
+
+def tie_samples():
+    """The inputs of the two tie-break tests above: duplicated and zero rows."""
+    rng = np.random.default_rng(16)
+    X = rng.standard_normal((4, 8))
+    X[3] = X[1]
+    X[0] = X[1] + 0.01 * rng.standard_normal(8)
+    yield SampleBlocks(p=4, B=1, L=8, data=(X,))
+    rng = np.random.default_rng(25)
+    X = rng.standard_normal((7, 12))
+    X[3] = X[1]
+    X[0] = X[1] + X[4] + X[5] + 0.01 * rng.standard_normal(12)
+    yield SampleBlocks(p=7, B=1, L=12, data=(X,))
+    X = rng.standard_normal((3, 12))
+    X[2] = 0.0
+    yield SampleBlocks(p=3, B=2, L=6, data=(X[:, :6], X[:, 6:]))
+
+
+def assert_pruning_keeps_every_bit(samples, s, lam, targets):
+    """Pruned sweeps equal a sweep whose bound prunes nothing, bit for bit.
+
+    The pruned sweeps run at the default ``SMALL_TAIL`` and at 0, which
+    checks every first-level root and sends every tail through the scratch
+    buffer, so pruning fires on small inputs too.
+    """
+    grams, n = block_grams(samples), samples.n_samples
+    for target in [None, *targets]:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_root_bounds", lambda *args: None)
+            ref_sets, ref_objs = subset_objectives(grams, range(s + 1), n, lam,
+                                                   DEFAULT_RANK_TOL, target=target)
+        for small_tail in (kernels.SMALL_TAIL, 0):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(kernels, "SMALL_TAIL", small_tail)
+                sets, objs = subset_objectives(grams, range(s + 1), n, lam,
+                                               DEFAULT_RANK_TOL, target=target)
+            assert sets == ref_sets
+            assert objs.tobytes() == ref_objs.tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(5, 11), st.integers(1, 3),
+       st.sampled_from((3, 4)), st.floats(0.0, 0.05), st.data())
+def test_pruning_keeps_every_bit_on_planted_grams(seed, p, B, s, lam, data):
+    rng = np.random.default_rng(seed)
+    samples = planted_samples(rng, p, B, data.draw(st.integers(p + 1, 80)))
+    targets = data.draw(st.lists(st.integers(0, p - 1), max_size=2))
+    assert_pruning_keeps_every_bit(samples, s, lam, targets)
+
+
+@settings(max_examples=40, deadline=None)
+@given(degenerate_samples(), st.sampled_from((3, 4)), st.floats(0.0, 0.3), st.data())
+def test_pruning_keeps_every_bit_on_degenerate_rows(samples, s, lam, data):
+    s = min(s, samples.p - 1)
+    targets = data.draw(st.lists(st.integers(0, samples.p - 1), max_size=2))
+    assert_pruning_keeps_every_bit(samples, s, lam, targets)
+
+
+def test_pruning_keeps_every_bit_on_the_tie_inputs():
+    for samples in tie_samples():
+        for s in (3, 4):
+            for lam in (0.0, 1e-9, 0.05):
+                if s < samples.p:
+                    assert_pruning_keeps_every_bit(samples, s, lam, range(samples.p))
+
+
+def test_pruning_keeps_a_winner_that_nearly_ties_an_earlier_root():
+    # Node 2 nearly duplicates node 4, so {2, 5} nearly ties the winner
+    # {4, 5} of node 1, and root 4's bound lies just under the best so far:
+    # only a bound that keeps its slack on the safe side keeps {4, 5}.
+    rng = np.random.default_rng(34)
+    blocks = []
+    for _ in range(2):
+        X = rng.standard_normal((7, 4000))
+        X[1] = X[3] + 0.03 * rng.standard_normal(4000)
+        X[0] = X[3] + X[4] + 0.5 * rng.standard_normal(4000)
+        blocks.append(X)
+    samples = SampleBlocks(p=7, B=2, L=4000, data=tuple(blocks))
+    assert sweep(samples, 3, 0.01, target=1)[1][0] == (4, 5)
+    assert_pruning_keeps_every_bit(samples, 3, 0.01, [0])
+
+
+def test_root_bounds_are_full_set_residuals_below_every_subset():
+    rng = np.random.default_rng(30)
+    p = 6
+    samples = random_samples(rng, p, 2, 14)
+    bounds = kernels._root_bounds(block_grams(samples), samples.n_samples)
+    for j in range(p):
+        assert bounds[j, j] == np.inf
+        for i in set(range(p)) - {j}:
+            rest = [k + 1 for k in range(j, p) if k != i]  # 1-based {j..p-1} \ {i}
+            full = residual_statistic(samples, i + 1, rest)
+            assert bounds[j, i] == pytest.approx(full, rel=1e-9)
+            for t in range(1, len(rest)):
+                for T in combinations(rest, t):
+                    assert residual_statistic(samples, i + 1, T) >= bounds[j, i] * (1 - 1e-9)
+
+
+def test_root_bounds_leave_out_blocks_with_a_near_collinear_row():
+    rng = np.random.default_rng(31)
+    p = 6
+    samples = random_samples(rng, p, 2, 20)
+    samples.data[0][1] = samples.data[0][3] + 1e-8 * rng.standard_normal(20)
+    grams, n = block_grams(samples), samples.n_samples
+    bounds = kernels._root_bounds(grams, n)
+    # Node 1 has a tiny reverse pivot in block 0, so that block adds nothing
+    # to roots 0 and 1; later roots see both blocks.
+    alone = kernels._root_bounds(grams[1:], n)
+    off = ~np.eye(p, dtype=bool)
+    assert np.allclose(bounds[:2][off[:2]], alone[:2][off[:2]], rtol=1e-12, atol=0)
+    for j in range(2, p):
+        for i in set(range(p)) - {j}:
+            rest = [k + 1 for k in range(j, p) if k != i]
+            assert bounds[j, i] == pytest.approx(residual_statistic(samples, i + 1, rest), rel=1e-9)
+    # L <= p: the blocks have no Cholesky factor, so nothing is pruned.
+    short = random_samples(rng, p, 2, p - 1)
+    assert kernels._root_bounds(block_grams(short), short.n_samples) is None
+
+
+def test_pruning_fires_on_a_planted_input(monkeypatch):
+    rng = np.random.default_rng(32)
+    samples = planted_samples(rng, 20, 4, 400)
+    grams, n, lam = block_grams(samples), samples.n_samples, 0.005
+    tail, scored = kernels._Sweep._tail, []
+
+    def counting_tail(self, A, T, start, barred, view, two_levels):
+        scored.append(len(barred) * (self.p - start))  # target columns x children
+        return tail(self, A, T, start, barred, view, two_levels)
+
+    monkeypatch.setattr(kernels._Sweep, "_tail", counting_tail)
+    counts, results = [], []
+    for bounds in (kernels._root_bounds, lambda *args: None):
+        monkeypatch.setattr(kernels, "_root_bounds", bounds)
+        scored.clear()
+        results.append(subset_objectives(grams, range(4), n, lam, DEFAULT_RANK_TOL))
+        counts.append(sum(scored))
+    assert counts[0] < 0.8 * counts[1]
+    assert results[0][0] == results[1][0]
+    assert results[0][1].tobytes() == results[1][1].tobytes()
+
+
+def traced_peak(call):
+    """Peak traced bytes of ``call()``, after one untraced warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweep_memory_is_one_tail_buffer_plus_stacks():
+    rng = np.random.default_rng(33)
+    B, p = 4, 40
+    X = rng.standard_normal((B, p, 4 * p))
+    grams = X @ X.transpose(0, 2, 1)
+    peak = traced_peak(lambda: subset_objectives(grams, range(4), B * 4 * p, 0.05,
+                                                 DEFAULT_RANK_TOL))
+    # One scratch buffer of TAIL_ENTRIES floats, plus (B, p, p) stacks and
+    # per-chunk terms a share 1/B or 1/targets of it; three buffers of that
+    # size, as the tail once held at a time, do not fit.
+    assert peak <= 8 * kernels.TAIL_ENTRIES + 10 * 8 * B * p * p
+    # The harness's one-target s = 2 sweep (p = 8, B = 4) stays at or below
+    # the 16,032 bytes it peaked at before the scratch buffer.
+    X = rng.standard_normal((4, 8, 32))
+    grams = X @ X.transpose(0, 2, 1)
+    peak = traced_peak(lambda: subset_objectives(grams, range(3), 128, 0.05,
+                                                 DEFAULT_RANK_TOL, target=3))
+    assert peak <= 16032
 
 
 # ---------------------------------------------------------------- estimate_neighborhood
