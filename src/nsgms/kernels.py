@@ -46,20 +46,22 @@ from one Cholesky factor of the index-reversed stack.  Before the sweep
 descends under root j, a target whose best so far over the scanned sizes
 lies below that bound by more than the slack, ``SLACK`` * (sum_b G_ii / N
 + |lam| * s), is dropped from the subtree, and a subtree with no target
-left is skipped.  With several targets, only roots whose tails are large
-(``SMALL_TAIL``) are checked; with one target every root is.
+left is skipped.  Every root is checked, whatever the size of its tail.
 
 Why the argmin stays exact: a pruned set scores more than the best so far
 plus the slack, so it is strictly worse than the final winner and can
 neither win nor tie.  Every set that is scored is scored by the same
 operations as without pruning, so the first minimum of the (size,
-lex)-ordered enumeration and its objective keep every bit.  The slack
-covers the rounding of the sweep and of the bound only where both are
-accurate, so a block whose reverse pivot of a node k >= j is at or below
-``UNSAFE_PIVOT`` * G_kk adds 0 to root j's bound.  The lowest index of a
-near-collinear group of rows gets such a pivot, which covers the rows of
-the resolution limit below.  Where the factorization fails (a
-rank-deficient block, as when L <= p), nothing is pruned.
+lex)-ordered enumeration and its objective keep every bit.  The slack is
+needed: the sweep can score a set an ulp below the exact value its bound
+reads, which breaks an exact tie in that set's favour, and a bound with no
+slack would prune the winner.  It covers the rounding of the sweep and of
+the bound only where both are accurate, so a block whose reverse pivot of
+a node k >= j is at or below ``UNSAFE_PIVOT`` * G_kk adds 0 to root j's
+bound.  The lowest index of a near-collinear group of rows gets such a
+pivot, which covers the rows of the resolution limit below.  Where the
+factorization fails (a rank-deficient block, as when L <= p), nothing is
+pruned.
 
 Tie-break: sets of one size are visited in lexicographic order, and the
 best set per (target, size) is kept with a strict ``<``, so the first
@@ -88,10 +90,8 @@ import numpy as np
 # into one scratch buffer.
 TAIL_ENTRIES = 1 << 16
 # A tail whose (B, children, grandchildren, targets) term has fewer entries
-# than this is bound by call overhead.  It allocates its term instead of a
-# scratch buffer, and with more than one target its first-level root is not
-# checked against the bound, since cutting targets saves less than the check
-# costs.  With one target a check can skip the whole tail.
+# than this is bound by call overhead: it allocates its term instead of a
+# scratch buffer.
 SMALL_TAIL = 1 << 13
 # A block whose reverse pivot of node k is at or below this share of G_kk
 # adds nothing to the root bounds of k and every earlier root.
@@ -204,18 +204,12 @@ class _Sweep:
         self._keep(self._objective(diag[:, None, targets], 0), 0, None)
         # cut[j, k]: target k skips root j's subtree once its best over the
         # scanned sizes is below cut[j, k], the root bound plus the least
-        # penalty of a set of 2..s nodes, less the slack.  There is a row per
-        # checked root: every root for one target, else the first roots,
-        # whose tails are large.
-        B = grams.shape[0]
-        checked = (0 if s < 3 else p if nt == 1 else
-                   sum(B * (p - j - 1) ** 2 * nt >= SMALL_TAIL for j in range(p)))
-        bounds = _root_bounds(grams, n_total) if checked else None
-        self.checked = 0 if bounds is None else checked
+        # penalty of a set of 2..s nodes, less the slack.
+        self.sizes, self.cut = np.array(sizes), None
+        bounds = _root_bounds(grams, n_total) if s >= 3 else None
         if bounds is not None:
-            self.counted = slice(sizes[0], None) if sizes == list(range(sizes[0], s + 1)) else sizes
             scale = diag[:, targets].sum(axis=0) / n_total + abs(lam) * s
-            self.cut = bounds[:checked, targets] + (min(2 * lam, s * lam) - SLACK * scale)
+            self.cut = bounds[:, targets] + (min(2 * lam, s * lam) - SLACK * scale)
         # Grandchild slot kk of child slot jj precedes it where kk < jj.
         self.before = np.tri(p, p, -1, dtype=bool)
         if s > 0:
@@ -263,8 +257,8 @@ class _Sweep:
                                 t, view.rows)
             self.chosen[t, won, :t] = T + (j,)
             sub = view
-            if t == 1 and j < self.checked:
-                alive = (self.cut[j] <= self.best[self.counted].min(axis=0)).nonzero()[0]
+            if t == 1 and self.cut is not None:
+                alive = (self.cut[j] <= self.best.take(self.sizes, axis=0).min(axis=0)).nonzero()[0]
                 if not len(alive):
                     continue
                 if len(alive) < len(barred):

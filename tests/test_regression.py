@@ -326,8 +326,7 @@ def assert_pruning_keeps_every_bit(samples, s, lam, targets):
     """Pruned sweeps equal a sweep whose bound prunes nothing, bit for bit.
 
     The pruned sweeps run at the default ``SMALL_TAIL`` and at 0, which
-    checks every first-level root and sends every tail through the scratch
-    buffer, so pruning fires on small inputs too.
+    sends every tail through the scratch buffer.
     """
     grams, n = block_grams(samples), samples.n_samples
     for target in [None, *targets]:
@@ -384,6 +383,32 @@ def test_pruning_keeps_a_winner_that_nearly_ties_an_earlier_root():
     samples = SampleBlocks(p=7, B=2, L=4000, data=tuple(blocks))
     assert sweep(samples, 3, 0.01, target=1)[1][0] == (4, 5)
     assert_pruning_keeps_every_bit(samples, 3, 0.01, [0])
+
+
+def test_slack_keeps_a_pruned_set_that_wins_by_one_ulp():
+    # Node 3 is orthogonal to the rest, so root 1's bound for target 0 is the
+    # residual on {1, 2}, 16, read exactly from the integer Cholesky factor of
+    # the reversed Gram (every pivot share is above 0.09).  At this lam, {1}
+    # and {1, 2} tie at 728/41 in exact arithmetic; the sweep scores {1, 2}
+    # one ulp lower, so it wins.  A bound with no slack prunes it.
+    grams = np.array([[[88.0, -54.0, 18.0, 0.0], [-54.0, 41.0, -15.0, 0.0],
+                       [18.0, -15.0, 9.0, 0.0], [0.0, 0.0, 0.0, 16.0]]])
+    lam = 0.8780487804878048
+    runs = {}
+    for name, patches in (("unpruned", {"_root_bounds": lambda *args: None}),
+                          ("no slack", {"SLACK": 0.0}), ("pruned", {})):
+        with pytest.MonkeyPatch.context() as mp:
+            for attr, value in patches.items():
+                mp.setattr(kernels, attr, value)
+            runs[name] = [subset_objectives(grams, range(4), 1, lam, DEFAULT_RANK_TOL, target=t)
+                          for t in (None, 0)]
+    (sets, objs), (one_set, one_obj) = runs["unpruned"]
+    assert sets[0] == one_set[0] == (1, 2)
+    assert runs["no slack"][1][0] == [(1,)]
+    assert runs["no slack"][1][1][0] == pytest.approx(one_obj[0], rel=1e-15)
+    for (ref_sets, ref_objs), (got_sets, got_objs) in zip(runs["unpruned"], runs["pruned"]):
+        assert got_sets == ref_sets
+        assert got_objs.tobytes() == ref_objs.tobytes()
 
 
 def test_root_bounds_are_full_set_residuals_below_every_subset():
