@@ -24,15 +24,16 @@ Stat. 1979):
 A one-target call scores one target column of the same sweep over the
 caller's stack, with no permuted copy: the bar that keeps each node out of
 its own sets gives every set containing the target an infinite objective,
-so the result is the target's row of a whole-graph call.
+so the result is the target's row of a whole-graph call (to the last bit
+if B < 8: see ``_Sweep._objective``).
 
-Rank drops follow a column-dropping Cholesky factor of G_b[T, T] taken in
-index order: the pivot of node j is dropped in block b when G_b[j, j] <= 0
-or its swept value d satisfies d <= rank_tol^2 * G_b[j, j], so a row whose
-relative residual norm given the earlier pivots is at most ``rank_tol``
-adds nothing to that block.  Each block's residual is clamped at 0 before
-the sum over blocks, and a set's objective is that sum over N plus
-lam * |T|.
+Each rule is written once.  ``_pivot`` drops the pivot of node j in block
+b when G_b[j, j] <= 0 or its swept value is at most rank_tol^2 * G_b[j, j],
+as a column-dropping Cholesky factor of G_b[T, T] in index order does: a
+row whose relative residual norm given the earlier pivots is at most
+``rank_tol`` adds nothing to that block.  ``_Sweep._objective`` scores
+every set: each block's residual is clamped at 0, and the objective is
+their sum over N plus lam * |T|, plus inf if the set holds its target.
 
 Bounds: every set of two or more nodes under the root j lies inside
 S = {j..p-1}, and projecting out more rows never raises a residual (a
@@ -85,14 +86,9 @@ from typing import NamedTuple
 import numpy as np
 
 # Cap, in float64 entries, on a batched tail's (B, children, grandchildren,
-# targets) term: the children of one parent are taken in chunks below it (at
-# least one child per chunk), and a tail of several chunks writes the term
-# into one scratch buffer.
+# targets) term, written into one scratch buffer: the children of one parent
+# are taken in chunks below it, at least one child per chunk.
 TAIL_ENTRIES = 1 << 16
-# A tail whose (B, children, grandchildren, targets) term has fewer entries
-# than this is bound by call overhead: it allocates its term instead of a
-# scratch buffer.
-SMALL_TAIL = 1 << 13
 # A block whose reverse pivot of node k is at or below this share of G_kk
 # adds nothing to the root bounds of k and every earlier root.
 UNSAFE_PIVOT = 1e-4
@@ -167,6 +163,11 @@ def _root_bounds(grams, n_total):
     return bounds
 
 
+def _pivot(a, floor):
+    """Swept pivots ``a``, inf where one drops (a <= floor): it then projects nothing out."""
+    return np.where(a > floor, a, np.inf)
+
+
 class _Targets(NamedTuple):
     """The targets a subtree scores.
 
@@ -192,10 +193,8 @@ class _Sweep:
         self.p, self.n_total, self.lam, self.s = p, n_total, lam, s
         nt = targets.stop - targets.start
         self.cols = np.arange(nt)
-        # Objective penalty per (node, target): inf where the node is the
-        # target, since a target is never in its own set.
-        own = np.where(np.arange(p)[:, None] == np.arange(p)[targets], np.inf, 0.0)
-        self.every = _Targets(targets, None, own)
+        nodes = np.arange(p)
+        own = np.where(nodes[:, None] == nodes[targets], np.inf, 0.0)
         diag = grams.diagonal(axis1=1, axis2=2)
         # A swept pivot at or below its floor drops; G_jj <= 0 always drops.
         self.floor = np.where(diag > 0, rank_tol * rank_tol * diag, np.inf)
@@ -211,13 +210,28 @@ class _Sweep:
             scale = diag[:, targets].sum(axis=0) / n_total + abs(lam) * s
             self.cut = bounds[:, targets] + (min(2 * lam, s * lam) - SLACK * scale)
         # Grandchild slot kk of child slot jj precedes it where kk < jj.
-        self.before = np.tri(p, p, -1, dtype=bool)
+        self.before = nodes[:, None] > nodes
         if s > 0:
-            self._descend(grams, (), 0, np.zeros(nt), self.every)
+            self._descend(grams, (), 0, np.zeros(nt), _Targets(targets, None, own))
 
-    def _objective(self, residuals, t):
-        """(1/N) sum_b max(r_b, 0) + lam * t over the leading block axis."""
-        return np.maximum(residuals, 0.0).sum(axis=0) / self.n_total + self.lam * t
+    def _objective(self, r, t, *penalties, out=None):
+        """(1/N) sum_b max(r_b, 0) + lam * t + the 0/inf penalties, over axis 0.
+
+        ``out=r`` clamps r in place and adds its blocks into block 0 in turn,
+        as ``sum(axis=0)`` does for all but a lone entry per block (pairwise).
+        """
+        r = np.maximum(r, 0.0, out=out)
+        if out is None:
+            obj = r.sum(axis=0)
+        else:
+            obj = r[0]
+            for b in range(1, len(r)):
+                obj += r[b]
+        obj /= self.n_total
+        obj += self.lam * t
+        for penalty in penalties:
+            obj += penalty
+        return obj
 
     def _keep(self, obj, t, rows):
         """Fold candidates of size t into the best kept so far.
@@ -244,16 +258,16 @@ class _Sweep:
         if start == self.p:
             return
         if len(T) + 2 >= self.s:
-            self._tail(A, T, start, barred, view, two_levels=len(T) + 2 == self.s)
+            self._tail(A, T, start, barred, view)
             return
         t = len(T) + 1
         for j in range(start, self.p):
-            den = np.where(A[:, j, j] > self.floor[:, j], A[:, j, j], np.inf)
+            den = _pivot(A[:, j, j], self.floor[:, j])
             col = A[:, :, j]
             child = A - col[:, :, None] * (col / den[:, None])[:, None, :]
             child_barred = barred + view.own[j]
             diag = child.diagonal(axis1=1, axis2=2)
-            _, won = self._keep(self._objective(diag[:, None, view.nodes], t) + child_barred,
+            _, won = self._keep(self._objective(diag[:, None, view.nodes], t, child_barred),
                                 t, view.rows)
             self.chosen[t, won, :t] = T + (j,)
             sub = view
@@ -266,8 +280,8 @@ class _Sweep:
                     child_barred = child_barred[alive]
             self._descend(child, T + (j,), j + 1, child_barred, sub)
 
-    def _tail(self, A, T, start, barred, view, two_levels):
-        """Score T + {j} and, if asked, T + {j, k}, for candidates j < k from ``start``.
+    def _tail(self, A, T, start, barred, view):
+        """Score T + {j} and, below size s, T + {j, k}, for candidates j < k from ``start``.
 
         Only the target entries and the pivots' diagonal of each child's
         swept stack are formed.
@@ -281,44 +295,29 @@ class _Sweep:
         else:  # one gather, C-ordered: indexing would put the target axis outermost
             A_t, base = A.take(nodes, axis=2), diag.take(nodes, axis=1)[:, None, :]
         step = max(1, TAIL_ENTRIES // (B * (p - start) * nt))
-        # Sized to the first chunk, the largest; a small tail allocates its
-        # one term and sums it the short way.
-        entries = B * min(step, p - start) * (p - start - 1) * nt
-        scratch = np.empty(entries) if two_levels and entries >= SMALL_TAIL else None
+        if t < self.s:  # two levels: one buffer, sized to the first chunk, the largest
+            scratch = np.empty(B * min(step, p - start) * (p - start - 1) * nt)
         for lo in range(start, p, step):
             hi = min(lo + step, p)
-            a_jj = diag[:, lo:hi]
-            den_j = np.where(a_jj > self.floor[:, lo:hi], a_jj, np.inf)[:, :, None]
+            den_j = _pivot(diag[:, lo:hi], self.floor[:, lo:hi])[:, :, None]
             c_ji = A_t[:, lo:hi]
             r1 = base - c_ji * c_ji / den_j
-            first, won = self._keep(self._objective(r1, t) + barred + own[lo:hi], t, rows)
+            first, won = self._keep(self._objective(r1, t, barred, own[lo:hi]), t, rows)
             self.chosen[t, won, :t - 1] = T
             self.chosen[t, won, t - 1] = lo + first
-            if not two_levels or lo + 1 == p:
+            if t == self.s or lo + 1 == p:
                 continue
             nj, nk = hi - lo, p - lo - 1
             c_jk = A[:, lo:hi, lo + 1:p]
             u = c_jk / den_j
-            a_kk = diag[:, None, lo + 1:p] - u * c_jk
-            den_k = np.where(a_kk > self.floor[:, None, lo + 1:p], a_kk, np.inf)
-            # The ops of _objective, in place and in the same order.
-            out = None if scratch is None else scratch[:B * nj * nk * nt].reshape(B, nj, nk, nt)
-            r2 = np.multiply(u[..., None], c_ji[:, :, None, :], out=out)
+            den_k = _pivot(diag[:, None, lo + 1:p] - u * c_jk, self.floor[:, None, lo + 1:p])
+            r2 = np.multiply(u[..., None], c_ji[:, :, None, :],
+                             out=scratch[:B * nj * nk * nt].reshape(B, nj, nk, nt))
             np.subtract(A_t[:, None, lo + 1:p], r2, out=r2)
             r2 *= r2
             r2 /= den_k[..., None]
             np.subtract(r1[:, :, None, :], r2, out=r2)
-            np.maximum(r2, 0.0, out=r2)
-            if scratch is None:
-                obj = r2.sum(axis=0)
-            else:  # block 0 takes the sum, in the order of sum(axis=0)
-                obj = r2[0]
-                for b in range(1, B):
-                    obj += r2[b]
-            obj /= self.n_total
-            obj += self.lam * (t + 1)
-            obj += barred + own[lo + 1:p]
-            obj += own[lo:hi, None, :]
+            obj = self._objective(r2, t + 1, barred + own[lo + 1:p], own[lo:hi, None, :], out=r2)
             # Grandchild slot kk is candidate lo + 1 + kk: it must follow j = lo + jj.
             np.copyto(obj, np.inf, where=self.before[:nj, :nk, None])
             first, won = self._keep(obj.reshape(-1, nt), t + 1, rows)

@@ -78,10 +78,6 @@ class BlockModel:
             _check_finite(stack, name)
             object.__setattr__(self, name, stack)
 
-    @property
-    def n_samples(self) -> int:
-        return self.B * self.L
-
 
 @dataclass(frozen=True)
 class ModelReport:

@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import FormatError
 from .graph import Cig
-from .model import BlockModel
+from .model import BlockModel, _symmetrised
 from .regression import NeighborhoodEstimate
 from .sampling import SampleBlocks
 
@@ -150,9 +150,8 @@ def load_model(path) -> BlockModel:
         K = _read_blocks(fh, B, p, p, "model")
     if not np.all(np.isfinite(K)):  # before inv, which may fail on them first
         raise FormatError("model precisions contain non-finite values")
-    C = np.linalg.inv(K)
     return BlockModel(
-        p=p, B=B, L=L, beta=beta, precisions=K, covariances=0.5 * (C + C.swapaxes(1, 2)),
+        p=p, B=B, L=L, beta=beta, precisions=K, covariances=_symmetrised(np.linalg.inv(K)),
     )
 
 

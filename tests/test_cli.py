@@ -150,6 +150,16 @@ def test_sample_unparsable_model_exits_2(tmp_path, capsys, model_path):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_estimate_without_output_writes_the_file_bytes_to_stdout(tmp_path, capsys, model_path):
+    spath, epath = tmp_path / "samples.txt", tmp_path / "est.txt"
+    assert run("sample", model_path, "--seed", 7, "-o", spath) == 0
+    for extra in ((), ("--node", 2)):
+        assert run("estimate", spath, "-s", 2, "--lam", 0.01, *extra, "-o", epath) == 0
+        capsys.readouterr()
+        assert run("estimate", spath, "-s", 2, "--lam", 0.01, *extra) == 0
+        assert capsys.readouterr().out.encode() == epath.read_bytes()
+
+
 def test_decorrelate_subcommand(tmp_path, capsys):
     rng = np.random.default_rng(0)
     from nsgms.sampling import SampleBlocks
@@ -163,6 +173,16 @@ def test_decorrelate_subcommand(tmp_path, capsys):
     blocks = load_samples(out)
     assert (blocks.B, blocks.L) == (4, 16)
     assert "cross_block_energy=" in capsys.readouterr().out
+
+
+def test_decorrelate_rejects_a_multi_block_file(tmp_path, capsys, model_path):
+    spath, out = tmp_path / "samples.txt", tmp_path / "blocks.txt"
+    assert run("sample", model_path, "--seed", 7, "-o", spath) == 0  # B = 2
+    capsys.readouterr()
+    assert run("decorrelate", spath, "--width", 4, "-o", out) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == "error: expected a single-block record, got B=2"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -236,6 +256,19 @@ def test_lemma_rejects_non_finite_etas(tmp_path, etas):
     assert done.returncode == 2
     [line] = done.stderr.splitlines()
     assert line.startswith("error:") and "finite eta" in line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (("--a", "1,2"), "--a and --b must be given together"),
+    ((), "give either --a/--b or --random-len"),
+    (("--a", "1,x", "--b", "1,2"), "expected a comma-separated list of numbers, got '1,x'"),
+], ids=["a without b", "no coefficients", "not a number"])
+def test_lemma_coefficient_errors_exit_2(tmp_path, capsys, args, message):
+    out = tmp_path / "lemma.csv"
+    assert run("lemma", *args, "--trials", 10, "--seed", 1, "-o", out) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == f"error: {message}"
     assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 """Projections, the residual statistic, and the exhaustive subset search."""
 
+import hashlib
 import math
 import tracemalloc
 from itertools import combinations
@@ -323,24 +324,17 @@ def tie_samples():
 
 
 def assert_pruning_keeps_every_bit(samples, s, lam, targets):
-    """Pruned sweeps equal a sweep whose bound prunes nothing, bit for bit.
-
-    The pruned sweeps run at the default ``SMALL_TAIL`` and at 0, which
-    sends every tail through the scratch buffer.
-    """
+    """Pruned sweeps equal a sweep whose bound prunes nothing, bit for bit."""
     grams, n = block_grams(samples), samples.n_samples
     for target in [None, *targets]:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernels, "_root_bounds", lambda *args: None)
             ref_sets, ref_objs = subset_objectives(grams, range(s + 1), n, lam,
                                                    DEFAULT_RANK_TOL, target=target)
-        for small_tail in (kernels.SMALL_TAIL, 0):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(kernels, "SMALL_TAIL", small_tail)
-                sets, objs = subset_objectives(grams, range(s + 1), n, lam,
-                                               DEFAULT_RANK_TOL, target=target)
-            assert sets == ref_sets
-            assert objs.tobytes() == ref_objs.tobytes()
+        sets, objs = subset_objectives(grams, range(s + 1), n, lam, DEFAULT_RANK_TOL,
+                                       target=target)
+        assert sets == ref_sets
+        assert objs.tobytes() == ref_objs.tobytes()
 
 
 @settings(max_examples=25, deadline=None)
@@ -454,9 +448,9 @@ def test_pruning_fires_on_a_planted_input(monkeypatch):
     grams, n, lam = block_grams(samples), samples.n_samples, 0.005
     tail, scored = kernels._Sweep._tail, []
 
-    def counting_tail(self, A, T, start, barred, view, two_levels):
+    def counting_tail(self, A, T, start, barred, view):
         scored.append(len(barred) * (self.p - start))  # target columns x children
-        return tail(self, A, T, start, barred, view, two_levels)
+        return tail(self, A, T, start, barred, view)
 
     monkeypatch.setattr(kernels._Sweep, "_tail", counting_tail)
     counts, results = [], []
@@ -499,6 +493,77 @@ def test_sweep_memory_is_one_tail_buffer_plus_stacks():
     peak = traced_peak(lambda: subset_objectives(grams, range(3), 128, 0.05,
                                                  DEFAULT_RANK_TOL, target=3))
     assert peak <= 16032
+
+
+def integer_grams(seed, p, B, L):
+    """Gram stack of integer-valued samples: exact, so its bits need no BLAS."""
+    X = np.random.default_rng(seed).integers(-3, 4, size=(B, p, L)).astype(float)
+    return X @ X.transpose(0, 2, 1)
+
+
+def planted_integer_grams():
+    """p = 20, each row plus or minus a few others: the s = 3 bounds prune."""
+    rng = np.random.default_rng(32)
+    M = np.eye(20)
+    for i, j in rng.integers(0, 20, size=(20, 2)):
+        if i != j:
+            M[i, j] = rng.choice((-1.0, 1.0))
+    X = M @ rng.integers(-3, 4, size=(4, 20, 400)).astype(float)
+    return X @ X.transpose(0, 2, 1)
+
+
+def short_grams():
+    """L < p, so no bounds, with a duplicated, a zero and a dependent row."""
+    X = np.random.default_rng(45).integers(-3, 4, size=(2, 10, 6)).astype(float)
+    X[0, 4] = X[0, 1]
+    X[0, 7] = 0.0
+    X[1, 8] = X[1, 2] + X[1, 5]
+    return X @ X.transpose(0, 2, 1)
+
+
+def eight_block_grams():
+    """B = 8 with a strong neighbour, so the one-target winner is one node.
+
+    Its objective has one entry per block, which numpy's sum(axis=0) adds
+    pairwise, not in turn.
+    """
+    X = np.random.default_rng(42).integers(-3, 4, size=(8, 8, 24)).astype(float)
+    X[:, 3] += 2 * X[:, 5]
+    return X @ X.transpose(0, 2, 1)
+
+
+# sha256 of repr(selected) + objective bytes of subset_objectives, recorded
+# before the sweep's objective, drop rule and tail were each written once:
+# (grams, s, lam, target, sha).
+SWEEP_PINS = {
+    "harness one target": (lambda: integer_grams(40, 8, 4, 32), 2, 0.05, 3,
+                           "a742d6fc8750842d0acdc3b573001bb5a62558b123576c16fefa7aad7a36139d"),
+    "one target, B=8": (eight_block_grams, 3, 0.5, 3,
+                        "7f0628a869e0f13365c24253e95d397a3cd2af4495d2cc321b647a066eef86ce"),
+    "whole graph s=2, p=16": (lambda: integer_grams(41, 16, 4, 40), 2, 0.05, None,
+                              "f8327adcf7e9d9ee54f3efb403ee319395d7f0a2841932a6a6056f06cdfe9f52"),
+    "whole graph s=2, p=40": (lambda: integer_grams(42, 40, 4, 60), 2, 0.02, None,
+                              "ea993eb85d6320c4261927b0567111b93deac55ba34ea24ff49274d88767a71b"),
+    "s=1": (lambda: integer_grams(43, 9, 3, 20), 1, 0.1, None,
+            "1ad36210e9d700c92c8f69af83e4343243f5819fe22f1163b5634669b847cf8f"),
+    "s=4": (lambda: integer_grams(44, 9, 2, 20), 4, 0.01, None,
+            "6eaa096bf2a90ea301fa97c23001ff7ca33285bb9a0bed867edd9ca27935a818"),
+    "planted, pruned": (planted_integer_grams, 3, 0.005, None,
+                        "62de70e1cf18b454e29662868fe49299779836d4fea80a120b32c05f77b4c599"),
+    "L < p": (short_grams, 3, 0.01, None,
+              "1dc33300393a0908658fab5a9a835958fad446dc6ddc091a9cb6f4b67b7c445b"),
+    "B=1": (lambda: integer_grams(46, 7, 1, 15), 3, 0.02, None,
+            "25344f5513c9d56ac8f5032561a8768511cbd8b6f75808373d8e62295a90d02c"),
+}
+
+
+@pytest.mark.parametrize("name", SWEEP_PINS)
+def test_sweep_bytes_are_pinned(name):
+    make, s, lam, target, sha = SWEEP_PINS[name]
+    grams = make()
+    sets, objs = subset_objectives(grams, range(s + 1), 100 * len(grams), lam,
+                                   DEFAULT_RANK_TOL, target=target)
+    assert hashlib.sha256(repr(sets).encode() + objs.tobytes()).hexdigest() == sha
 
 
 # ---------------------------------------------------------------- estimate_neighborhood
