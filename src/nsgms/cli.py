@@ -36,7 +36,7 @@ from .experiments import (
 from .graph import random_cig
 from .model import build_block_model, min_edge_strength
 from .regression import DEFAULT_RANK_TOL, EstimatorConfig, default_lambda, estimate_graph, estimate_neighborhood
-from .sampling import sample_process
+from .sampling import BlockDraws
 from .serialize import (
     format_edges,
     format_neighborhood,
@@ -67,9 +67,10 @@ def _cmd_model(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    model = load_model(args.model)
-    samples = sample_process(model, args.seed)
-    save_samples(samples, args.output, binary=args.binary)
+    # Every block's covariance is checked here, before the output is opened;
+    # each block is then drawn as it is written.
+    draws = BlockDraws(load_model(args.model), args.seed)
+    save_samples(draws, args.output, binary=args.binary)
     return 0
 
 

@@ -4,9 +4,12 @@ The estimator reads block b only through its Gram matrix W_b = X_b X_b^T,
 so there are two samplers:
 
 - :func:`sample_process` draws the L i.i.d. zero-mean columns of each
-  block, as G @ z with G the Cholesky factor of the block's covariance and
-  z standard normal.  The ``sample`` command and every check that needs
-  columns, such as the projection oracle, use it.
+  block, or of the listed blocks, as G @ Z with G the Cholesky factor of
+  the block's covariance and Z one p x L standard normal draw.  Every
+  check that needs columns, such as the projection oracle, uses it.
+  :class:`BlockDraws` yields the same blocks one at a time, each drawn by
+  :func:`sample_process` into one reused buffer; the ``sample`` command
+  writes them as they come, so it holds about two blocks, not the stack.
 - :func:`sample_grams` draws W_b itself from its Wishart law, in O(p^2)
   numbers per block whatever L is; :func:`sample_gram_stack` does so for
   n models at once.  The Monte Carlo harness uses the latter and never
@@ -136,15 +139,58 @@ def cholesky_factor(C: np.ndarray) -> np.ndarray:
     return G
 
 
-def sample_process(model: BlockModel, seed) -> SampleBlocks:
-    """Draw B blocks of L i.i.d. columns, block b with covariance C^(b)."""
-    factors = cholesky_factor(model.covariances)
-    data = np.empty((model.B, model.p, model.L))
-    for b, G in enumerate(factors):
+def sample_process(model: BlockModel, seed, blocks=None, out=None) -> SampleBlocks:
+    """Draw L i.i.d. columns for the listed blocks (default all B), block b with covariance C^(b).
+
+    Block b draws on its own (seed, b) stream, so it comes out bit for bit
+    the same whichever other blocks are drawn with it; the result stacks the
+    listed blocks in the order given.  ``out``, an (n, p, L) float64 array
+    for n listed blocks, receives the draw in place of a new stack.
+    """
+    blocks = list(range(model.B) if blocks is None else blocks)
+    if not blocks or not all(0 <= b < model.B for b in blocks):
+        raise InvalidParameterError(f"blocks {blocks} must name one or more of 0..{model.B - 1}")
+    shape = (len(blocks), model.p, model.L)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64:
+        raise InvalidParameterError(f"out must be a float64 array of shape {shape}")
+    factors = cholesky_factor(model.covariances[blocks])
+    for X, b, G in zip(out, blocks, factors):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(b,)))
         # ``out=`` writes the product in place, without a temporary per block.
-        np.matmul(G, rng.standard_normal((model.p, model.L)), out=data[b])
-    return SampleBlocks(p=model.p, B=model.B, L=model.L, data=data)
+        np.matmul(G, rng.standard_normal((model.p, model.L)), out=X)
+    return SampleBlocks(p=model.p, B=len(blocks), L=model.L, data=out)
+
+
+@dataclass(frozen=True)
+class BlockDraws:
+    """The blocks of ``sample_process(model, seed)``, drawn one at a time as they are iterated.
+
+    Iteration yields each p x L block b in order, drawn alone by
+    ``sample_process(model, seed, blocks=[b], out=...)`` into one reused
+    buffer, so a yielded block is valid until the next one is drawn.  A
+    writer of the blocks thus holds about two blocks (the buffer and the
+    normals behind it) instead of the (B, p, L) stack, and faults in no
+    fresh pages after the first block.  Every block's covariance is
+    factored and checked on construction, so a model that cannot be
+    sampled fails before anything is drawn or written.
+    """
+
+    model: BlockModel
+    seed: int
+
+    def __post_init__(self):
+        cholesky_factor(self.model.covariances)
+
+    p = property(lambda self: self.model.p)
+    B = property(lambda self: self.model.B)
+    L = property(lambda self: self.model.L)
+
+    def __iter__(self):
+        out = np.empty((1, self.p, self.L))
+        for b in range(self.B):
+            yield sample_process(self.model, self.seed, blocks=[b], out=out).data[0]
 
 
 def sample_gram_stack(covariances: np.ndarray, L: int, seeds) -> np.ndarray:

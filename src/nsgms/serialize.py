@@ -13,11 +13,15 @@ Sample files:
     <L lines, one column of p entries per line>
     ...
 The binary variant stores the same columns as little-endian float64 in
-block order, with the header line in a ``<path>.meta`` sidecar.  It is
-written one block at a time, and loaded by memory-mapping the payload
-read-only.  One text codec writes and parses the ``block b`` sections of
-both file kinds, line by line into one preallocated array; a file too
-short for its header's sizes is rejected before that array is allocated.
+block order, with the header line in a ``<path>.meta`` sidecar, and is
+loaded by memory-mapping the payload read-only.  One writer serves both
+formats: it takes one block at a time, so samples lazily drawn by
+:class:`~nsgms.sampling.BlockDraws` are never held whole, and copies the
+block's rows out in batches through one reused buffer, never as a whole
+transposed copy.  One text codec writes and parses the ``block b``
+sections of both file kinds, parsing line by line into one preallocated
+array; a file too short for its header's sizes is rejected before that
+array is allocated.
 Either way samples are held once: the loaders hand :class:`SampleBlocks`
 the (B, p, L) transposed view of the (B, L, p) rows, never a copy.
 
@@ -46,6 +50,11 @@ from .sampling import SampleBlocks
 
 MODEL_MAGIC = "nsgms-model v1"
 SAMPLES_MAGIC = "nsgms-samples v1"
+
+#: entries per batch of rows written: 1 MiB of binary float64, or 4,096
+#: decimals, whose Python floats and text take about 0.3 MB while formatted
+_BINARY_BATCH = 1 << 17
+_TEXT_BATCH = 1 << 12
 
 
 def _fmt(x: float) -> str:
@@ -93,11 +102,28 @@ def _row(line: str, n: int, lineno: int) -> list:
         raise FormatError(f"bad number at line {lineno}: {e}") from None
 
 
-def _write_blocks(fh, blocks) -> None:
-    """Write each block of a (B, n, p) stack as ``block b`` and then its n rows."""
-    for b, block in enumerate(blocks, start=1):
-        fh.write(f"block {b}\n")
-        np.savetxt(fh, block, fmt="%.17g")
+def _write_blocks(fh, blocks, binary: bool = False) -> None:
+    """Write each (n, p) block of ``blocks``, its rows copied out through one reused buffer.
+
+    As text, ``block b`` and then one line of p decimals per row; as binary,
+    the rows alone as little-endian float64.  Rows go out a batch at a time,
+    never as a whole-block copy, and a block is taken from ``blocks`` only
+    once the previous one is written.
+    """
+    for b, rows in enumerate(blocks, start=1):
+        n, p = rows.shape
+        if b == 1:
+            buffer = np.empty((max(1, (_BINARY_BATCH if binary else _TEXT_BATCH) // p), p), dtype="<f8")
+            line = " ".join(["%.17g"] * p) + "\n"
+        if not binary:
+            fh.write(f"block {b}\n")
+        for lo in range(0, n, len(buffer)):
+            batch = buffer[:n - lo]
+            batch[...] = rows[lo:lo + len(batch)]
+            if binary:
+                batch.tofile(fh)
+            else:
+                fh.write(line * len(batch) % tuple(batch.ravel().tolist()))
 
 
 def _read_header(fh, magic: str, keys, kind: str) -> tuple:
@@ -157,20 +183,25 @@ def load_model(path) -> BlockModel:
 
 # ---------------------------------------------------------------- samples
 
-def save_samples(samples: SampleBlocks, path, binary: bool = False) -> None:
+def save_samples(samples, path, binary: bool = False) -> None:
+    """Write samples block by block; ``samples`` is a :class:`SampleBlocks` or a :class:`~nsgms.sampling.BlockDraws`.
+
+    Blocks are taken one at a time, so a ``BlockDraws`` is drawn as it is
+    written and the file never needs the whole (B, p, L) stack in memory.
+    """
     header = f"{SAMPLES_MAGIC} p={samples.p} B={samples.B} L={samples.L}"
-    # Row n of block b is sample n: the (B, L, p) layout of both formats.
-    cols = samples.data.swapaxes(1, 2)
+    blocks = samples.data if isinstance(samples, SampleBlocks) else samples
+    # Row n of block b is sample n: the (L, p) layout of both formats.
+    rows = (X.T for X in blocks)
     if binary:
         with open(path, "wb") as fh:
-            for block in cols:
-                np.ascontiguousarray(block, dtype="<f8").tofile(fh)
+            _write_blocks(fh, rows, binary=True)
         with open(f"{path}.meta", "w", newline="\n") as fh:
             fh.write(header + "\n")
         return
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
-        _write_blocks(fh, cols)
+        _write_blocks(fh, rows)
 
 
 def load_samples(path, binary: bool = False) -> SampleBlocks:

@@ -445,6 +445,20 @@ def test_numerical_errors_exit_3(tmp_path):
     assert run("estimate", spath, "-s", 3, "--lam", 0.01) == 3
 
 
+@pytest.mark.parametrize("binary", [False, True])
+def test_sample_of_an_indefinite_model_exits_3_and_writes_nothing(tmp_path, capsys, binary):
+    # Block 1 is fine; block 2's precision has a negative eigenvalue, so its
+    # covariance has no Cholesky factor.  Every block is checked before the
+    # output is opened, though blocks are drawn only as they are written.
+    mpath, spath = tmp_path / "m.txt", tmp_path / "samples.out"
+    mpath.write_text("nsgms-model v1 p=3 B=2 L=16 beta=2\n"
+                     "block 1\n1 0 0\n0 1 0\n0 0 1\n"
+                     "block 2\n1 0 0\n0 -1 0\n0 0 1\n")
+    assert run("sample", mpath, "--seed", 1, "-o", spath, *["--binary"] * binary) == 3
+    assert "not positive definite" in capsys.readouterr().err
+    assert not spath.exists() and not Path(f"{spath}.meta").exists()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run("--version")

@@ -1,5 +1,6 @@
 """Cholesky factorization and seeded block sampling, as columns and as Grams."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -20,7 +21,7 @@ from nsgms import (
 from nsgms.errors import InvalidParameterError, NotPositiveDefiniteError
 from nsgms.regression import EstimatorConfig, estimate_graph, estimate_neighborhood
 from nsgms.model import build_model_stack
-from nsgms.sampling import block_grams, sample_gram_stack
+from nsgms.sampling import BlockDraws, block_grams, sample_gram_stack
 
 
 def test_cholesky_identity():
@@ -106,6 +107,53 @@ def test_sample_process_deterministic():
         assert np.array_equal(X1, X2)
     s3 = sample_process(model, 100)
     assert not np.array_equal(s1.data[0], s3.data[0])
+
+
+@pytest.mark.parametrize("p, B, L", [(5, 3, 16), (6, 1, 40), (7, 3, 4), (4, 1, 2)])
+def test_per_block_draws_are_the_blocks_of_the_whole_draw(p, B, L):
+    # B = 1 and L < p included: block b comes from its own (seed, b) stream,
+    # alone, in any order, into a reused buffer, or lazily from BlockDraws.
+    model = build_block_model(random_cig(p, 2, p), B, L, 2.0, 0.4, B + L)
+    whole = sample_process(model, 31).data
+    out = np.full((1, p, L), np.nan)
+    for b in range(B):
+        alone = sample_process(model, 31, blocks=[b])
+        assert (alone.B, alone.data.shape) == (1, (1, p, L))
+        assert np.array_equal(alone.data[0], whole[b])
+        assert sample_process(model, 31, blocks=[b], out=out).data is out
+        assert np.array_equal(out[0], whole[b])
+    backwards = sample_process(model, 31, blocks=range(B - 1, -1, -1)).data
+    assert np.array_equal(backwards, whole[::-1])
+    lazy = [X.copy() for X in BlockDraws(model, 31)]  # each block is valid until the next
+    assert len(lazy) == B and all(np.array_equal(X, whole[b]) for b, X in enumerate(lazy))
+
+
+def test_block_draws_reuse_one_buffer():
+    model = build_block_model(random_cig(4, 2, 1), 3, 10, 2.0, 0.4, 2)
+    first, *rest = list(BlockDraws(model, 5))
+    assert all(np.shares_memory(first, X) for X in rest)
+
+
+@pytest.mark.parametrize("blocks", [[], [3], [-1], [0, 3]])
+def test_sample_process_rejects_blocks_outside_the_model(blocks):
+    model = build_block_model(random_cig(4, 2, 1), 3, 10, 2.0, 0.4, 2)
+    with pytest.raises(InvalidParameterError, match="blocks"):
+        sample_process(model, 5, blocks=blocks)
+
+
+@pytest.mark.parametrize("out", [np.empty((2, 4, 10)), np.empty((1, 4, 10), dtype=np.float32)])
+def test_sample_process_rejects_an_out_of_another_shape_or_dtype(out):
+    model = build_block_model(random_cig(4, 2, 1), 3, 10, 2.0, 0.4, 2)
+    with pytest.raises(InvalidParameterError, match="out"):
+        sample_process(model, 5, blocks=[1], out=out)
+
+
+def test_block_draws_check_every_covariance_on_construction():
+    model = build_block_model(random_cig(4, 2, 1), 3, 10, 2.0, 0.4, 2)
+    C = model.covariances.copy()
+    C[2, 3, 3] = -1.0
+    with pytest.raises(NotPositiveDefiniteError):
+        BlockDraws(dataclasses.replace(model, covariances=C), 5)
 
 
 def test_identity_covariance_unit_variance():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from nsgms import build_block_model, estimate_neighborhood, random_cig, sample_process
+from nsgms.cli import main
 from nsgms.errors import FormatError
 from nsgms.regression import EstimatorConfig
 from nsgms.sampling import SampleBlocks, block_grams
@@ -153,6 +154,45 @@ def test_saved_sample_bytes_are_pinned(tmp_path, model, seed, text_sha, binary_s
     save_samples(samples, tmp_path / "s.bin", binary=True)
     for name, sha in (("s.txt", text_sha), ("s.bin", binary_sha), ("s.bin.meta", META_SHA)):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == sha
+
+
+# The same digests for ``nsgms sample`` on the fixture saved with
+# save_model, recorded before the command streamed its blocks.  They differ
+# from SAMPLE_PINS because load_model recomputes the covariances from the
+# stored precisions, which moves them in their last bits (up to 7e-16).
+CLI_SAMPLE_PINS = [
+    (9, "17e169379bc3e8a1b255b1ade202360b47ad0a6def31455ef0f9c288dad19928",
+     "cf144e9d1594e7043bfa8b35b9e6e6a9e7c511d956082013353e119167c52aa0"),
+    (10, "40e925aa67315450de0a89b000f6a48ec59dc45168ab086ec1ba935e0ee372fd",
+     "d0a1293050dafce5538015a649859ba6d16133df0f4d9dbc7e4172f4b3f41a23"),
+]
+
+
+@pytest.mark.parametrize("seed, text_sha, binary_sha", CLI_SAMPLE_PINS)
+def test_cli_sample_bytes_are_the_library_bytes(tmp_path, model, seed, text_sha, binary_sha):
+    # ``nsgms sample`` draws and writes one block at a time; its files must
+    # be those of save_samples(sample_process(...)) on the model it loads.
+    save_model(model, tmp_path / "model.txt")
+    library = sample_process(load_model(tmp_path / "model.txt"), seed)
+    for name, binary in (("s.txt", False), ("s.bin", True)):
+        argv = ["sample", str(tmp_path / "model.txt"), "--seed", str(seed), "-o", str(tmp_path / name)]
+        assert main(argv + ["--binary"] * binary) == 0
+        save_samples(library, tmp_path / f"lib.{name}", binary=binary)
+    for name, sha in (("s.txt", text_sha), ("s.bin", binary_sha), ("s.bin.meta", META_SHA)):
+        data = (tmp_path / name).read_bytes()
+        assert data == (tmp_path / f"lib.{name}").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == sha
+
+
+@pytest.mark.parametrize("binary", [False, True])
+def test_cli_sample_holds_under_three_blocks(tmp_path, binary):
+    # 1.28 MB per block; the whole (B, p, L) stack would be 10.24 MB.
+    p, B, L = 8, 8, 20_000
+    save_model(build_block_model(random_cig(p, 2, 1), B, L, 2.0, 0.4, 2), tmp_path / "model.txt")
+    argv = ["sample", str(tmp_path / "model.txt"), "--seed", "3", "-o", str(tmp_path / "s")]
+    code, peak = traced_peak(lambda: main(argv + ["--binary"] * binary))
+    assert code == 0
+    assert peak < 3 * 8 * p * L
 
 
 def test_text_model_load_holds_about_three_copies_of_the_precisions(tmp_path):
