@@ -13,31 +13,35 @@ Everything is a pure function of the config, so reruns give identical
 results.
 
 A grid point's trials run in one thread, in chunks of
-:data:`MODELS_PER_STACK`.  Within a chunk each trial makes its own
-scalar draws on its own streams, in the order a lone trial makes them;
-the chunk's models and Gram matrices are then built on one stack of
-chunk * B blocks (:func:`~nsgms.model.build_model_stack`), which gives
-each trial bit for bit what it would get alone, and each trial's
-one-target sweep runs on its own Gram stack.  Memory depends on the
-chunk size, not on the number of trials.  A chunk that raises is rerun
-one trial at a time, so a failure raises the error of the first failing
-trial, as a trial-by-trial loop would.
+:data:`MODELS_PER_STACK`.  Within a chunk each trial draws on its own
+stream, in the order a lone trial draws; the chunk's models and Gram
+matrices are built on one stack of chunk * B blocks
+(:func:`~nsgms.model.build_model_stack`), which gives each trial bit for
+bit what it would get alone, and each trial's one-target sweep runs on
+its own Gram stack.  Memory depends on the chunk size, not on the number
+of trials.  A chunk that raises is rerun one trial at a time, so a
+failure raises the error of the first failing trial, as a trial-by-trial
+loop would.
 
-A pilot and a trial open their (master seed, key) stream alike and draw
-a graph, then a model seed, on it; a trial goes on to draw its target
-node and Gram seed.  The model build returns each model's minimum edge
-strength rho_min beside its stacks, and :meth:`ExperimentConfig.lam` turns
-rho_min into the penalty of a trial and of a row.  Both CSVs go through
-one writer, and the experiment CSV's columns are :class:`ExperimentRow`'s
-fields, with ``lam`` written as ``lambda``.
+Each pilot and each trial draws everything from its one (master seed,
+key) stream, opened once: a pilot draws its graph and then its W entries
+(one raw-word draw, in the model build); a trial draws its graph, its
+target node, its W entries, and then its blocks' Bartlett variates in
+the Gram build (one chi-square draw per degree of freedom over its
+blocks, and one array draw of normals).  Between the draws a chunk holds
+each stream's bit generator only.  The model build returns each model's
+minimum edge strength rho_min beside its stacks, and
+:meth:`ExperimentConfig.lam` turns rho_min into the penalty of a trial
+and of a row.  Both CSVs go through one writer, and the experiment CSV's
+columns are :class:`ExperimentRow`'s fields, with ``lam`` written as
+``lambda``.
 
 Grid entries may be absolute sample counts (``N_grid``), absolute block
 lengths (``L_grid``), or multipliers of the theoretical sample-size
 bound written like ``1.5x``; multipliers are resolved against a pilot
 calibration of the achievable minimum edge strength.  Pilots draw their
-graphs and precisions on the same streams as trials' model builds but
-compute edge strengths only, with no covariances, in chunks of the same
-size.
+graphs and precisions as trials' model builds do but compute edge
+strengths only, with no covariances, in chunks of the same size.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ from .regression import (
     rho_condition_holds,
     sample_size_bound,
 )
-from .sampling import GramBlocks, sample_gram_stack
+from .sampling import GramBlocks, cholesky_factor, sample_gram_stack
 
 _Z95 = 1.959963984540054
 _CALIBRATION_PILOTS = 32
@@ -95,6 +99,10 @@ class ExperimentConfig:
                 raise ConfigError(f"grid entry must be a positive count, got {entry}")
         if not (math.isfinite(self.eta) and self.eta > 0):
             raise ConfigError(f"need a finite eta > 0, got {self.eta!r}")
+        if not (math.isfinite(self.beta) and self.beta > 1):
+            raise ConfigError(f"need a finite beta > 1, got {self.beta!r}")
+        if not 0 < self.coupling < 1:
+            raise ConfigError(f"need 0 < coupling < 1, got {self.coupling!r}")
         if self.s_est < self.s_true:
             raise ConfigError(f"need s_est >= s_true, got {self.s_est} < {self.s_true}")
         if self.s_est >= self.p:
@@ -199,12 +207,11 @@ def load_config(path) -> ExperimentConfig:
         return parse_config(fh.read())
 
 
-def _draw_model(config: ExperimentConfig, *key) -> tuple:
-    """Open the (master seed, *key) stream, draw a graph and then a model seed on it,
-    and return (stream, graph, model seed); a trial draws on from the stream."""
+def _draw_graph(config: ExperimentConfig, *key) -> tuple:
+    """Open the (master seed, *key) stream, draw a graph on it, and return
+    (stream, graph); the model build and a trial draw on from the stream."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=config.master_seed, spawn_key=key))
-    cig = random_cig(config.p, config.s_true, rng.integers(2**63))
-    return rng, cig, rng.integers(2**63)
+    return rng, random_cig(config.p, config.s_true, rng)
 
 
 def _chunked(count: int, run, *args):
@@ -233,12 +240,12 @@ def _chunked(count: int, run, *args):
 
 def _pilot_min(config: ExperimentConfig, pilots) -> float:
     """Smallest edge strength over pilots ``pilots``, built on one stack."""
-    cigs, seeds = [], []
+    streams, cigs = [], []
     for k in pilots:
-        _, cig, seed = _draw_model(config, _CALIBRATION_KEY, k)
+        rng, cig = _draw_graph(config, _CALIBRATION_KEY, k)
+        streams.append(rng.bit_generator)
         cigs.append(cig)
-        seeds.append(seed)
-    return min(pilot_min_edge_strengths(cigs, config.B, config.beta, config.coupling, seeds))
+    return min(pilot_min_edge_strengths(cigs, config.B, config.beta, config.coupling, streams))
 
 
 def calibrate_rho_min(config: ExperimentConfig) -> float:
@@ -246,8 +253,8 @@ def calibrate_rho_min(config: ExperimentConfig) -> float:
 
     Used only to resolve multiplier grid entries into sample counts; rows
     always report the strengths actually achieved during their trials.
-    A pilot draws its graph and model seed as a trial does, and its
-    precision stack on the same streams as a full model build, but gets
+    A pilot draws its graph and W entries as a trial does, and builds its
+    precision stack as a full model build does, but gets
     only the strengths (:func:`~nsgms.model.pilot_min_edge_strengths`),
     the same values ``build_model_stack`` returns: nothing reads a pilot's
     covariances, so none are formed.  Pilots are mapped to the band in
@@ -284,29 +291,39 @@ def _trial_candidates(cig) -> list:
     return sorted({v for e in cig.edges for v in e})
 
 
+def _draw_trial(config: ExperimentConfig, grid_index: int, t: int) -> tuple:
+    """Open trial t's stream, draw its graph and target node on it, and return
+    (the stream's bit generator, graph, node); the builds draw on from the
+    bit generator, which is all of the stream they need to hold."""
+    rng, cig = _draw_graph(config, grid_index, t)
+    candidates = _trial_candidates(cig)
+    return rng.bit_generator, cig, candidates[rng.integers(len(candidates))]
+
+
 def _run_trials(config: ExperimentConfig, L: int, grid_index: int, trials):
     """Trials ``trials`` of one grid point on one stack; returns (errors, min rho).
 
-    Each trial draws its graph, model seed, target node and Gram seed on
-    its (master, grid, trial) stream, and its W entries and Bartlett
-    variates on theirs, as a lone trial does; models and Gram matrices are
-    then built for the whole chunk at once, and each trial's one-target
-    sweep runs on its own Gram stack.
+    Each trial draws its graph and target node on its (master, grid,
+    trial) stream, then, on the same stream, its W entries in the chunk's
+    model build and its Bartlett variates in the chunk's Gram build, as a
+    lone trial does; each trial's one-target sweep runs on its own Gram
+    stack.
     """
-    cigs, model_seeds, nodes, gram_seeds = [], [], [], []
+    streams, cigs, nodes = [], [], []
     for t in trials:
-        rng, cig, model_seed = _draw_model(config, grid_index, t)
-        candidates = _trial_candidates(cig)
-        nodes.append(int(candidates[rng.integers(len(candidates))]))
-        gram_seeds.append(rng.integers(2**63))
+        stream, cig, node = _draw_trial(config, grid_index, t)
+        streams.append(stream)
         cigs.append(cig)
-        model_seeds.append(model_seed)
-    # Slicing drops the precision stack here, before the Gram matrices are drawn.
+        nodes.append(node)
+    # Slicing drops the precision stack, and the covariances go once factored,
+    # so neither is held while the Gram matrices are drawn.
     covariances, rhos = build_model_stack(
-        cigs, config.B, config.beta, config.coupling, model_seeds
+        cigs, config.B, config.beta, config.coupling, streams
     )[1:]
-    grams = sample_gram_stack(covariances, L, gram_seeds)
+    factors = cholesky_factor(covariances.reshape(-1, config.p, config.p))
     del covariances
+    grams = sample_gram_stack(factors.reshape(-1, config.B, config.p, config.p), L, streams)
+    del factors, streams
     errors = 0
     for cig, node, rho, W in zip(cigs, nodes, rhos, grams):
         est = estimate_neighborhood(GramBlocks(p=config.p, B=config.B, L=L, grams=W), node,

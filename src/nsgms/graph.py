@@ -78,7 +78,9 @@ def random_cig(p: int, s_max: int, seed) -> Cig:
     that (almost) every node gets at least one edge, then extra random edges
     are added while the degree bound permits.  With ``s_max == 1`` and odd
     ``p`` one node necessarily stays isolated; in every other case all nodes
-    end up with degree >= 1.  Deterministic given ``seed``.
+    end up with degree >= 1.  Deterministic given ``seed``, which is anything
+    ``np.random.default_rng`` takes: a Generator or bit generator is drawn
+    from in place, so the caller's stream goes on after the graph's draws.
     """
     if p < 2:
         raise InvalidParameterError(f"need p >= 2, got {p}")

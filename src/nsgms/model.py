@@ -25,10 +25,10 @@ pilots) runs the precision half of a build, on the same random streams,
 and forms no covariances.
 
 n models of one shape are built on one (n*B, p, p) stack
-(:func:`build_model_stack`): each model draws its W entries on its own
-stream, one scalar draw at a time, and then one scatter, one ``eigh``, one
-band map, one covariance product, one inversion check and one strength
-reduction serve them all.  Every step is per block, so a stacked model is
+(:func:`build_model_stack`): each model draws all its W entries from its
+own stream in one call, and then one scatter, one ``eigh``, one band map,
+one covariance product, one inversion check and one strength reduction
+serve them all.  Every step is per block, so a stacked model is
 bit for bit the model built alone; :func:`build_block_model` is the case
 n = 1.
 """
@@ -48,6 +48,15 @@ INVERSION_TOL = 1e-8
 
 #: slack allowed on the covariance eigenvalue band [1, beta]
 EIG_BAND_TOL = 1e-9
+
+#: beta must lie below 1/eps = 2^52: the band map puts the precision floor 1/beta
+#: beside the top of the band at 1, and a smaller floor is lost to rounding there
+BETA_LIMIT = 2.0**52
+
+#: sign of a W entry by the bit ``rng.integers(2)`` returns, and where that bit
+#: sits in a raw PCG64 word: bit 31 of its low 32-bit half, bit 63 of its high half
+_SIGNS = np.array([-1.0, 1.0])
+_SIGN_BITS = np.array([31, 63], dtype=np.uint64)
 
 
 @dataclass(frozen=True)
@@ -96,8 +105,8 @@ def _spectrum_to_band(K: np.ndarray, beta: float):
     ``K`` is a (B, p, p) stack; it is overwritten.  Returns the mapped
     precision stack K_new together with its eigenvalues and eigenvectors,
     all from one symmetric eigendecomposition per block;
-    :func:`_covariances` turns the latter two into C_new, so every pair is
-    consistent to machine precision.
+    :func:`build_model_stack` turns the latter two into C_new, so every pair
+    is consistent to machine precision.
     """
     evals, vecs = np.linalg.eigh(K)
     kmin, kmax = evals[:, 0], evals[:, -1]
@@ -128,26 +137,31 @@ def _symmetrised(A: np.ndarray) -> np.ndarray:
     return out
 
 
-def _covariances(new_evals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """C_new = V diag(1/new_evals) V^T per block, symmetrised."""
-    return _symmetrised((vecs / new_evals[:, None, :]) @ vecs.swapaxes(1, 2))
+def _coupling_draws(cig: Cig, B: int, coupling: float, seed) -> np.ndarray:
+    """One model's W entries, in block then edge order, from one raw draw on ``seed``.
 
-
-def _coupling_draws(cig: Cig, B: int, coupling: float, seed):
-    """One model's W entries, in block then edge order, from its own stream.
-
-    The stream is that of one ``rng.uniform(lo, hi)`` magnitude and one
-    ``rng.integers(0, 2)`` sign per edge and block; the sign is drawn as
-    ``rng.integers(2)``, the same draw with less argument handling.
+    ``seed`` is anything ``np.random.default_rng`` takes; a Generator or bit
+    generator is drawn from in place.  The n
+    entries are what a fresh PCG64 gives for one ``rng.uniform(lo, hi)``
+    magnitude and one ``rng.integers(2)`` sign (0 for minus) per edge and
+    block, drawn in turn, decoded from the (3n + 1) // 2 words those draws
+    consume.  Each pair of entries takes words w0, w1 and w2: the
+    magnitudes are lo + span * ((w >> 11) * 2^-53) of w0 and of w2, as in
+    ``rng.random()``; the first sign is bit 31 of w1, since Lemire's draw
+    over a range of 2 returns the top bit of a 32-bit output and PCG64
+    serves w1's low half first; the second sign is bit 63 of w1, the
+    cached high half.
     """
     rng = np.random.default_rng(seed)
     s_max = max(cig.max_degree, 1)
     lo, hi = coupling / (2 * s_max), coupling / s_max
-    span = hi - lo
-    signs = (-1.0, 1.0)
-    # lo + span * random() is the arithmetic of rng.uniform(lo, hi), bit for bit.
-    for _ in range(B * len(cig.edges)):
-        yield (lo + span * rng.random()) * signs[rng.integers(2)]
+    n = B * len(cig.edges)
+    # An odd n leaves the last triple one word short; its pad word is decoded and cut.
+    words = np.zeros(3 * ((n + 1) // 2), dtype=np.uint64)
+    words[:(3 * n + 1) // 2] = rng.bit_generator.random_raw((3 * n + 1) // 2)
+    triples = words.reshape(-1, 3)
+    magnitudes = lo + (hi - lo) * ((triples[:, ::2] >> 11) * 2.0**-53)
+    return (magnitudes * _SIGNS[(triples[:, 1:2] >> _SIGN_BITS) & 1]).ravel()[:n]
 
 
 def _edge_index(model_edges, B: int):
@@ -171,16 +185,16 @@ def _banded_precisions(cigs, B: int, beta: float, coupling: float, seeds):
     """
     if B < 1:
         raise InvalidParameterError(f"need B >= 1, got B={B}")
-    if not beta > 1:
-        raise InvalidParameterError(f"need beta > 1, got {beta}")
+    if not 1 < beta < BETA_LIMIT:
+        raise InvalidParameterError(f"need 1 < beta < 2^52 (above that the band floor "
+                                    f"1/beta underflows against 1), got {beta}")
     if not (0 < coupling < 1):
         raise InvalidParameterError(f"need 0 < coupling < 1, got {coupling}")
     p = cigs[0].p
     if any(cig.p != p for cig in cigs):
         raise InvalidParameterError("graphs of one stack differ in p")
-    draws = np.fromiter(chain.from_iterable(
-        _coupling_draws(cig, B, coupling, seed) for cig, seed in zip(cigs, seeds)
-    ), dtype=float)
+    draws = np.concatenate([_coupling_draws(cig, B, coupling, seed)
+                            for cig, seed in zip(cigs, seeds)])
     blocks, rows, cols = _edge_index([cig.edges for cig in cigs], B)
     K = np.zeros((len(cigs) * B, p, p))
     K[blocks, rows, cols] = K[blocks, cols, rows] = draws
@@ -197,15 +211,22 @@ def build_model_stack(cigs, B: int, beta: float, coupling: float, seeds):
     """Precision and covariance stacks, each (n, B, p, p), of n models built at
     once, and each model's minimum edge strength.
 
-    Model k has graph ``cigs[k]`` and draws on ``seeds[k]``; it is bit for
-    bit the model :func:`build_block_model` builds from that pair.  Each
+    Model k has graph ``cigs[k]`` and draws its W entries on ``seeds[k]``
+    (see :func:`_coupling_draws`); it is bit for bit the model
+    :func:`build_block_model` builds from that pair.  Each
     model gets the inversion-residual check and ``BlockModel``'s finiteness
     check; the first model that fails raises.
     """
     n, p = len(cigs), cigs[0].p
     K_new, new_evals, vecs = _banded_precisions(cigs, B, beta, coupling, seeds)
-    C_new = _covariances(new_evals, vecs)
-    del new_evals, vecs
+    # C_new = V diag(1/new_evals) V^T per block, symmetrised.  Each input goes
+    # once used, so at most four stacks are live at a time.
+    scaled = vecs / new_evals[:, None, :]
+    del new_evals
+    product = scaled @ vecs.swapaxes(1, 2)
+    del scaled, vecs
+    C_new = _symmetrised(product)
+    del product
     residual = C_new @ K_new
     residual -= np.eye(p)
     err = np.abs(residual, out=residual).reshape(n, -1).max(axis=1)

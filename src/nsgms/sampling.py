@@ -12,17 +12,20 @@ so there are two samplers:
   writes them as they come, so it holds about two blocks, not the stack.
 - :func:`sample_grams` draws W_b itself from its Wishart law, in O(p^2)
   numbers per block whatever L is; :func:`sample_gram_stack` does so for
-  n models at once.  The Monte Carlo harness uses the latter and never
-  materialises columns.
+  n models at once, from their covariances' Cholesky factors.  The Monte
+  Carlo harness uses the latter and never materialises columns.
 
 Samples are one (B, p, L) stack (:class:`SampleBlocks`) and Gram matrices
 one (B, p, p) stack (:class:`GramBlocks`).
 
-Every block gets its own PRNG stream keyed by (master seed, block index),
-in a separate namespace for each sampler, so blocks can be generated in
-any order or in parallel and the output never depends on scheduling.
-Variates come from a per-block PCG64 generator and the transforms are
-fixed, so identical seeds give bit-identical output across runs.
+:func:`sample_process` gives every block its own PRNG stream keyed by
+(seed, block index), so blocks can be drawn in any order, alone or
+together, and the output never depends on scheduling.  The Gram samplers
+draw each model's Bartlett variates for all its blocks from one stream,
+the model's seed or generator: one chi-square draw per degree of freedom
+over the B blocks, then one array draw of normals.  Variates come from
+PCG64 and the transforms are fixed, so identical seeds give bit-identical
+output across runs.
 
 Finiteness is checked once, on the Gram stack, by :class:`GramBlocks`.
 A NaN or infinity in row i of a block, or a finite entry whose square
@@ -43,9 +46,6 @@ from .model import BlockModel
 
 #: relative tolerance on the Cholesky reconstruction ||G G^T - C||_inf
 CHOLESKY_TOL = 1e-10
-
-#: spawn-key namespace separating Gram streams from the column streams
-_GRAM_KEY = 0x6A4D
 
 
 @dataclass(frozen=True)
@@ -193,22 +193,27 @@ class BlockDraws:
             yield sample_process(self.model, self.seed, blocks=[b], out=out).data[0]
 
 
-def sample_gram_stack(covariances: np.ndarray, L: int, seeds) -> np.ndarray:
+def sample_gram_stack(factors: np.ndarray, L: int, seeds) -> np.ndarray:
     """Draw the Gram matrices of n models' blocks at once, without their columns.
 
-    ``covariances`` is an (n, B, p, p) stack and model k draws on
-    ``seeds[k]``; returns the (n, B, p, p) stack of W_b = X_b X_b^T, each
-    block bit for bit what :func:`sample_grams` draws for that model alone.
+    ``factors`` is the (n, B, p, p) stack of the blocks' covariance Cholesky
+    factors (:func:`cholesky_factor`), so a caller can drop the covariances
+    before the draw, and model k draws on ``seeds[k]``, anything
+    ``np.random.default_rng`` takes (a Generator or bit generator is drawn
+    from in place); returns the (n, B, p, p) stack of
+    W_b = X_b X_b^T, each model bit for bit what :func:`sample_grams` draws
+    for that model alone.
     W_b = (G A)(G A)^T, with G the Cholesky factor of C^(b) and A the
     p x min(p, L) lower-trapezoidal Bartlett factor: A_kk = sqrt(chi^2_{L-k})
     for k = 0, 1, ..., and N(0, 1) entries below the diagonal (Bartlett 1933;
     Odell & Feiveson 1966).  A is distributed as the L-factor of the LQ
     decomposition of a p x L standard normal matrix, so W_b has the law of
-    X_b X_b^T for every L >= 1, rank min(p, L) included.  Block b of a
-    model draws its A on the stream keyed by (seed, Gram namespace, b); one
-    Cholesky factorisation and two products then serve the whole stack.
+    X_b X_b^T for every L >= 1, rank min(p, L) included.  A model draws its
+    blocks' chi-square diagonals column by column, B values per degree of
+    freedom, and then their normals as one (B, entries below the diagonal)
+    array; two products then serve the whole stack.
     """
-    n, B, p, _ = covariances.shape
+    n, B, p, _ = factors.shape
     m = min(p, L)
     # np.tril_indices(p, -1, m), which also adds a tuple to the free list per call
     rows, cols = np.nonzero(np.tri(p, m, -1, dtype=bool))
@@ -216,18 +221,18 @@ def sample_gram_stack(covariances: np.ndarray, L: int, seeds) -> np.ndarray:
     chi = np.empty((n, B, m))
     normals = np.empty((n, B, rows.size))
     for k, seed in enumerate(seeds):
-        for b in range(B):
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(_GRAM_KEY, b)))
-            # One scalar draw per degree of freedom: the stream of rng.chisquare(L - diag).
-            # Each array call adds a 1-tuple to CPython's free list (up to 2,000), which
-            # tracemalloc counts as live, so a run's traced peak grew with its trials.
-            chi[k, b] = [rng.chisquare(L - j) for j in range(m)]
-            rng.standard_normal(out=normals[k, b])
+        rng = np.random.default_rng(seed)
+        # One draw per degree of freedom, over the B blocks: a draw with an array of
+        # degrees leaves a 1-tuple on CPython's free list per call (up to 2,000),
+        # which tracemalloc counts as live, so a run's traced peak grew with its trials.
+        for j in range(m):
+            chi[k, :, j] = rng.chisquare(L - j, size=B)
+        rng.standard_normal(out=normals[k])
     A = np.zeros((n * B, p, m))
     A[:, diag, diag] = np.sqrt(chi, out=chi).reshape(n * B, m)
     A[:, rows, cols] = normals.reshape(n * B, -1)
     del chi, normals
-    M = cholesky_factor(covariances.reshape(n * B, p, p)) @ A
+    M = factors.reshape(n * B, p, p) @ A
     del A
     return (M @ M.swapaxes(1, 2)).reshape(n, B, p, p)
 
@@ -237,7 +242,7 @@ def sample_grams(model: BlockModel, seed) -> GramBlocks:
 
     The case n = 1 of :func:`sample_gram_stack`, which gives the law.
     """
-    (grams,) = sample_gram_stack(model.covariances[None], model.L, [seed])
+    (grams,) = sample_gram_stack(cholesky_factor(model.covariances)[None], model.L, [seed])
     return GramBlocks(p=model.p, B=model.B, L=model.L, grams=grams)
 
 

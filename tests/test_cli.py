@@ -387,6 +387,30 @@ def test_bad_counts_and_seeds_exit_2(tmp_path, capsys, model_path, command, args
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, value", [
+    ("model", "inf"), ("model", "1e308"), ("model", "1e17"), ("model", "nan"), ("model", "1"),
+    ("experiment", "beta = inf"), ("experiment", "beta = 1e308"), ("experiment", "beta = nan"),
+    ("experiment", "coupling = 1"), ("experiment", "coupling = nan"),
+])
+def test_bad_beta_and_coupling_exit_2(tmp_path, capsys, command, value):
+    # An infinite or overflowing beta used to print numpy's divide and matmul
+    # warnings before its error line, and beta = inf in a config failed as a
+    # grid entry that "overflows the block length".
+    out = tmp_path / "out"
+    if command == "model":
+        argv = ("model", "-p", 6, "--s-max", 2, "-B", 2, "-L", 64, "--beta", value,
+                "--coupling", 0.4, "--seed", 1, "-o", out)
+    else:
+        argv = ("experiment", config_with(tmp_path, value), "-o", out)
+    capsys.readouterr()
+    assert run(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+    assert "beta" in captured.err or "coupling" in captured.err
+    assert not out.exists()
+
+
 def test_repeated_in_process_calls_give_the_same_bytes(tmp_path, capsys):
     # The parser is built once per process; parsing, a usage error and
     # --version must leave it as it was.

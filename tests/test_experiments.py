@@ -1,5 +1,6 @@
 """Config parsing, Monte Carlo sweeps, and CSV emission."""
 
+import copy
 import hashlib
 import math
 import tracemalloc
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import nsgms.experiments as experiments
 import nsgms.model as model_module
-from nsgms import QuadraticForm, sample_size_bound
+from nsgms import QuadraticForm, random_cig, sample_size_bound
 from nsgms.cli import main
 from nsgms.errors import (
     ConfigError,
@@ -24,6 +25,7 @@ from nsgms.experiments import (
     CSV_COLUMNS,
     MODELS_PER_STACK,
     ExperimentConfig,
+    _draw_trial,
     _run_trials,
     calibrate_rho_min,
     check_monotone_trend,
@@ -37,6 +39,8 @@ from nsgms.experiments import (
     run_phase_transition,
     wilson_interval,
 )
+from nsgms.model import _coupling_draws, build_model_stack
+from nsgms.sampling import sample_gram_stack
 
 BASE_CONFIG = """
 # recovery sweep
@@ -138,6 +142,17 @@ def test_parse_config_rejects_bad_eta(eta):
         parse_config(BASE_CONFIG.replace("eta = 0.1", f"eta = {eta}"))
 
 
+@pytest.mark.parametrize("line", ["beta = inf", "beta = nan", "beta = 1", "beta = 0.5",
+                                  "coupling = 1", "coupling = 0", "coupling = nan",
+                                  "coupling = inf", "coupling = -0.2"])
+def test_parse_config_rejects_bad_beta_and_coupling(line):
+    key = line.split(" = ")[0]
+    text = "".join(f"{line}\n" if row.startswith(key) else f"{row}\n"
+                   for row in BASE_CONFIG.strip().splitlines())
+    with pytest.raises(ConfigError, match=key):
+        parse_config(text)
+
+
 def test_resolve_grid_rejects_a_multiplier_that_overflows():
     # Finite, but entry * bound / B is not.
     with pytest.raises(ConfigError, match="overflows"):
@@ -169,10 +184,11 @@ def test_wilson_interval_valid(trials, data):
 # ---------------------------------------------------------------- sweeps
 
 def test_calibration_is_pinned_on_the_acceptance_config():
-    # Pilots compute edge strengths only; their streams, and so this value, are unchanged.
+    # Recorded when each pilot came to draw its graph and W entries on its one
+    # stream (0.0174415429237954 before); a change that keeps the streams keeps it.
     config = small_config(p=8, s_true=2, s_est=2, B=4, grid=(1.0,), coupling=0.4,
                           beta=2.0, eta=0.1, master_seed=20260824)
-    assert repr(calibrate_rho_min(config)) == "0.0174415429237954"
+    assert repr(calibrate_rho_min(config)) == "0.018721847625221007"
 
 
 def test_trial_memory_does_not_grow_with_block_length():
@@ -278,6 +294,91 @@ def test_a_spoiled_trial_raises_what_the_trial_by_trial_loop_raises(monkeypatch)
     assert str(chunked.value) == str(single.value)
 
 
+# ---------------------------------------------------------------- stream law
+
+# Each trial once drew its graph, W entries and Bartlett variates on streams
+# seeded from its own; it now draws them all from its own stream.  The law of
+# every draw must be unchanged: a two-sample Kolmogorov-Smirnov test at
+# alpha = 0.001 (c(alpha) = 1.95) compares old-layout and new-layout draws of
+# KS_TRIALS trials of one fixed config.
+KS_C_ALPHA = 1.95
+KS_TRIALS = 300
+_OLD_GRAM_KEY = 0x6A4D  # spawn-key namespace of the old per-block Gram streams
+
+
+def ks_statistic(a, b) -> float:
+    """Largest gap between the empirical distribution functions of a and b."""
+    a, b = np.sort(np.ravel(a)), np.sort(np.ravel(b))
+    grid = np.concatenate([a, b])
+    return float(np.abs(np.searchsorted(a, grid, side="right") / a.size
+                        - np.searchsorted(b, grid, side="right") / b.size).max())
+
+
+def old_layout_trial(cfg, L, t):
+    """Trial t's graph, W entries, rho_min and chi-square diagonals as the old
+    layout drew them: graph, model and Gram seeds drawn on the trial's stream,
+    and the Bartlett variates of block b on the (Gram seed, namespace, b) stream."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.master_seed, spawn_key=(0, t)))
+    cig = random_cig(cfg.p, cfg.s_true, rng.integers(2**63))
+    model_seed = rng.integers(2**63)
+    rng.integers(len({v for e in cig.edges for v in e}))  # the target node
+    gram_seed = rng.integers(2**63)
+    model_rng = np.random.default_rng(model_seed)
+    hi = cfg.coupling / max(cig.max_degree, 1)
+    W = [(hi / 2 + hi / 2 * model_rng.random()) * (-1.0, 1.0)[model_rng.integers(2)]
+         for _ in range(cfg.B * len(cig.edges))]
+    # A build on a fresh generator draws the same W, bit for bit
+    # (test_graph_model.py::test_coupling_draws_decode_the_scalar_loop).
+    rho = build_model_stack([cig], cfg.B, cfg.beta, cfg.coupling, [model_seed])[2][0]
+    chi = []
+    for b in range(cfg.B):
+        block = np.random.default_rng(np.random.SeedSequence(entropy=gram_seed,
+                                                             spawn_key=(_OLD_GRAM_KEY, b)))
+        chi.append([block.chisquare(L - j) for j in range(cfg.p)])
+    return cig, W, rho, chi
+
+
+def new_layout_trial(cfg, L, t):
+    """The same draws as ``_run_trials`` makes them, all on trial t's stream.
+
+    With identity covariance factors a Gram matrix is A A^T, so its Cholesky
+    factor is the Bartlett factor A, whose squared diagonal is the chi-square draws.
+    """
+    stream, cig, _ = _draw_trial(cfg, 0, t)
+    W = _coupling_draws(cig, cfg.B, cfg.coupling, copy.deepcopy(stream))
+    rho = build_model_stack([cig], cfg.B, cfg.beta, cfg.coupling, [stream])[2][0]
+    identity = np.broadcast_to(np.eye(cfg.p), (1, cfg.B, cfg.p, cfg.p))
+    A = np.linalg.cholesky(sample_gram_stack(identity, L, [stream])[0])
+    return cig, W, rho, np.diagonal(A, axis1=-2, axis2=-1) ** 2
+
+
+def test_one_stream_per_trial_keeps_the_law_of_every_draw():
+    # The KS test needs independent draws.  A graph's W entries share its band
+    # [c / (2 s_max), c / s_max], so each magnitude is compared by its place in
+    # that band; a graph's degrees are tied to each other, so each graph gives
+    # one degree (of node 1) and one edge count.
+    cfg = small_config(p=8, s_true=2, s_est=2, B=4, coupling=0.4, beta=2.0, master_seed=20260824)
+    L = 12  # small degrees of freedom, where the chi-square law is far from normal
+    draws = {}
+    for layout, trial in (("old", old_layout_trial), ("new", new_layout_trial)):
+        samples = {"W magnitude in its band": [], "W sign": [], "rho_min": [],
+                   "chi-square diagonal": [], "edge count": [], "degree of node 1": []}
+        for t in range(KS_TRIALS):
+            cig, W, rho, chi = trial(cfg, L, t)
+            hi = cfg.coupling / max(cig.max_degree, 1)
+            samples["W magnitude in its band"].append((np.abs(W) - hi / 2) / (hi / 2))
+            samples["W sign"].append(np.sign(W))
+            samples["rho_min"].append(rho)
+            samples["chi-square diagonal"].append(np.ravel(chi))
+            samples["edge count"].append(len(cig.edges))
+            samples["degree of node 1"].append(sum(1 in e for e in cig.edges))
+        draws[layout] = {name: np.hstack(values) for name, values in samples.items()}
+    for name, old in draws["old"].items():
+        new = draws["new"][name]
+        critical = KS_C_ALPHA * math.sqrt((old.size + new.size) / (old.size * new.size))
+        assert ks_statistic(old, new) <= critical, (name, ks_statistic(old, new), critical)
+
+
 ACCEPTANCE = """\
 p = 8
 s_true = 2
@@ -292,19 +393,20 @@ master_seed = {seed}
 """
 
 
-# sha256 of ``experiment --no-timings`` CSVs, recorded before trials and
-# pilots were built on stacks; the bytes must not move.
+# sha256 of ``experiment --no-timings`` CSVs, recorded when each pilot and
+# trial came to draw everything on its one stream; a change that keeps the
+# streams must not move the bytes.
 @pytest.mark.parametrize("text, sha", [
     (ACCEPTANCE.format(grid="N_grid = 1e-4x, 0.1x, 1x, 752", trials=20, seed=20260824),
-     "80d15f4009cff99ff1f967a35303017894641bbbe8eec805d61e82724fc17467"),
+     "34e9d200a785e9e0700797d8fe175eef10629e2ca6b0113188dda923210eba05"),
     (ACCEPTANCE.format(grid="N_grid = 0.01x, 1x, 300", trials=7, seed=3),
-     "9cf71fa52b513ad163449fdb4c99ba81faac214db8fe823fec610671d3167ec9"),
+     "e5fc5b30fe98bbddd66d270317797ecd3c03775c5e947857a7a656420acf35a7"),
     ("p = 10\ns_true = 2\ns_est = 3\nB = 3\nN_grid = 0.05x, 1x, 600\nbeta = 2.5\n"
      "coupling = 0.5\ntrials = 9\neta = 0.05\nmaster_seed = 11\n",
-     "208fc40d514998ef96913058f0743fece124366590d8f7a9f46987cc567cc47f"),
+     "6305ac066891b7b5f468caa64a7723b9ae71932f8b3e45356d6c1644b2700ce1"),
     ("p = 7\ns_true = 2\ns_est = 2\nB = 9\nL_grid = 10, 40, 400\nbeta = 3.0\n"
      "coupling = 0.3\ntrials = 6\neta = 0.1\nmaster_seed = 42\nlambda_mode = 0.01\n",
-     "8c73b468e8454b12e4081f7f4e464a21dd5c8f4468bcc1476bb5bf61a608eed7"),
+     "a2c212e4e0d64220daf9836c2f15e1afc1a38d49c6e8955d167cbbb799b20af6"),
 ], ids=["acceptance", "trials-7", "p10-s3-B3", "L-grid"])
 def test_experiment_csv_bytes_are_pinned(tmp_path, text, sha):
     cpath, out = tmp_path / "sweep.cfg", tmp_path / "sweep.csv"

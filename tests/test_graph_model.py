@@ -4,7 +4,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nsgms import (
@@ -19,6 +19,7 @@ from nsgms import (
 from nsgms.errors import ConstructionFailure, InvalidParameterError
 from nsgms.experiments import _trial_candidates
 from nsgms.model import (
+    _coupling_draws,
     _spectrum_to_band,
     build_model_stack,
     covariance_eig_range,
@@ -194,6 +195,42 @@ def test_graph_and_model_streams_are_pinned(p, s_max, seed, graph_sha, precision
     assert hashlib.sha256(repr(list(g.edges)).encode()).hexdigest() == graph_sha
     model = build_block_model(g, 3, 5, 2.0, 0.4, seed + 1)
     assert hashlib.sha256(model.precisions.tobytes()).hexdigest() == precision_sha
+
+
+def scalar_coupling_draws(cig, B, coupling, seed) -> tuple:
+    """The reference for ``_coupling_draws``: one ``rng.uniform(lo, hi)`` magnitude
+    (as ``lo + span * rng.random()``) and one ``rng.integers(2)`` sign per edge
+    and block, drawn in turn from a fresh generator, as W was once drawn.
+    Returns the entries and the generator's PCG64 state after them."""
+    rng = np.random.default_rng(seed)
+    s_max = max(cig.max_degree, 1)
+    lo, hi = coupling / (2 * s_max), coupling / s_max
+    span = hi - lo
+    draws = [(lo + span * rng.random()) * (-1.0, 1.0)[rng.integers(2)]
+             for _ in range(B * len(cig.edges))]
+    return np.array(draws, dtype=float), rng.bit_generator.state["state"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 12), st.integers(1, 9), st.floats(0.01, 0.99), st.integers(0, 2**63 - 1),
+       st.booleans(), st.data())
+@example(p=2, B=1, coupling=0.4, seed=3, edgeless=False, data=None)  # B·E = 1, B = 1
+@example(p=2, B=2, coupling=0.4, seed=3, edgeless=False, data=None)  # B·E = 2
+@example(p=5, B=1, coupling=0.4, seed=3, edgeless=True, data=None)   # E = 0
+def test_coupling_draws_decode_the_scalar_loop(p, B, coupling, seed, edgeless, data):
+    # Bit for bit, and from the same number of raw words: (3n + 1) // 2 for n entries.
+    if edgeless:
+        g = Cig(p=p)
+    elif data is None:
+        g = random_cig(p, 1, seed)
+    else:
+        g = random_cig(p, data.draw(st.integers(1, p - 1)), data.draw(st.integers(0, 2**32)))
+    rng = np.random.default_rng(seed)
+    drawn = _coupling_draws(g, B, coupling, rng)
+    expected, state = scalar_coupling_draws(g, B, coupling, seed)
+    assert drawn.size == B * len(g.edges)
+    assert drawn.tobytes() == expected.tobytes()
+    assert rng.bit_generator.state["state"] == state
 
 
 # ---------------------------------------------------------------- BlockModel

@@ -212,10 +212,10 @@ def test_kernel_rejects_bad_sizes():
 
 
 @st.composite
-def degenerate_samples(draw):
-    """Blocks whose rows may repeat, repeat scaled, or vanish."""
+def degenerate_samples(draw, blocks=st.integers(1, 3)):
+    """Blocks whose rows may repeat, repeat scaled, or vanish; B is drawn from ``blocks``."""
     p = draw(st.integers(3, 7))
-    B = draw(st.integers(1, 3))
+    B = draw(blocks)
     L = draw(st.integers(p + 1, 15))
     kinds = draw(st.lists(st.sampled_from(("plain", "copy", "scaled", "zero")),
                           min_size=p, max_size=p))
@@ -250,9 +250,14 @@ def test_sweep_matches_oracle_on_degenerate_rows(samples, s, lam):
         assert obj >= lam * len(T)  # each block's residual is clamped at 0
 
 
-@settings(max_examples=60, deadline=None)
-@given(degenerate_samples(), st.integers(1, 3), st.floats(0.0, 0.3), st.data())
+@settings(max_examples=80, deadline=None)
+@given(degenerate_samples(blocks=st.sampled_from((1, 2, 3, 8, 9))), st.integers(1, 3),
+       st.floats(0.0, 0.3), st.data())
 def test_one_target_sweep_is_its_row_of_the_whole_graph_sweep(samples, s, lam, data):
+    # From B = 8 on, numpy sums a term with one entry per block pairwise, so a
+    # one-target objective may differ from its whole-graph row in the last bit,
+    # and a tie (e.g. two copies of the target's row) may then go either way.
+    # Objectives are compared relative to the target's scale sum_b G_ii / N + lam * s.
     s = min(s, samples.p - 1)
     grams = block_grams(samples)
     whole_sets, whole_objs = subset_objectives(grams, range(s + 1), samples.n_samples,
@@ -260,8 +265,16 @@ def test_one_target_sweep_is_its_row_of_the_whole_graph_sweep(samples, s, lam, d
     for i in data.draw(st.lists(st.integers(0, samples.p - 1), min_size=1, max_size=3)):
         (T,), objs = subset_objectives(grams, range(s + 1), samples.n_samples,
                                        lam, DEFAULT_RANK_TOL, target=i)
-        assert T == whole_sets[i]
-        assert objs.tobytes() == whole_objs[i:i + 1].tobytes()
+        if samples.B < 8:
+            assert T == whole_sets[i]
+            assert objs.tobytes() == whole_objs[i:i + 1].tobytes()
+            continue
+        tol = 1e-14 * (float(grams[:, i, i].sum()) / samples.n_samples + lam * s)
+        assert abs(objs[0] - whole_objs[i]) <= tol
+        if T != whole_sets[i]:
+            oracle = [residual_statistic(samples, i + 1, [j + 1 for j in U]) + lam * len(U)
+                      for U in (T, whole_sets[i])]
+            assert abs(oracle[0] - oracle[1]) <= tol, (T, whole_sets[i], oracle)
 
 
 @pytest.mark.xfail(strict=True, reason="resolution limit of the Gram route: a row whose "
