@@ -6,8 +6,9 @@ regenerates the whole pipeline (random graph, block model, Gram sample)
 from a seed derived from (master seed, grid index, trial index), picks a
 random target node with a nonempty neighborhood, and counts an error
 when the estimated neighborhood differs from the true one.  A trial
-draws each block's Gram matrix straight from its Wishart law
-(:func:`~nsgms.sampling.sample_gram_stack`) and never materialises the
+draws each block's Gram matrix from its Wishart law through the
+covariance roots its model build returns
+(:func:`~nsgms.sampling.sample_gram_stack`), forming no covariance and no
 p x L columns, so its time and memory do not grow with the block length.
 Everything is a pure function of the config, so reruns give identical
 results.
@@ -41,7 +42,7 @@ lengths (``L_grid``), or multipliers of the theoretical sample-size
 bound written like ``1.5x``; multipliers are resolved against a pilot
 calibration of the achievable minimum edge strength.  Pilots draw their
 graphs and precisions as trials' model builds do but compute edge
-strengths only, with no covariances, in chunks of the same size.
+strengths only, with no roots, in chunks of the same size.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from .regression import (
     rho_condition_holds,
     sample_size_bound,
 )
-from .sampling import GramBlocks, cholesky_factor, sample_gram_stack
+from .sampling import GramBlocks, sample_gram_stack
 
 _Z95 = 1.959963984540054
 _CALIBRATION_PILOTS = 32
@@ -315,15 +316,11 @@ def _run_trials(config: ExperimentConfig, L: int, grid_index: int, trials):
         streams.append(stream)
         cigs.append(cig)
         nodes.append(node)
-    # Slicing drops the precision stack, and the covariances go once factored,
-    # so neither is held while the Gram matrices are drawn.
-    covariances, rhos = build_model_stack(
-        cigs, config.B, config.beta, config.coupling, streams
-    )[1:]
-    factors = cholesky_factor(covariances.reshape(-1, config.p, config.p))
-    del covariances
-    grams = sample_gram_stack(factors.reshape(-1, config.B, config.p, config.p), L, streams)
-    del factors, streams
+    # Slicing drops the precisions: only the covariances' square roots,
+    # from the build's eigh, are held while the Gram matrices are drawn.
+    roots, rhos = build_model_stack(cigs, config.B, config.beta, config.coupling, streams)[1:]
+    grams = sample_gram_stack(roots, L, streams)
+    del roots, streams
     errors = 0
     for cig, node, rho, W in zip(cigs, nodes, rhos, grams):
         est = estimate_neighborhood(GramBlocks(p=config.p, B=config.B, L=L, grams=W), node,

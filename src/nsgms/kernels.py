@@ -24,8 +24,7 @@ Stat. 1979):
 A one-target call scores one target column of the same sweep over the
 caller's stack, with no permuted copy: the bar that keeps each node out of
 its own sets gives every set containing the target an infinite objective,
-so the result is the target's row of a whole-graph call (to the last bit
-if B < 8: see ``_Sweep._objective``).
+so the result is the target's row of a whole-graph call, to the last bit.
 
 Each rule is written once.  ``_pivot`` drops the pivot of node j in block
 b when G_b[j, j] <= 0 or its swept value is at most rank_tol^2 * G_b[j, j],
@@ -217,16 +216,13 @@ class _Sweep:
     def _objective(self, r, t, *penalties, out=None):
         """(1/N) sum_b max(r_b, 0) + lam * t + the 0/inf penalties, over axis 0.
 
-        ``out=r`` clamps r in place and adds its blocks into block 0 in turn,
-        as ``sum(axis=0)`` does for all but a lone entry per block (pairwise).
+        The blocks, clamped (in place with ``out=r``), are added into block 0
+        in turn, so one-target and whole-graph calls add them alike.
         """
         r = np.maximum(r, 0.0, out=out)
-        if out is None:
-            obj = r.sum(axis=0)
-        else:
-            obj = r[0]
-            for b in range(1, len(r)):
-                obj += r[b]
+        obj = r[0]
+        for b in range(1, len(r)):
+            obj += r[b]
         obj /= self.n_total
         obj += self.lam * t
         for penalty in penalties:

@@ -1,8 +1,10 @@
 """Block-wise Gaussian model families with a prescribed sparsity pattern.
 
-A model is a stack of B precision/covariance pairs sharing one graph:
+A model is a stack of B precision matrices sharing one graph:
 off-diagonal precision entries are nonzero exactly on the graph's edges,
 and every covariance matrix has its eigenvalues inside a band [1, beta].
+A :class:`BlockModel`, built or loaded, gets its covariances by one rule,
+:func:`covariances_of` its precisions.
 
 Construction recipe: per block, start from K = I + W where W is symmetric
 with support on the edges and entries drawn uniformly from
@@ -22,15 +24,16 @@ beside the stacks, and :func:`min_edge_strength` and
 :func:`partial_correlation` apply it to one model.  It reads the precisions
 only, so :func:`pilot_min_edge_strengths` (the harness's calibration
 pilots) runs the precision half of a build, on the same random streams,
-and forms no covariances.
+and forms no roots.
 
 n models of one shape are built on one (n*B, p, p) stack
 (:func:`build_model_stack`): each model draws all its W entries from its
 own stream in one call, and then one scatter, one ``eigh``, one band map,
-one covariance product, one inversion check and one strength reduction
-serve them all.  Every step is per block, so a stacked model is
-bit for bit the model built alone; :func:`build_block_model` is the case
-n = 1.
+one root scaling and one strength reduction serve them all, with a root
+check per model.  No covariance is formed: that ``eigh`` gives each
+covariance's square root, which is all the Gram sampler needs.  Every
+step is per block, so a stacked model is bit for bit the model built
+alone; :func:`build_block_model` is the case n = 1.
 """
 
 from __future__ import annotations
@@ -40,10 +43,10 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import ConstructionFailure, InvalidParameterError
+from .errors import ConstructionFailure, InvalidParameterError, NotPositiveDefiniteError
 from .graph import Cig
 
-#: relative tolerance on ||C @ K - I||_inf, scaled by p
+#: relative tolerance on ||F^T K F - I||_inf of a square root F of C = K^-1, scaled by p
 INVERSION_TOL = 1e-8
 
 #: slack allowed on the covariance eigenvalue band [1, beta]
@@ -105,8 +108,9 @@ def _spectrum_to_band(K: np.ndarray, beta: float):
     ``K`` is a (B, p, p) stack; it is overwritten.  Returns the mapped
     precision stack K_new together with its eigenvalues and eigenvectors,
     all from one symmetric eigendecomposition per block;
-    :func:`build_model_stack` turns the latter two into C_new, so every pair
-    is consistent to machine precision.
+    :func:`build_model_stack` turns the latter two into square roots of
+    K_new's inverse.  The map acts entrywise, so K_new is as exactly
+    symmetric as K.
     """
     evals, vecs = np.linalg.eigh(K)
     kmin, kmax = evals[:, 0], evals[:, -1]
@@ -121,18 +125,20 @@ def _spectrum_to_band(K: np.ndarray, beta: float):
     K *= alpha[:, None, None]
     diag = np.arange(K.shape[-1])
     K[:, diag, diag] += (alpha * gamma)[:, None]
-    return _symmetrised(K), new_evals, vecs
+    return K, new_evals, vecs
 
 
-def _symmetrised(A: np.ndarray) -> np.ndarray:
-    """0.5 * (A + A^T) per block, bit for bit.
+def covariances_of(precisions: np.ndarray) -> np.ndarray:
+    """0.5 * (C + C^T) with C = K^-1, per block of a precision stack K.
 
-    The transpose is copied first, so the sum runs on two contiguous stacks;
+    Every :class:`BlockModel` gets its covariances by this one rule.  The
+    transpose is copied first, so the sum runs on two contiguous stacks;
     a sum with the strided transpose makes numpy allocate an iteration buffer
     as large as the stack.
     """
-    out = A.swapaxes(-1, -2).copy()
-    out += A
+    C = np.linalg.inv(precisions)
+    out = C.swapaxes(-1, -2).copy()
+    out += C
     out *= 0.5
     return out
 
@@ -208,53 +214,49 @@ def _check_finite(stack: np.ndarray, name: str) -> None:
 
 
 def build_model_stack(cigs, B: int, beta: float, coupling: float, seeds):
-    """Precision and covariance stacks, each (n, B, p, p), of n models built at
+    """Precision and root stacks, each (n, B, p, p), of n models built at
     once, and each model's minimum edge strength.
 
-    Model k has graph ``cigs[k]`` and draws its W entries on ``seeds[k]``
-    (see :func:`_coupling_draws`); it is bit for bit the model
-    :func:`build_block_model` builds from that pair.  Each
-    model gets the inversion-residual check and ``BlockModel``'s finiteness
-    check; the first model that fails raises.
+    A block's root F = V diag(lambda^-1/2), from the band map's ``eigh``, has
+    F F^T = C = K^-1.  Model k has graph ``cigs[k]`` and draws its W entries
+    on ``seeds[k]`` (see :func:`_coupling_draws`); it is bit for bit the
+    model :func:`build_block_model` builds from that pair.  Each model's
+    mapped eigenvalues must be positive (:class:`NotPositiveDefiniteError`),
+    then F^T K F = I must hold within ``INVERSION_TOL * p``
+    (:class:`ConstructionFailure`) and its precisions must be finite, which
+    makes its roots finite; the first model that fails raises.
     """
     n, p = len(cigs), cigs[0].p
-    K_new, new_evals, vecs = _banded_precisions(cigs, B, beta, coupling, seeds)
-    # C_new = V diag(1/new_evals) V^T per block, symmetrised.  Each input goes
-    # once used, so at most four stacks are live at a time.
-    scaled = vecs / new_evals[:, None, :]
-    del new_evals
-    product = scaled @ vecs.swapaxes(1, 2)
-    del scaled, vecs
-    C_new = _symmetrised(product)
-    del product
-    residual = C_new @ K_new
-    residual -= np.eye(p)
-    err = np.abs(residual, out=residual).reshape(n, -1).max(axis=1)
-    del residual
-    for e in err:
+    K_new, new_evals, roots = _banded_precisions(cigs, B, beta, coupling, seeds)
+    # Checked before the square root, which would warn and give NaN roots instead.
+    if np.any(new_evals <= 0):
+        raise NotPositiveDefiniteError("mapped precision matrix is not positive definite")
+    roots /= np.sqrt(new_evals)[:, None, :]
+    K_new, roots = K_new.reshape(n, B, p, p), roots.reshape(n, B, p, p)
+    # One model at a time, so a residual holds B blocks, not the stack.
+    for K, F in zip(K_new, roots):
+        e = np.abs(F.swapaxes(1, 2) @ K @ F - np.eye(p)).max()
         if e > INVERSION_TOL * p:
             raise ConstructionFailure(f"inversion residual {e:.3e} exceeds tolerance")
     _check_finite(K_new, "precisions")
-    _check_finite(C_new, "covariances")
-    rhos = _rho_mins(K_new, [cig.edges for cig in cigs])
-    return K_new.reshape(n, B, p, p), C_new.reshape(n, B, p, p), rhos
+    return K_new, roots, _rho_mins(K_new, [cig.edges for cig in cigs])
 
 
 def build_block_model(cig: Cig, B: int, L: int, beta: float, coupling: float, seed) -> BlockModel:
     """Build a B-block model whose precision support equals the graph's edges."""
     if L < 1:
         raise InvalidParameterError(f"need L >= 1, got L={L}")
-    (precisions,), (covariances,), _ = build_model_stack([cig], B, beta, coupling, [seed])
+    (precisions,), _, _ = build_model_stack([cig], B, beta, coupling, [seed])
     return BlockModel(p=cig.p, B=B, L=L, beta=float(beta),
-                      precisions=precisions, covariances=covariances)
+                      precisions=precisions, covariances=covariances_of(precisions))
 
 
 def pilot_min_edge_strengths(cigs, B: int, beta: float, coupling: float, seeds) -> list:
     """The strengths ``build_model_stack(cigs, ...)`` returns, without the models.
 
     Draws the same streams and forms the same precision stack, bit for
-    bit, but no covariances, so it skips their inversion-residual check;
-    the precisions get the finiteness check.
+    bit, but no roots, so it skips their checks; the precisions get the
+    finiteness check.
     """
     K_new = _banded_precisions(cigs, B, beta, coupling, seeds)[0]
     _check_finite(K_new, "precisions")
@@ -262,7 +264,7 @@ def pilot_min_edge_strengths(cigs, B: int, beta: float, coupling: float, seeds) 
 
 
 def _rho_mins(precisions: np.ndarray, model_edges) -> list:
-    """Per model k of an (n*B, p, p) precision stack, the minimum
+    """Per model k of a stack of n models' (B, p, p) precisions, the minimum
     over its 1-based edges ``model_edges[k]`` of the block-averaged
     (K_ij/K_ii)^2, or inf if it has none.
 

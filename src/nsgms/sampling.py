@@ -12,8 +12,9 @@ so there are two samplers:
   writes them as they come, so it holds about two blocks, not the stack.
 - :func:`sample_grams` draws W_b itself from its Wishart law, in O(p^2)
   numbers per block whatever L is; :func:`sample_gram_stack` does so for
-  n models at once, from their covariances' Cholesky factors.  The Monte
-  Carlo harness uses the latter and never materialises columns.
+  n models at once, from any square roots of their covariances.  The Monte
+  Carlo harness uses the latter on the roots of the model build
+  (:func:`~nsgms.model.build_model_stack`) and never materialises columns.
 
 Samples are one (B, p, L) stack (:class:`SampleBlocks`) and Gram matrices
 one (B, p, p) stack (:class:`GramBlocks`).
@@ -196,19 +197,19 @@ class BlockDraws:
 def sample_gram_stack(factors: np.ndarray, L: int, seeds) -> np.ndarray:
     """Draw the Gram matrices of n models' blocks at once, without their columns.
 
-    ``factors`` is the (n, B, p, p) stack of the blocks' covariance Cholesky
-    factors (:func:`cholesky_factor`), so a caller can drop the covariances
-    before the draw, and model k draws on ``seeds[k]``, anything
-    ``np.random.default_rng`` takes (a Generator or bit generator is drawn
-    from in place); returns the (n, B, p, p) stack of
-    W_b = X_b X_b^T, each model bit for bit what :func:`sample_grams` draws
-    for that model alone.
-    W_b = (G A)(G A)^T, with G the Cholesky factor of C^(b) and A the
-    p x min(p, L) lower-trapezoidal Bartlett factor: A_kk = sqrt(chi^2_{L-k})
-    for k = 0, 1, ..., and N(0, 1) entries below the diagonal (Bartlett 1933;
-    Odell & Feiveson 1966).  A is distributed as the L-factor of the LQ
-    decomposition of a p x L standard normal matrix, so W_b has the law of
-    X_b X_b^T for every L >= 1, rank min(p, L) included.  A model draws its
+    ``factors`` is the (n, B, p, p) stack of the blocks' covariance roots,
+    any square root F with F F^T = C: the model build's or the Cholesky
+    factor (:func:`cholesky_factor`).  Model k draws on ``seeds[k]``,
+    anything ``np.random.default_rng`` takes (a Generator or bit generator
+    is drawn from in place); returns the (n, B, p, p) stack of W_b =
+    X_b X_b^T.  On Cholesky factors, each model's is bit for bit what
+    :func:`sample_grams` draws for it alone.
+    W_b = (F A)(F A)^T, with A the p x min(p, L) lower-trapezoidal Bartlett
+    factor: A_kk = sqrt(chi^2_{L-k}) for k = 0, 1, ..., and N(0, 1) entries
+    below the diagonal (Bartlett 1933; Odell & Feiveson 1966).  A is
+    distributed as the L-factor of the LQ decomposition of a p x L standard
+    normal matrix, whose law no rotation changes, so W_b has the law of
+    X_b X_b^T for any root F and every L >= 1, rank min(p, L) included.  A model draws its
     blocks' chi-square diagonals column by column, B values per degree of
     freedom, and then their normals as one (B, entries below the diagonal)
     array; two products then serve the whole stack.

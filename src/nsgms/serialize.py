@@ -5,7 +5,8 @@ Model files:
     block 1
     <p rows of p whitespace-separated precision entries>
     ...
-Covariances are not stored; they are recomputed on load.
+Covariances are not stored: a loaded model takes them from its precisions
+by the rule a built one does (:func:`~nsgms.model.covariances_of`).
 
 Sample files:
     nsgms-samples v1 p=<p> B=<B> L=<L>
@@ -44,7 +45,7 @@ import numpy as np
 
 from .errors import FormatError
 from .graph import Cig
-from .model import BlockModel, _symmetrised
+from .model import BlockModel, covariances_of
 from .regression import NeighborhoodEstimate
 from .sampling import SampleBlocks
 
@@ -176,9 +177,7 @@ def load_model(path) -> BlockModel:
         K = _read_blocks(fh, B, p, p, "model")
     if not np.all(np.isfinite(K)):  # before inv, which may fail on them first
         raise FormatError("model precisions contain non-finite values")
-    return BlockModel(
-        p=p, B=B, L=L, beta=beta, precisions=K, covariances=_symmetrised(np.linalg.inv(K)),
-    )
+    return BlockModel(p=p, B=B, L=L, beta=beta, precisions=K, covariances=covariances_of(K))
 
 
 # ---------------------------------------------------------------- samples

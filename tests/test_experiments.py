@@ -39,8 +39,8 @@ from nsgms.experiments import (
     run_phase_transition,
     wilson_interval,
 )
-from nsgms.model import _coupling_draws, build_model_stack
-from nsgms.sampling import sample_gram_stack
+from nsgms.model import _coupling_draws, build_model_stack, covariances_of
+from nsgms.sampling import cholesky_factor, sample_gram_stack
 
 BASE_CONFIG = """
 # recovery sweep
@@ -255,8 +255,8 @@ def test_chunked_trials_match_trial_by_trial_runs(monkeypatch):
 
 
 def test_a_spoiled_trial_raises_what_the_trial_by_trial_loop_raises(monkeypatch):
-    # Trial 1 of a chunk gets a covariance block that is negative definite, so
-    # it fails only at its Cholesky factor; trial 3 gets a NaN precision,
+    # Trial 1 of a chunk gets a negated precision block and spectrum, so it
+    # fails only at the mapped-eigenvalue check; trial 3 gets a NaN precision,
     # which the model check catches earlier in the pipeline.  Run alone,
     # trial 1 fails first, so that is the error a chunk must raise too.
     cfg = small_config(p=8, B=4, grid=(2000,), trials=MODELS_PER_STACK, master_seed=20260824)
@@ -379,6 +379,55 @@ def test_one_stream_per_trial_keeps_the_law_of_every_draw():
         assert ks_statistic(old, new) <= critical, (name, ks_statistic(old, new), critical)
 
 
+def normalised_gram_entries(cfg, L, trials, through_cholesky):
+    """W_ij / sqrt(C_ii C_jj) at a few fixed (block, i, j) of each trial's Grams,
+    drawn as ``_run_trials`` draws them but through the build's root F or
+    through the Cholesky factor of the model's covariances, C = F F^T."""
+    picks = [(0, 0, 0), (0, 1, 0), (0, 7, 3), (cfg.B - 1, 5, 2)]
+    out = []
+    for t in trials:
+        stream, cig, _ = _draw_trial(cfg, 0, t)
+        (K,), roots, _ = build_model_stack([cig], cfg.B, cfg.beta, cfg.coupling, [stream])
+        C = covariances_of(K)
+        factors = cholesky_factor(C)[None] if through_cholesky else roots
+        (W,) = sample_gram_stack(factors, L, [stream])
+        out.append([W[b, i, j] / math.sqrt(C[b, i, i] * C[b, j, j]) for b, i, j in picks])
+    return np.array(out)
+
+
+def test_grams_through_the_roots_keep_the_law_of_the_cholesky_draw():
+    # Any square root F with F F^T = C gives a Gram matrix with C's Wishart law.
+    # The two routes draw on disjoint trial streams, and each fixed entry gives
+    # one independent value per trial, so each entry is compared on its own.
+    cfg = small_config(p=8, s_true=2, s_est=2, B=4, coupling=0.4, beta=2.0, master_seed=20260824)
+    L = 12
+    cholesky = normalised_gram_entries(cfg, L, range(KS_TRIALS), True)
+    roots = normalised_gram_entries(cfg, L, range(KS_TRIALS, 2 * KS_TRIALS), False)
+    critical = KS_C_ALPHA * math.sqrt(2 / KS_TRIALS)
+    for k in range(cholesky.shape[1]):
+        D = ks_statistic(cholesky[:, k], roots[:, k])
+        assert D <= critical, (k, D, critical)
+
+
+def test_trials_take_no_cholesky_factor_and_no_inverse(monkeypatch):
+    # The harness samples from the roots of the model build; neither a
+    # covariance (an inverse) nor a Cholesky factor is formed.  At s_est = 2
+    # the sweep forms neither either (its root bounds start at s = 3).
+    calls = []
+
+    def spy(name):
+        def refuse(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} called")
+        return refuse
+
+    cfg = small_config(p=8, s_true=2, s_est=2, B=4, grid=(2000,), master_seed=3)
+    monkeypatch.setattr(np.linalg, "cholesky", spy("cholesky"))
+    monkeypatch.setattr(np.linalg, "inv", spy("inv"))
+    errors, rho = _run_trials(cfg, 500, 0, range(MODELS_PER_STACK))
+    assert calls == [] and 0 <= errors <= MODELS_PER_STACK and rho > 0
+
+
 ACCEPTANCE = """\
 p = 8
 s_true = 2
@@ -394,19 +443,20 @@ master_seed = {seed}
 
 
 # sha256 of ``experiment --no-timings`` CSVs, recorded when each pilot and
-# trial came to draw everything on its one stream; a change that keeps the
-# streams must not move the bytes.
+# trial came to draw everything on its one stream, and again when trials came
+# to draw their Gram matrices through the model build's square roots; a change
+# that keeps the streams and the roots must not move the bytes.
 @pytest.mark.parametrize("text, sha", [
     (ACCEPTANCE.format(grid="N_grid = 1e-4x, 0.1x, 1x, 752", trials=20, seed=20260824),
-     "34e9d200a785e9e0700797d8fe175eef10629e2ca6b0113188dda923210eba05"),
+     "51260180eee69b5de2af1fd23c76af83afea72d4074343aa0f14773e2097bd8f"),
     (ACCEPTANCE.format(grid="N_grid = 0.01x, 1x, 300", trials=7, seed=3),
      "e5fc5b30fe98bbddd66d270317797ecd3c03775c5e947857a7a656420acf35a7"),
     ("p = 10\ns_true = 2\ns_est = 3\nB = 3\nN_grid = 0.05x, 1x, 600\nbeta = 2.5\n"
      "coupling = 0.5\ntrials = 9\neta = 0.05\nmaster_seed = 11\n",
-     "6305ac066891b7b5f468caa64a7723b9ae71932f8b3e45356d6c1644b2700ce1"),
+     "e4c476b3b9576d0bc47fa0a8e2664b2eaf2a8e736c20f92ceeb11c3e5de01873"),
     ("p = 7\ns_true = 2\ns_est = 2\nB = 9\nL_grid = 10, 40, 400\nbeta = 3.0\n"
      "coupling = 0.3\ntrials = 6\neta = 0.1\nmaster_seed = 42\nlambda_mode = 0.01\n",
-     "a2c212e4e0d64220daf9836c2f15e1afc1a38d49c6e8955d167cbbb799b20af6"),
+     "78654a5ddadc7e93258e178764487a6d0ac2ec07de4922534a9dceb910845246"),
 ], ids=["acceptance", "trials-7", "p10-s3-B3", "L-grid"])
 def test_experiment_csv_bytes_are_pinned(tmp_path, text, sha):
     cpath, out = tmp_path / "sweep.cfg", tmp_path / "sweep.csv"

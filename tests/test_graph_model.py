@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import nsgms.model as model_module
 from nsgms import (
     BlockModel,
     Cig,
@@ -16,7 +17,7 @@ from nsgms import (
     random_cig,
     verify_assumptions,
 )
-from nsgms.errors import ConstructionFailure, InvalidParameterError
+from nsgms.errors import ConstructionFailure, InvalidParameterError, NotPositiveDefiniteError
 from nsgms.experiments import _trial_candidates
 from nsgms.model import (
     _coupling_draws,
@@ -431,17 +432,59 @@ def test_stacked_models_are_bitwise_the_models_built_alone(p, B, n, beta, coupli
             s_max = data.draw(st.integers(1, p - 1))
             cigs.append(random_cig(p, s_max, data.draw(st.integers(0, 2**63 - 1))))
         seeds.append(data.draw(st.integers(0, 2**63 - 1)))
-    precisions, covariances, strengths = build_model_stack(cigs, B, beta, coupling, seeds)
-    assert precisions.shape == covariances.shape == (n, B, p, p)
+    precisions, roots, strengths = build_model_stack(cigs, B, beta, coupling, seeds)
+    assert precisions.shape == roots.shape == (n, B, p, p)
+    # The band map keeps the scattered symmetry of K = I + W exactly.
+    assert precisions.tobytes() == precisions.swapaxes(-1, -2).copy().tobytes()
     pilots = pilot_min_edge_strengths(cigs, B, beta, coupling, seeds)
     for k, (cig, seed) in enumerate(zip(cigs, seeds)):
         alone = build_block_model(cig, B, 1, beta, coupling, seed)
         assert precisions[k].tobytes() == alone.precisions.tobytes()
-        assert covariances[k].tobytes() == alone.covariances.tobytes()
+        assert roots[k].tobytes() == build_model_stack([cig], B, beta, coupling, [seed])[1].tobytes()
         rho = np.float64(min_edge_strength(alone, cig)).tobytes()
         assert np.float64(strengths[k]).tobytes() == rho
         assert np.float64(pilots[k]).tobytes() == rho
         assert (strengths[k] == float("inf")) == (not cig.edges)
+
+
+@pytest.mark.parametrize("p, B, beta, coupling", [(8, 4, 2.0, 0.4), (3, 1, 1.1, 0.95),
+                                                   (11, 9, 10.0, 0.05)])
+def test_stacked_roots_are_square_roots_of_the_covariances_built_alone(p, B, beta, coupling):
+    # Four models, one edgeless, on one stack: each block's root F has
+    # F F^T = C (the model's covariance, K's symmetrised inverse) and
+    # F^T K F = I, and is bit for bit the root of the model built alone.
+    cigs = [random_cig(p, 2, 1), Cig(p=p), random_cig(p, 1, 2), random_cig(p, p - 1, 3)]
+    seeds = [10, 11, 12, 13]
+    precisions, roots, _ = build_model_stack(cigs, B, beta, coupling, seeds)
+    identity = np.eye(p)
+    for cig, seed, K, F in zip(cigs, seeds, precisions, roots):
+        C = build_block_model(cig, B, 1, beta, coupling, seed).covariances
+        assert np.abs(F @ F.swapaxes(1, 2) - C).max() <= 1e-13 * beta
+        assert np.abs(F.swapaxes(1, 2) @ K @ F - identity).max() <= 1e-13 * beta
+        assert F.tobytes() == build_model_stack([cig], B, beta, coupling, [seed])[1].tobytes()
+
+
+def test_model_stack_checks_the_mapped_spectrum_and_the_roots(monkeypatch):
+    original = model_module._spectrum_to_band
+    cigs, seeds = [random_cig(6, 2, 1), random_cig(6, 2, 2)], [3, 4]
+
+    def negated(K, beta):  # the second model's mapped eigenvalues turn negative
+        K_new, new_evals, vecs = original(K, beta)
+        new_evals[2:] *= -1.0
+        return K_new, new_evals, vecs
+
+    monkeypatch.setattr(model_module, "_spectrum_to_band", negated)
+    with pytest.raises(NotPositiveDefiniteError, match="not positive definite"):
+        build_model_stack(cigs, 2, 2.0, 0.4, seeds)
+
+    def shifted(K, beta):  # the second model's precisions no longer match its spectrum
+        K_new, new_evals, vecs = original(K, beta)
+        K_new[2:] *= 1.01
+        return K_new, new_evals, vecs
+
+    monkeypatch.setattr(model_module, "_spectrum_to_band", shifted)
+    with pytest.raises(ConstructionFailure, match="inversion residual"):
+        build_model_stack(cigs, 2, 2.0, 0.4, seeds)
 
 
 def test_model_stack_rejects_graphs_of_different_sizes():

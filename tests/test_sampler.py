@@ -20,7 +20,6 @@ from nsgms import (
 )
 from nsgms.errors import InvalidParameterError, NotPositiveDefiniteError
 from nsgms.regression import EstimatorConfig, estimate_graph, estimate_neighborhood
-from nsgms.model import build_model_stack
 from nsgms.sampling import BlockDraws, block_grams, sample_gram_stack
 
 
@@ -247,26 +246,24 @@ def test_gram_stack_is_bitwise_the_grams_sampled_alone(p, B, n, L, data):
             for _ in range(n)]
     model_seeds = [data.draw(st.integers(0, 2**63 - 1)) for _ in range(n)]
     gram_seeds = [data.draw(st.integers(0, 2**63 - 1)) for _ in range(n)]
-    covariances = build_model_stack(cigs, B, 2.0, 0.4, model_seeds)[1]
-    factors = cholesky_factor(covariances.reshape(-1, p, p)).reshape(covariances.shape)
+    models = [build_block_model(cig, B, L, 2.0, 0.4, seed) for cig, seed in zip(cigs, model_seeds)]
+    factors = cholesky_factor(np.concatenate([m.covariances for m in models])).reshape(n, B, p, p)
     grams = sample_gram_stack(factors, L, gram_seeds)
     assert grams.shape == (n, B, p, p)
-    for k in range(n):
-        model = build_block_model(cigs[k], B, L, 2.0, 0.4, model_seeds[k])
+    for k, model in enumerate(models):
         assert grams[k].tobytes() == sample_grams(model, gram_seeds[k]).grams.tobytes()
 
 
-# sha256 of covariance and Gram stack bytes.  The covariances were recorded
-# before models were built on stacks of several models; the Gram matrices when
-# a model came to draw all its blocks' Bartlett variates on its one stream.
+# sha256 of covariance and Gram stack bytes, recorded when every BlockModel
+# came to take its covariances as the symmetrised inverse of its precisions.
 @pytest.mark.parametrize("p, s, B, L, seed, cov_sha, gram_sha", [
-    (8, 2, 4, 187252, 1, "ba3caaeb7868c315ac240e1fa8ae03a833e1578c94ddfc68a9e636b559d0c364",
-     "b26e41b8a36fd6348395ab7bb87a4ce4fbc16429d5bcece98cca65c37e435fa6"),
-    (6, 3, 9, 4, 7, "374e3e732518232a23673a896222679f174ce6fa18dde833e6bbe922d34a3a3e",
-     "ed3651019dcacf10c9d5fbd676cb488a13ea084f717a67cc4792f1acec8e39d5"),
-    (10, 3, 3, 50, 2026, "e6ffc9ae6c2bc4a066d3f11b38efc3ef18bbb620871b3f82dbc71debccaf7cfd",
-     "ff55f94719c2205ae09fddd9db337b54e48e3e631be229b68c180a3557e85926"),
-])
+    (8, 2, 4, 187252, 1, "df07d033f29b7dca3fd6f4b09ae1152ec368e2186cd9ae1147344c9896e08c98",
+     "610a1f05a38d9a4a1d60629d0bc09b24466550152625d9870c973510b2d974f1"),
+    (6, 3, 9, 4, 7, "def65f515986b0dc057f18344f4b6b5541fff91db8bf993733931c72f9571db4",
+     "304597c23c3822e5abc72cbc07203ad687c767337b37bc96a0930e9bf7af1a62"),
+    (10, 3, 3, 50, 2026, "b0bf091d01bf8604f4e09fd424df4bf085e27381b9e1987e6bf7f8325cd68f74",
+     "ffe0be24ecf07987ae88cde2489705bb4ac6aabe867baebc1c2cf0f0a57e07e3"),
+], ids=["p8-B4-L187252", "p6-B9-L4", "p10-B3-L50"])
 def test_covariance_and_gram_streams_are_pinned(p, s, B, L, seed, cov_sha, gram_sha):
     model = build_block_model(random_cig(p, s, seed), B, L, 2.0, 0.4, seed + 1)
     assert hashlib.sha256(model.covariances.tobytes()).hexdigest() == cov_sha

@@ -41,6 +41,17 @@ def test_model_round_trip(tmp_path, model):
         assert np.allclose(C1, C2, atol=1e-12)
 
 
+@pytest.mark.parametrize("p, s, B, seed", [(5, 2, 2, 3), (8, 2, 4, 1), (11, 3, 9, 7), (2, 1, 1, 0)])
+def test_a_model_through_its_file_is_the_model_in_memory(tmp_path, p, s, B, seed):
+    # Built or loaded, a model's covariances come by one rule from its
+    # precisions, which the file keeps exactly.
+    model = build_block_model(random_cig(p, s, seed), B, 8, 2.0, 0.4, seed + 1)
+    save_model(model, tmp_path / "model.txt")
+    back = load_model(tmp_path / "model.txt")
+    assert back.precisions.tobytes() == model.precisions.tobytes()
+    assert back.covariances.tobytes() == model.covariances.tobytes()
+
+
 def test_samples_round_trip_text(tmp_path, model):
     samples = sample_process(model, 9)
     path = tmp_path / "samples.txt"
@@ -135,14 +146,16 @@ def test_text_load_holds_one_copy_of_the_payload(tmp_path):
 
 
 # sha256 of save_samples' text file, binary payload and .meta for
-# sample_process(model, seed) on the ``model`` fixture.  The digests hold
-# for a given numpy and BLAS build (the samples pass through a Cholesky
-# factor and a matrix product).
+# sample_process(model, seed) on the ``model`` fixture, and of what
+# ``nsgms sample`` writes for the fixture saved with save_model: the model
+# loaded from its file is the model in memory.  The digests hold for a
+# given numpy and BLAS build (the samples pass through a Cholesky factor
+# and a matrix product).
 SAMPLE_PINS = [
-    (9, "64a49f5763cf262dbae4ba8c58538b071c97c1aaf5e205cf06308017dc52978b",
-     "025622cccc132c405cc40ca2653d403e90cbfcff8fa649f83e3f57e75933ac88"),
-    (10, "99f2b59aa27b181acb83b8665f6cd99074d010342c8b7297fec41c5a1fea0b79",
-     "1773e5c1c955eb3750b40732f080abaf3d7b764621afb9a03a67fc38441ed869"),
+    (9, "17e169379bc3e8a1b255b1ade202360b47ad0a6def31455ef0f9c288dad19928",
+     "cf144e9d1594e7043bfa8b35b9e6e6a9e7c511d956082013353e119167c52aa0"),
+    (10, "40e925aa67315450de0a89b000f6a48ec59dc45168ab086ec1ba935e0ee372fd",
+     "d0a1293050dafce5538015a649859ba6d16133df0f4d9dbc7e4172f4b3f41a23"),
 ]
 META_SHA = "06318cd4babf6aa373ba691a0905c348ff0bf509832a2e37105055079bc4e7b6"
 
@@ -156,19 +169,7 @@ def test_saved_sample_bytes_are_pinned(tmp_path, model, seed, text_sha, binary_s
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == sha
 
 
-# The same digests for ``nsgms sample`` on the fixture saved with
-# save_model, recorded before the command streamed its blocks.  They differ
-# from SAMPLE_PINS because load_model recomputes the covariances from the
-# stored precisions, which moves them in their last bits (up to 7e-16).
-CLI_SAMPLE_PINS = [
-    (9, "17e169379bc3e8a1b255b1ade202360b47ad0a6def31455ef0f9c288dad19928",
-     "cf144e9d1594e7043bfa8b35b9e6e6a9e7c511d956082013353e119167c52aa0"),
-    (10, "40e925aa67315450de0a89b000f6a48ec59dc45168ab086ec1ba935e0ee372fd",
-     "d0a1293050dafce5538015a649859ba6d16133df0f4d9dbc7e4172f4b3f41a23"),
-]
-
-
-@pytest.mark.parametrize("seed, text_sha, binary_sha", CLI_SAMPLE_PINS)
+@pytest.mark.parametrize("seed, text_sha, binary_sha", SAMPLE_PINS)
 def test_cli_sample_bytes_are_the_library_bytes(tmp_path, model, seed, text_sha, binary_sha):
     # ``nsgms sample`` draws and writes one block at a time; its files must
     # be those of save_samples(sample_process(...)) on the model it loads.
