@@ -11,6 +11,7 @@ alone sorts and validates pairs.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -35,13 +36,7 @@ class Cig:
     edges: tuple = ()
 
     def __post_init__(self):
-        try:
-            p = operator.index(self.p)
-        except TypeError:  # not an integer, e.g. 2.5
-            p = 0
-        if isinstance(self.p, bool) or p < 1:
-            raise InvalidParameterError(f"node count must be an integer >= 1, got {self.p!r}")
-        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "p", _positive_int(self.p, "node count"))
         pairs = set()
         for e in self.edges:
             try:
@@ -57,8 +52,7 @@ class Cig:
 
     def neighborhood(self, i: int) -> frozenset:
         """Nodes adjacent to i."""
-        if not (1 <= i <= self.p):
-            raise InvalidParameterError(f"node {i} outside 1..{self.p}")
+        i = _positive_int(i, "node", self.p)
         return frozenset(k if j == i else j for j, k in self.edges if i in (j, k))
 
     @property
@@ -69,6 +63,24 @@ class Cig:
             degree[i] += 1
             degree[j] += 1
         return max(degree)
+
+
+def _positive_int(value, name: str, top: float = math.inf) -> int:
+    """``value`` as a plain int, if it is an integer of any type but bool in 1..``top``.
+
+    The one rule for a count or a node: 2.5, ``True`` and ``np.float64(2.0)``
+    are rejected, and ``np.int64(2)`` is taken as 2.  :class:`Cig` applies it
+    to its node count, every entry point that takes one node to the node
+    (``top`` = p), and :class:`~nsgms.model.BlockModel` to its sizes.
+    """
+    try:
+        n = operator.index(value)
+    except TypeError:  # not an integer, e.g. 2.5
+        n = 0
+    if isinstance(value, bool) or not 1 <= n <= top:
+        bound = ">= 1" if top == math.inf else f"in 1..{top}"
+        raise InvalidParameterError(f"need an integer {name} {bound}, got {value!r}")
+    return n
 
 
 def random_cig(p: int, s_max: int, seed) -> Cig:

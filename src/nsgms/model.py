@@ -3,8 +3,12 @@
 A model is a stack of B precision matrices sharing one graph:
 off-diagonal precision entries are nonzero exactly on the graph's edges,
 and every covariance matrix has its eigenvalues inside a band [1, beta].
-A :class:`BlockModel`, built or loaded, gets its covariances by one rule,
-:func:`covariances_of` its precisions.
+A :class:`BlockModel` is stated by its precisions alone: it derives its
+covariances by one rule, :func:`covariances_of` its precisions, and checks
+on construction that p, B and L are integers >= 1, that 1 < beta < 2^52, and
+that its precisions are finite and exactly symmetric.  Positive
+definiteness is checked where the covariances are factored
+(:mod:`nsgms.sampling`).
 
 Construction recipe: per block, start from K = I + W where W is symmetric
 with support on the edges and entries drawn uniformly from
@@ -38,13 +42,13 @@ alone; :func:`build_block_model` is the case n = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
 
 from .errors import ConstructionFailure, InvalidParameterError, NotPositiveDefiniteError
-from .graph import Cig
+from .graph import Cig, _positive_int
 
 #: relative tolerance on ||F^T K F - I||_inf of a square root F of C = K^-1, scaled by p
 INVERSION_TOL = 1e-8
@@ -64,10 +68,17 @@ _SIGN_BITS = np.array([31, 63], dtype=np.uint64)
 
 @dataclass(frozen=True)
 class BlockModel:
-    """B symmetric positive-definite precision/covariance pairs of size p.
+    """B zero-mean Gaussian blocks of size p, each stated by its precision matrix.
 
-    ``precisions`` and ``covariances`` are (B, p, p) float64 stacks; a
-    sequence of B p x p matrices is stacked on construction.
+    ``precisions`` is a (B, p, p) float64 stack; a sequence of B p x p
+    matrices is stacked on construction.  ``covariances`` is not an
+    argument: it is derived, :func:`covariances_of` the precisions.
+    Construction checks that p, B and L are integers >= 1, that
+    1 < beta < 2^52, and that the precisions are finite and exactly
+    symmetric, in that order, before the covariances are formed.  Positive
+    definiteness is checked where the covariances are factored:
+    :class:`~nsgms.sampling.BlockDraws`, :func:`~nsgms.sampling.sample_process`
+    and :func:`~nsgms.sampling.sample_grams`.
     """
 
     p: int
@@ -75,20 +86,28 @@ class BlockModel:
     L: int
     beta: float
     precisions: np.ndarray
-    covariances: np.ndarray
+    covariances: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        for name in ("precisions", "covariances"):
-            try:
-                stack = np.ascontiguousarray(getattr(self, name), dtype=float)
-            except ValueError:
-                raise InvalidParameterError(f"{name} do not form one matrix stack") from None
-            if stack.shape != (self.B, self.p, self.p):
-                raise InvalidParameterError(
-                    f"{name} stack shape {stack.shape} != ({self.B}, {self.p}, {self.p})"
-                )
-            _check_finite(stack, name)
-            object.__setattr__(self, name, stack)
+        for name in ("p", "B", "L"):
+            object.__setattr__(self, name, _positive_int(getattr(self, name), name))
+        _check_beta(self.beta)
+        try:
+            K = np.ascontiguousarray(self.precisions, dtype=float)
+        except ValueError:
+            raise InvalidParameterError("precisions do not form one matrix stack") from None
+        if K.shape != (self.B, self.p, self.p):
+            raise InvalidParameterError(
+                f"precisions stack shape {K.shape} != ({self.B}, {self.p}, {self.p})"
+            )
+        _check_finite(K, "precisions")
+        # Exact, not within a tolerance: a built stack is bit-symmetric and a
+        # written one loads back exactly, and only then are the covariances
+        # the inverse of the precisions held.
+        if not np.array_equal(K, K.swapaxes(1, 2)):
+            raise InvalidParameterError("precisions are not symmetric")
+        object.__setattr__(self, "precisions", K)
+        object.__setattr__(self, "covariances", covariances_of(K))
 
 
 @dataclass(frozen=True)
@@ -191,9 +210,7 @@ def _banded_precisions(cigs, B: int, beta: float, coupling: float, seeds):
     """
     if B < 1:
         raise InvalidParameterError(f"need B >= 1, got B={B}")
-    if not 1 < beta < BETA_LIMIT:
-        raise InvalidParameterError(f"need 1 < beta < 2^52 (above that the band floor "
-                                    f"1/beta underflows against 1), got {beta}")
+    _check_beta(beta)
     if not (0 < coupling < 1):
         raise InvalidParameterError(f"need 0 < coupling < 1, got {coupling}")
     p = cigs[0].p
@@ -206,6 +223,12 @@ def _banded_precisions(cigs, B: int, beta: float, coupling: float, seeds):
     K[blocks, rows, cols] = K[blocks, cols, rows] = draws
     K += np.eye(p)  # each row of |W| sums to <= coupling < 1: PD by Gershgorin
     return _spectrum_to_band(K, beta)
+
+
+def _check_beta(beta) -> None:
+    if not 1 < beta < BETA_LIMIT:
+        raise InvalidParameterError(f"need 1 < beta < 2^52 (above that the band floor "
+                                    f"1/beta underflows against 1), got {beta}")
 
 
 def _check_finite(stack: np.ndarray, name: str) -> None:
@@ -244,11 +267,8 @@ def build_model_stack(cigs, B: int, beta: float, coupling: float, seeds):
 
 def build_block_model(cig: Cig, B: int, L: int, beta: float, coupling: float, seed) -> BlockModel:
     """Build a B-block model whose precision support equals the graph's edges."""
-    if L < 1:
-        raise InvalidParameterError(f"need L >= 1, got L={L}")
     (precisions,), _, _ = build_model_stack([cig], B, beta, coupling, [seed])
-    return BlockModel(p=cig.p, B=B, L=L, beta=float(beta),
-                      precisions=precisions, covariances=covariances_of(precisions))
+    return BlockModel(p=cig.p, B=B, L=L, beta=float(beta), precisions=precisions)
 
 
 def pilot_min_edge_strengths(cigs, B: int, beta: float, coupling: float, seeds) -> list:
@@ -282,9 +302,7 @@ def _rho_mins(precisions: np.ndarray, model_edges) -> list:
 
 def partial_correlation(model: BlockModel, i: int, j: int) -> float:
     """Block-averaged squared ratio K_ij/K_ii; zero iff K_ij = 0 in all blocks."""
-    for v in (i, j):
-        if not (1 <= v <= model.p):
-            raise InvalidParameterError(f"node {v} outside 1..{model.p}")
+    i, j = _positive_int(i, "node", model.p), _positive_int(j, "node", model.p)
     if i == j:
         raise InvalidParameterError("need two distinct nodes")
     return _rho_mins(model.precisions, [[(i, j)]])[0]

@@ -32,7 +32,7 @@ from .errors import (
     InfeasibleConfigError,
     InvalidParameterError,
 )
-from .graph import Cig
+from .graph import Cig, _positive_int
 from .kernels import subset_objectives
 from .sampling import GramBlocks, SampleBlocks, block_grams
 
@@ -119,8 +119,7 @@ def residual_statistic(samples: SampleBlocks, i: int, T, rank_tol: float = DEFAU
     Reads the columns directly, so it checks the rows it uses, T and i, for
     non-finite values itself.
     """
-    if not (1 <= i <= samples.p):
-        raise InvalidParameterError(f"node {i} outside 1..{samples.p}")
+    i = _positive_int(i, "node", samples.p)
     T = sorted(set(T))
     if i in T:
         raise InvalidParameterError(f"candidate set must not contain the target node {i}")
@@ -166,8 +165,7 @@ def estimate_neighborhood(data: SampleBlocks | GramBlocks, i: int,
                           config: EstimatorConfig) -> NeighborhoodEstimate:
     """Exhaustive penalized search for the best explaining set for node i."""
     gb = _checked_grams(data, config)
-    if not (1 <= i <= gb.p):
-        raise InvalidParameterError(f"node {i} outside 1..{gb.p}")
+    i = _positive_int(i, "node", gb.p)
     (best,), (objective,) = subset_objectives(
         gb.grams, range(config.s + 1), gb.n_samples, config.lam, config.rank_tol, target=i - 1,
     )

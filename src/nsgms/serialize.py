@@ -5,8 +5,12 @@ Model files:
     block 1
     <p rows of p whitespace-separated precision entries>
     ...
-Covariances are not stored: a loaded model takes them from its precisions
-by the rule a built one does (:func:`~nsgms.model.covariances_of`).
+Covariances are not stored: a loaded model is parsed, then constructed as
+a built one is, so :class:`~nsgms.model.BlockModel` derives its covariances
+from its precisions and checks the header's beta (1 < beta < 2^52) and that
+the precisions are finite and exactly symmetric.  A file that states no
+valid model raises :class:`FormatError`; positive definiteness is checked
+where the covariances are factored, as for a built model.
 
 Sample files:
     nsgms-samples v1 p=<p> B=<B> L=<L>
@@ -43,9 +47,9 @@ import os
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, InvalidParameterError
 from .graph import Cig
-from .model import BlockModel, covariances_of
+from .model import BlockModel
 from .regression import NeighborhoodEstimate
 from .sampling import SampleBlocks
 
@@ -175,9 +179,10 @@ def load_model(path) -> BlockModel:
         except ValueError:
             raise FormatError(f"line 1: beta={hdr['beta']!r} is not a number") from None
         K = _read_blocks(fh, B, p, p, "model")
-    if not np.all(np.isfinite(K)):  # before inv, which may fail on them first
-        raise FormatError("model precisions contain non-finite values")
-    return BlockModel(p=p, B=B, L=L, beta=beta, precisions=K, covariances=covariances_of(K))
+    try:
+        return BlockModel(p=p, B=B, L=L, beta=beta, precisions=K)
+    except InvalidParameterError as e:  # the file states no valid model
+        raise FormatError(f"model file: {e}") from None
 
 
 # ---------------------------------------------------------------- samples

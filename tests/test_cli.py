@@ -411,6 +411,24 @@ def test_bad_beta_and_coupling_exit_2(tmp_path, capsys, command, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("beta, rows, message", [
+    ("2", "2 0.5\n0 2\n", "not symmetric"),
+    *((beta, "2 0.5\n0.5 2\n", "beta") for beta in ("nan", "inf", "1", "0.5", "4503599627370496")),
+], ids=["asymmetric", "beta=nan", "beta=inf", "beta=1", "beta=0.5", "beta=2^52"])
+@pytest.mark.parametrize("binary", [False, True], ids=["text", "binary"])
+def test_sample_of_a_model_file_that_states_no_model_exits_2(tmp_path, capsys, beta, rows,
+                                                             message, binary):
+    # Each used to load and sample with exit 0: the asymmetric block from the
+    # inverse of no stored precision, and beta=nan from a model of no band.
+    mpath, out = tmp_path / "model.txt", tmp_path / "samples"
+    mpath.write_text(f"nsgms-model v1 p=2 B=1 L=4 beta={beta}\nblock 1\n{rows}")
+    capsys.readouterr()
+    assert run("sample", mpath, "--seed", 1, "-o", out, *["--binary"] * binary) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
+    assert not out.exists() and not (tmp_path / "samples.meta").exists()
+
+
 def test_repeated_in_process_calls_give_the_same_bytes(tmp_path, capsys):
     # The parser is built once per process; parsing, a usage error and
     # --version must leave it as it was.

@@ -24,15 +24,14 @@ from nsgms.model import (
     _spectrum_to_band,
     build_model_stack,
     covariance_eig_range,
+    covariances_of,
     pilot_min_edge_strengths,
 )
 
 
 def model_from_precisions(precisions, L=4, beta=2.0):
     Ks = tuple(np.asarray(K, dtype=float) for K in precisions)
-    Cs = tuple(np.linalg.inv(K) for K in Ks)
-    return BlockModel(p=Ks[0].shape[0], B=len(Ks), L=L, beta=beta,
-                      precisions=Ks, covariances=Cs)
+    return BlockModel(p=Ks[0].shape[0], B=len(Ks), L=L, beta=beta, precisions=Ks)
 
 
 # ---------------------------------------------------------------- Cig
@@ -246,7 +245,7 @@ def test_block_model_stacks_a_tuple_of_matrices():
 def test_block_model_rejects_wrong_stack_shape(shape):
     stack = np.ones(shape)
     with pytest.raises(InvalidParameterError):
-        BlockModel(p=3, B=2, L=4, beta=2.0, precisions=stack, covariances=stack)
+        BlockModel(p=3, B=2, L=4, beta=2.0, precisions=stack)
 
 
 def test_block_model_rejects_ragged_matrices():
@@ -259,9 +258,29 @@ def test_block_model_rejects_non_finite_values(bad):
     K = np.stack([np.eye(3), np.eye(3)])
     K[1, 0, 2] = bad
     with pytest.raises(InvalidParameterError, match="non-finite"):
-        BlockModel(p=3, B=2, L=4, beta=2.0, precisions=K, covariances=np.stack([np.eye(3)] * 2))
-    with pytest.raises(InvalidParameterError, match="non-finite"):
-        BlockModel(p=3, B=2, L=4, beta=2.0, precisions=np.stack([np.eye(3)] * 2), covariances=K)
+        BlockModel(p=3, B=2, L=4, beta=2.0, precisions=K)
+
+
+def test_block_model_derives_its_covariances_from_its_precisions():
+    model = model_from_precisions([np.array([[2.0, 0.5], [0.5, 1.0]]), 4 * np.eye(2)])
+    assert model.covariances.tobytes() == covariances_of(model.precisions).tobytes()
+    with pytest.raises(TypeError):
+        BlockModel(p=2, B=1, L=4, beta=2.0, precisions=np.eye(2)[None], covariances=np.eye(2)[None])
+
+
+@pytest.mark.parametrize("sizes", [(0, 1, 4), (2, 0, 4), (2, 1, 0), (2, 1, -3), (2, 1, 2.5),
+                                   (2, True, 4)])
+def test_block_model_rejects_a_size_that_is_not_a_positive_integer(sizes):
+    p, B, L = sizes
+    with pytest.raises(InvalidParameterError, match="integer [pBL] >= 1"):
+        BlockModel(p=p, B=B, L=L, beta=2.0, precisions=np.eye(2)[None])
+
+
+def test_block_model_rejects_precisions_that_are_not_exactly_symmetric():
+    K = np.stack([np.eye(3), np.array([[2.0, 0.5, 0.0], [0.5, 2.0, 0.0], [0.0, 0.0, 1.0]])])
+    K[1, 0, 1] = np.nextafter(0.5, 1.0)  # one ulp off its mirror entry
+    with pytest.raises(InvalidParameterError, match="not symmetric"):
+        BlockModel(p=3, B=2, L=4, beta=2.0, precisions=K)
 
 
 # ---------------------------------------------------------------- build_block_model

@@ -18,6 +18,7 @@ from nsgms import (
     default_lambda,
     estimate_graph,
     estimate_neighborhood,
+    partial_correlation,
     project_complement,
     random_cig,
     residual_statistic,
@@ -776,6 +777,33 @@ def test_estimate_graph_rejects_unknown_rule():
     samples = random_samples(rng, 4, 1, 8)
     with pytest.raises(InvalidParameterError):
         estimate_graph(samples, EstimatorConfig(s=1, lam=0.1), combine="XOR")
+
+
+@pytest.mark.parametrize("node", [2.5, True, np.float64(2.0)])
+def test_every_one_node_entry_rejects_a_node_that_is_not_an_integer(node):
+    # Cig.neighborhood(2.5) gave frozenset(), partial_correlation(model, 1.5, 4)
+    # the (1, 4) strength, estimate_neighborhood a bare TypeError, and True
+    # passed all three as node 1.
+    g = random_cig(5, 2, 3)
+    model = build_block_model(g, 2, 8, 2.0, 0.4, 4)
+    samples = sample_process(model, 5)
+    with pytest.raises(InvalidParameterError, match="integer node"):
+        g.neighborhood(node)
+    with pytest.raises(InvalidParameterError, match="integer node"):
+        partial_correlation(model, node, 4)
+    with pytest.raises(InvalidParameterError, match="integer node"):
+        estimate_neighborhood(samples, node, EstimatorConfig(s=2, lam=0.01))
+
+
+def test_every_one_node_entry_takes_a_numpy_integer_node_as_an_int():
+    g = random_cig(5, 2, 3)
+    model = build_block_model(g, 2, 8, 2.0, 0.4, 4)
+    samples = sample_process(model, 5)
+    config = EstimatorConfig(s=2, lam=0.01)
+    assert g.neighborhood(np.int64(2)) == g.neighborhood(2)
+    assert partial_correlation(model, np.int64(2), 4) == partial_correlation(model, 2, 4)
+    est = estimate_neighborhood(samples, np.int64(2), config)
+    assert type(est.node) is int and est == estimate_neighborhood(samples, 2, config)
 
 
 # ---------------------------------------------------------------- scalar helpers

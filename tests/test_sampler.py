@@ -149,10 +149,10 @@ def test_sample_process_rejects_an_out_of_another_shape_or_dtype(out):
 
 def test_block_draws_check_every_covariance_on_construction():
     model = build_block_model(random_cig(4, 2, 1), 3, 10, 2.0, 0.4, 2)
-    C = model.covariances.copy()
-    C[2, 3, 3] = -1.0
+    K = model.precisions.copy()
+    K[2, 3, 3] = -1.0  # symmetric, and indefinite
     with pytest.raises(NotPositiveDefiniteError):
-        BlockDraws(dataclasses.replace(model, covariances=C), 5)
+        BlockDraws(dataclasses.replace(model, precisions=K), 5)
 
 
 def test_identity_covariance_unit_variance():
