@@ -28,8 +28,9 @@ class Cig:
     frozensets, or rows of ``np.argwhere(...).tolist()``), with nodes of any
     integer type; it is stored as ``tuple(sorted({(min, max)}))`` of plain
     ints, so reversed and repeated pairs merge.  A pair that is not two
-    distinct integer nodes in 1..p is rejected.  ``p`` must be an integer
-    >= 1 of any integer type but bool, and is stored as a plain int.
+    distinct integer nodes in 1..p, of any integer type but bool, is
+    rejected.  ``p`` must be an integer >= 1 of any integer type but bool,
+    and is stored as a plain int.
     """
 
     p: int
@@ -40,10 +41,12 @@ class Cig:
         pairs = set()
         for e in self.edges:
             try:
-                i, j = sorted(map(operator.index, e))
+                a, b = e
+                i, j = sorted((operator.index(a), operator.index(b)))
             except (TypeError, ValueError):  # not two nodes, or a node not an integer
                 i = j = None
-            if i is None or i == j:
+            # A bool is no node, as it is no node count (see _positive_int).
+            if i is None or i == j or type(a) is bool or type(b) is bool:
                 raise InvalidParameterError(f"edge {e!r} is not a pair of distinct integer nodes")
             if i < 1 or j > self.p:
                 raise InvalidParameterError(f"edge {e!r} has a node outside 1..{self.p}")

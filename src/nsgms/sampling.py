@@ -5,11 +5,13 @@ so there are two samplers:
 
 - :func:`sample_process` draws the L i.i.d. zero-mean columns of each
   block, or of the listed blocks, as G @ Z with G the Cholesky factor of
-  the block's covariance and Z one p x L standard normal draw.  Every
-  check that needs columns, such as the projection oracle, uses it.
-  :class:`BlockDraws` yields the same blocks one at a time, each drawn by
-  :func:`sample_process` into one reused buffer; the ``sample`` command
-  writes them as they come, so it holds about two blocks, not the stack.
+  the block's covariance and Z one p x L standard normal draw.  Z is drawn
+  straight into the block's output and turned into G @ Z in place, a
+  chunk of columns at a time, so a draw holds its output and one small
+  buffer.  Every check that needs columns, such as the projection oracle,
+  uses it.  :class:`BlockDraws` yields the same blocks one at a time, each
+  drawn by :func:`sample_process` into one reused buffer; the ``sample``
+  command writes them as they come, so it holds one block, not the stack.
 - :func:`sample_grams` draws W_b itself from its Wishart law, in O(p^2)
   numbers per block whatever L is; :func:`sample_gram_stack` does so for
   n models at once, from any square roots of their covariances.  The Monte
@@ -47,6 +49,9 @@ from .model import BlockModel
 
 #: relative tolerance on the Cholesky reconstruction ||G G^T - C||_inf
 CHOLESKY_TOL = 1e-10
+
+#: bytes of one chunk of columns that :func:`sample_process` multiplies by G
+_CHUNK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -140,28 +145,50 @@ def cholesky_factor(C: np.ndarray) -> np.ndarray:
     return G
 
 
+def _chunk_columns(p: int) -> int:
+    """Columns per chunk: about ``_CHUNK_BYTES`` of a p-row block, a multiple of 8, at least 8."""
+    return max(8, _CHUNK_BYTES // (8 * p) // 8 * 8)
+
+
 def sample_process(model: BlockModel, seed, blocks=None, out=None) -> SampleBlocks:
     """Draw L i.i.d. columns for the listed blocks (default all B), block b with covariance C^(b).
 
     Block b draws on its own (seed, b) stream, so it comes out bit for bit
     the same whichever other blocks are drawn with it; the result stacks the
-    listed blocks in the order given.  ``out``, an (n, p, L) float64 array
-    for n listed blocks, receives the draw in place of a new stack.
+    listed blocks in the order given.  ``out``, a writable C-contiguous
+    (n, p, L) float64 array for n listed blocks, receives the draw in place
+    of a new stack.
+
+    Each block's normals Z are drawn into its output, in the order of
+    ``standard_normal((p, L))``, and replaced by G @ Z one chunk of about
+    256 KiB of columns at a time through one reused buffer, so no p x L
+    array is allocated besides the output.  The draws are those of one
+    product over the whole block, but not always its rounding: chunks are
+    multiples of 8 columns wide, and a BLAS ``gemm`` can round the last
+    L mod 8 columns of a block differently from one product over the whole
+    block, by about an ulp of the column's scale.
     """
     blocks = list(range(model.B) if blocks is None else blocks)
     if not blocks or not all(0 <= b < model.B for b in blocks):
         raise InvalidParameterError(f"blocks {blocks} must name one or more of 0..{model.B - 1}")
-    shape = (len(blocks), model.p, model.L)
+    p, L = model.p, model.L
+    shape = (len(blocks), p, L)
     if out is None:
         out = np.empty(shape)
-    elif out.shape != shape or out.dtype != np.float64:
-        raise InvalidParameterError(f"out must be a float64 array of shape {shape}")
+    elif (out.shape != shape or out.dtype != np.float64
+          or not (out.flags.c_contiguous and out.flags.writeable)):
+        raise InvalidParameterError(f"out must be a writable C-contiguous float64 array of shape {shape}")
     factors = cholesky_factor(model.covariances[blocks])
+    w = _chunk_columns(p)
+    buf = np.empty((p, min(w, L)))
     for X, b, G in zip(out, blocks, factors):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(b,)))
-        # ``out=`` writes the product in place, without a temporary per block.
-        np.matmul(G, rng.standard_normal((model.p, model.L)), out=X)
-    return SampleBlocks(p=model.p, B=len(blocks), L=model.L, data=out)
+        rng.standard_normal(out=X)
+        for lo in range(0, L, w):
+            chunk = buf[:, :min(w, L - lo)]
+            np.matmul(G, X[:, lo:lo + w], out=chunk)
+            X[:, lo:lo + w] = chunk
+    return SampleBlocks(p=p, B=len(blocks), L=L, data=out)
 
 
 @dataclass(frozen=True)
@@ -171,11 +198,12 @@ class BlockDraws:
     Iteration yields each p x L block b in order, drawn alone by
     ``sample_process(model, seed, blocks=[b], out=...)`` into one reused
     buffer, so a yielded block is valid until the next one is drawn.  A
-    writer of the blocks thus holds about two blocks (the buffer and the
-    normals behind it) instead of the (B, p, L) stack, and faults in no
-    fresh pages after the first block.  Every block's covariance is
-    factored and checked on construction, so a model that cannot be
-    sampled fails before anything is drawn or written.
+    writer of the blocks thus holds one block (the buffer, and the small
+    chunk :func:`sample_process` multiplies through) instead of the
+    (B, p, L) stack, and allocates no block-sized array after the first
+    block.  Every block's covariance is factored and checked on
+    construction, so a model that cannot be sampled fails before anything
+    is drawn or written.
     """
 
     model: BlockModel

@@ -67,6 +67,13 @@ def test_cig_rejects_what_is_not_two_distinct_integer_nodes(edge):
         Cig(p=3, edges=[(1, 2), edge])
 
 
+@pytest.mark.parametrize("edge", [(True, 2), (1, False)])
+def test_cig_rejects_a_bool_node_as_it_rejects_a_bool_node_count(edge):
+    # (True, 2) used to be stored as the edge (1, 2).
+    with pytest.raises(InvalidParameterError, match="integer nodes"):
+        Cig(p=3, edges=[edge])
+
+
 _PAIR_FORMS = (
     tuple, list, frozenset,
     lambda e: (e[1], e[0]),

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from nsgms import (
 )
 from nsgms.errors import InvalidParameterError, NotPositiveDefiniteError
 from nsgms.regression import EstimatorConfig, estimate_graph, estimate_neighborhood
-from nsgms.sampling import BlockDraws, block_grams, sample_gram_stack
+from nsgms.sampling import BlockDraws, _chunk_columns, block_grams, sample_gram_stack
 
 
 def test_cholesky_identity():
@@ -140,7 +141,64 @@ def test_sample_process_rejects_blocks_outside_the_model(blocks):
         sample_process(model, 5, blocks=blocks)
 
 
-@pytest.mark.parametrize("out", [np.empty((2, 4, 10)), np.empty((1, 4, 10), dtype=np.float32)])
+def _stream_normals(seed, b, p, L):
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,))).standard_normal((p, L))
+
+
+def _chunk_edge_lengths(p):
+    w = _chunk_columns(p)
+    return [1, 7, w - 1, w, w + 1, 2 * w + 1]
+
+
+@pytest.mark.parametrize("p", [1, 16, 17])
+def test_sample_process_draws_each_blocks_stream_across_chunk_edges(p):
+    # With C = I the product is exact, so the output is the (seed, b)
+    # stream's normals bit for bit, whichever chunk a column falls in.
+    for L in _chunk_edge_lengths(p):
+        model = build_block_model(Cig(p=p), 2, L, 2.0, 0.3, 6)
+        assert np.array_equal(model.covariances, np.broadcast_to(np.eye(p), (2, p, p)))
+        X = sample_process(model, 23).data
+        for b in range(2):
+            assert np.array_equal(X[b], _stream_normals(23, b, p, L))
+
+
+@pytest.mark.parametrize("p", [1, 16, 17])
+def test_sample_process_is_g_times_z_across_chunk_edges(p):
+    # Chunked or not, each entry is a p-term dot product, whose rounding
+    # error is at most gamma_p = p u / (1 - p u) < p * eps times that entry
+    # of |G| @ |Z|; two such roundings differ by at most twice that.
+    eps = np.finfo(float).eps
+    for L in _chunk_edge_lengths(p):
+        graph = random_cig(p, 2, L) if p > 1 else Cig(p=1)
+        model = build_block_model(graph, 2, L, 2.0, 0.4, L)
+        X = sample_process(model, 29).data
+        for b, G in enumerate(cholesky_factor(model.covariances)):
+            Z = _stream_normals(29, b, p, L)
+            assert np.all(np.abs(X[b] - G @ Z) <= 2 * p * eps * (np.abs(G) @ np.abs(Z)))
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sample_process_allocates_no_normals_per_block():
+    # 1.28 MB per block and a 256 KiB chunk buffer: beside the output, only
+    # that buffer and a few small objects may be allocated.
+    p, B, L = 8, 3, 20_000
+    model = build_block_model(random_cig(p, 2, 1), B, L, 2.0, 0.4, 2)
+    chunk = 8 * p * _chunk_columns(p)
+    out = np.empty((B, p, L))
+    assert _traced_peak(lambda: sample_process(model, 5, out=out)) < chunk + 32 * 1024
+    assert _traced_peak(lambda: sample_process(model, 5)) < out.nbytes + chunk + 32 * 1024
+
+
+@pytest.mark.parametrize("out", [np.empty((2, 4, 10)), np.empty((1, 4, 10), dtype=np.float32),
+                                 np.empty((1, 4, 10), order="F"), np.empty((1, 4, 20))[:, :, ::2]])
 def test_sample_process_rejects_an_out_of_another_shape_or_dtype(out):
     model = build_block_model(random_cig(4, 2, 1), 3, 10, 2.0, 0.4, 2)
     with pytest.raises(InvalidParameterError, match="out"):
