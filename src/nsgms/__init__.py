@@ -13,7 +13,6 @@ from .decorrelate import (
     DecorrelationReport,
     StationarySeries,
     decorrelation_report,
-    dft_coefficients,
     to_block_samples,
 )
 from .graph import Cig, random_cig
@@ -53,7 +52,6 @@ __all__ = [
     "cholesky_factor",
     "decorrelation_report",
     "default_lambda",
-    "dft_coefficients",
     "empirical_tail",
     "estimate_graph",
     "estimate_neighborhood",

@@ -96,9 +96,10 @@ def _cmd_decorrelate(args) -> int:
         raise ConfigError(f"expected a single-block record, got B={record.B}")
     series = StationarySeries(p=record.p, N=record.L, data=record.data[0], W=args.width)
     blocks = to_block_samples(series)
+    # The report is measured first, so a report that fails leaves no output.
+    rep = decorrelation_report(blocks) if args.report else None
     save_samples(blocks, args.output)
     if args.report:
-        rep = decorrelation_report(blocks)
         print(f"cross_block_energy={rep.cross_block_energy:.6g} "
               f"within_block_flatness={rep.within_block_flatness:.6g}")
     return 0

@@ -1,15 +1,17 @@
 """DFT front-end mapping a stationary record to approximately i.i.d. blocks.
 
-A length-N stationary vector series is transformed coordinate-wise with a
-unitary DFT.  For real input the coefficients come in conjugate pairs, so
-the complex spectrum is repackaged into N real columns: the DC (and, for
-even N, Nyquist) coefficient as-is, and for every other frequency pair
-sqrt(2)*Re and sqrt(2)*Im as two adjacent columns.  That keeps total
-energy exactly and preserves second-order structure, since the real and
-imaginary parts of a proper Gaussian coefficient each carry half the
-spectral covariance.  Columns are ordered by increasing frequency and cut
-into W contiguous blocks of length L = N/W, over which the spectral
-density of a series with correlation width W is approximately flat.
+A length-N stationary vector series is transformed coordinate-wise with one
+unitary real DFT (``rfft``).  It gives frequencies 0..N//2 only: for real
+input every other coefficient is the conjugate of one of these.  They are
+written straight into N real columns: the DC (and, for even N, Nyquist)
+coefficient as-is, and for every frequency 0 < k < N/2 sqrt(2)*Re and
+sqrt(2)*Im as two adjacent columns.  That keeps total energy exactly and
+preserves second-order structure, since the real and imaginary parts of a
+proper Gaussian coefficient each carry half the spectral covariance.
+Columns are ordered by increasing frequency and cut into W contiguous
+blocks of length L = N/W, over which the spectral density of a series with
+correlation width W is approximately flat.  The transform holds the half
+spectrum and the columns, about twice the record.
 
 The report quantifies how block-i.i.d. the output actually is; both
 metrics are diagnostics of this package, with calibration thresholds
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
+from .graph import _positive_int
 from .sampling import SampleBlocks
 
 
@@ -30,8 +33,10 @@ from .sampling import SampleBlocks
 class StationarySeries:
     """Real p x N record treated as one stationary stretch, with width hint W.
 
-    The record must be finite: ``decorrelate`` writes its blocks without
-    forming a Gram matrix, so no later check would see a NaN or infinity.
+    p, N and W are positive integers, by the rule :class:`~nsgms.graph.Cig`
+    and :class:`~nsgms.model.BlockModel` apply to their sizes.  The record
+    must be finite: ``decorrelate`` writes its blocks without forming a Gram
+    matrix, so no later check would see a NaN or infinity.
     """
 
     p: int
@@ -40,48 +45,35 @@ class StationarySeries:
     W: int
 
     def __post_init__(self):
+        for name in ("p", "N", "W"):
+            object.__setattr__(self, name, _positive_int(getattr(self, name), name))
         if self.data.shape != (self.p, self.N):
             raise InvalidParameterError(f"data shape {self.data.shape} != ({self.p}, {self.N})")
         if not np.all(np.isfinite(self.data)):
             raise InvalidParameterError("record contains non-finite values")
-        if self.W < 1 or self.N % self.W != 0:
+        if self.N % self.W != 0:
             raise InvalidParameterError(
                 f"correlation width W={self.W} must divide N={self.N}"
             )
 
 
-def dft_coefficients(series: StationarySeries) -> np.ndarray:
-    """Unitary DFT along time, shape (p, N) complex; Parseval-exact.
-
-    A record near the float64 limit can overflow to non-finite coefficients
-    without a warning; :func:`to_block_samples` rejects them.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.fft.fft(series.data, axis=1) / np.sqrt(series.N)
-
-
-def _real_columns(coeffs: np.ndarray) -> np.ndarray:
-    """Repackage a conjugate-symmetric spectrum into N real energy-preserving columns."""
-    p, N = coeffs.shape
-    m = (N - 1) // 2  # frequencies 1..m have a distinct conjugate partner
-    out = np.empty((p, N))
-    out[:, 0] = coeffs[:, 0].real  # DC, real for real input
-    root2 = np.sqrt(2.0)
-    out[:, 1:2 * m + 1:2] = root2 * coeffs[:, 1:m + 1].real
-    out[:, 2:2 * m + 2:2] = root2 * coeffs[:, 1:m + 1].imag
-    if N % 2 == 0:
-        out[:, N - 1] = coeffs[:, N // 2].real  # Nyquist, real for real input
-    return out
-
-
 def to_block_samples(series: StationarySeries) -> SampleBlocks:
     """Frequency-domain repackaging into B = W blocks of L = N/W real columns."""
-    cols = _real_columns(dft_coefficients(series))
-    if not np.all(np.isfinite(cols)):  # a finite record near the float64 limit
+    p, N = series.p, series.N
+    paired = slice(1, (N + 1) // 2)  # frequencies 0 < k < N/2, each standing for its conjugate too
+    # A finite record near the float64 limit can overflow without a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        spectrum = np.fft.rfft(series.data, axis=1, norm="ortho")  # frequencies 0..N//2
+        spectrum[:, paired] *= np.sqrt(2.0)
+    if not np.all(np.isfinite(spectrum)):
         raise InvalidParameterError("DFT of the record overflows to non-finite values")
-    B, L = series.W, series.N // series.W
+    cols = np.empty((p, N))
+    cols[:, 0] = spectrum[:, 0].real  # DC, real for real input
+    cols[:, 1::2] = spectrum[:, 1:].real  # for even N the last is Nyquist, real too
+    cols[:, 2::2] = spectrum[:, paired].imag
+    B, L = series.W, N // series.W
     # Block b is columns b*L..(b+1)*L-1: a (B, p, L) view of the (p, N) array.
-    return SampleBlocks(p=series.p, B=B, L=L, data=cols.reshape(series.p, B, L).swapaxes(0, 1))
+    return SampleBlocks(p=p, B=B, L=L, data=cols.reshape(p, B, L).swapaxes(0, 1))
 
 
 @dataclass(frozen=True)

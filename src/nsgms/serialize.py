@@ -51,14 +51,15 @@ from .errors import FormatError, InvalidParameterError
 from .graph import Cig
 from .model import BlockModel
 from .regression import NeighborhoodEstimate
-from .sampling import SampleBlocks
+from .sampling import _CHUNK_BYTES, SampleBlocks
 
 MODEL_MAGIC = "nsgms-model v1"
 SAMPLES_MAGIC = "nsgms-samples v1"
 
-#: entries per batch of rows written: 1 MiB of binary float64, or 4,096
-#: decimals, whose Python floats and text take about 0.3 MB while formatted
-_BINARY_BATCH = 1 << 17
+#: entries per batch of rows written: the sampler's chunk of binary float64
+#: (``_CHUNK_BYTES``), or 4,096 decimals, whose Python floats and text take
+#: about 0.3 MB while formatted
+_BINARY_BATCH = _CHUNK_BYTES // 8
 _TEXT_BATCH = 1 << 12
 
 

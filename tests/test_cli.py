@@ -175,6 +175,20 @@ def test_decorrelate_subcommand(tmp_path, capsys):
     assert "cross_block_energy=" in capsys.readouterr().out
 
 
+def test_decorrelate_report_on_one_column_blocks_writes_nothing(tmp_path, capsys):
+    from nsgms.sampling import SampleBlocks
+    from nsgms.serialize import save_samples
+
+    spath, out = tmp_path / "record.txt", tmp_path / "blocks.txt"
+    record = np.random.default_rng(0).standard_normal((3, 8))
+    save_samples(SampleBlocks(p=3, B=1, L=8, data=(record,)), spath)
+    assert run("decorrelate", spath, "--width", 8, "-o", out, "--report") == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == "error: need at least 2 columns per block"
+    assert not out.exists()
+    assert run("decorrelate", spath, "--width", 8, "-o", out) == 0  # no report, no bound on L
+
+
 def test_decorrelate_rejects_a_multi_block_file(tmp_path, capsys, model_path):
     spath, out = tmp_path / "samples.txt", tmp_path / "blocks.txt"
     assert run("sample", model_path, "--seed", 7, "-o", spath) == 0  # B = 2

@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from nsgms import (
+    EstimatorConfig,
     StationarySeries,
+    build_block_model,
     decorrelation_report,
-    dft_coefficients,
+    default_lambda,
+    estimate_graph,
+    min_edge_strength,
+    random_cig,
     to_block_samples,
 )
-from nsgms.decorrelate import _real_columns
 from nsgms.errors import InvalidParameterError
 from nsgms.sampling import SampleBlocks
 
@@ -18,39 +22,62 @@ def total_energy(blocks):
     return float(sum(np.sum(X * X) for X in blocks.data))
 
 
+def columns(data):
+    """The N real columns of a p x N record: its one block at W = 1."""
+    p, N = data.shape
+    return to_block_samples(StationarySeries(p=p, N=N, data=data, W=1)).data[0]
+
+
+def transposed(data):
+    """``data`` as the (p, N) view of (N, p) rows that ``load_samples`` hands over."""
+    return np.ascontiguousarray(data.T).T
+
+
 def test_width_must_divide_length():
     data = np.zeros((2, 10))
     with pytest.raises(InvalidParameterError):
         StationarySeries(p=2, N=10, data=data, W=3)
 
 
+@pytest.mark.parametrize("sizes", [(2.0, 10, 5), (2, 10.0, 5), (2, 10, 5.0), (True, 10, 5),
+                                   (2, 10, True), (0, 10, 5), (2, 10, -5)])
+def test_sizes_must_be_positive_integers(sizes):
+    p, N, W = sizes
+    with pytest.raises(InvalidParameterError, match="integer [pNW] >= 1"):
+        StationarySeries(p=p, N=N, data=np.zeros((2, 10)), W=W)
+
+
+def test_numpy_integer_sizes_are_stored_as_int():
+    series = StationarySeries(p=np.int64(2), N=np.int64(10), data=np.zeros((2, 10)), W=np.int32(5))
+    assert all(type(v) is int for v in (series.p, series.N, series.W))
+    assert (series.p, series.N, series.W) == (2, 10, 5)
+
+
 def test_constant_series_is_dc_only():
     v = np.array([1.0, -2.0, 0.5])
     N = 16
-    series = StationarySeries(p=3, N=N, data=np.tile(v[:, None], (1, N)), W=1)
-    coeffs = dft_coefficients(series)
-    assert np.allclose(coeffs[:, 0], np.sqrt(N) * v)
-    assert np.abs(coeffs[:, 1:]).max() <= 1e-12
+    cols = columns(np.tile(v[:, None], (1, N)))
+    assert np.allclose(cols[:, 0], np.sqrt(N) * v)
+    assert np.abs(cols[:, 1:]).max() <= 1e-12
 
 
-def test_pure_cosine_hits_two_bins():
+def test_pure_cosine_hits_one_column():
+    # The unitary coefficient at k0 is sqrt(N)/2, real; its column carries
+    # sqrt(2) times that, the energy of the coefficient and its conjugate.
     N = 32
     k0 = 5
     t = np.arange(N)
-    data = np.cos(2 * np.pi * k0 * t / N)[None, :]
-    series = StationarySeries(p=1, N=N, data=data, W=1)
-    coeffs = dft_coefficients(series)
-    mags = np.abs(coeffs[0])
-    nonzero = np.flatnonzero(mags > 1e-10)
-    assert sorted(nonzero) == [k0, N - k0]
+    cols = columns(np.cos(2 * np.pi * k0 * t / N)[None, :])
+    assert np.flatnonzero(np.abs(cols[0]) > 1e-10).tolist() == [2 * k0 - 1]
+    assert cols[0, 2 * k0 - 1] == pytest.approx(np.sqrt(N / 2), rel=1e-12)
 
 
 def test_parseval_identity():
+    # Through the blocks, and from the transposed rows a samples file loads as.
     rng = np.random.default_rng(1)
-    data = rng.standard_normal((4, 64))
-    series = StationarySeries(p=4, N=64, data=data, W=4)
-    coeffs = dft_coefficients(series)
-    assert np.sum(np.abs(coeffs) ** 2) == pytest.approx(np.sum(data**2), rel=1e-9)
+    data = transposed(rng.standard_normal((4, 64)))
+    blocks = to_block_samples(StationarySeries(p=4, N=64, data=data, W=4))
+    assert total_energy(blocks) == pytest.approx(np.sum(data**2), rel=1e-9)
 
 
 def test_block_partition_shape():
@@ -75,19 +102,20 @@ def test_real_columns_follow_frequency_order(N, W):
     # DC, then sqrt(2) Re and sqrt(2) Im of each frequency 1 <= k < N/2,
     # then, for even N, the Nyquist coefficient; blocks are runs of N/W columns.
     rng = np.random.default_rng(N)
-    series = StationarySeries(p=3, N=N, data=rng.standard_normal((3, N)), W=W)
-    coeffs = dft_coefficients(series)
-    columns = [coeffs[:, 0].real]
+    data = rng.standard_normal((3, N))
+    coeffs = np.fft.fft(data, axis=1) / np.sqrt(N)
+    expected = [coeffs[:, 0].real]
     for k in range(1, (N + 1) // 2):
-        columns += [np.sqrt(2.0) * coeffs[:, k].real, np.sqrt(2.0) * coeffs[:, k].imag]
+        expected += [np.sqrt(2.0) * coeffs[:, k].real, np.sqrt(2.0) * coeffs[:, k].imag]
     if N % 2 == 0:
-        columns.append(coeffs[:, N // 2].real)
-    expected = np.column_stack(columns)
-    assert np.array_equal(_real_columns(coeffs), expected)
+        expected.append(coeffs[:, N // 2].real)
+    expected = np.column_stack(expected)
     L = N // W
-    blocks = to_block_samples(series)
-    for b in range(W):
-        assert np.array_equal(blocks.data[b], expected[:, b * L:(b + 1) * L])
+    scale = np.abs(expected).max()
+    for record in (data, transposed(data)):
+        blocks = to_block_samples(StationarySeries(p=3, N=N, data=record, W=W))
+        for b in range(W):
+            assert np.abs(blocks.data[b] - expected[:, b * L:(b + 1) * L]).max() <= 1e-12 * scale
 
 
 def test_white_noise_keeps_covariance():
@@ -134,3 +162,40 @@ def test_report_flags_repeated_blocks():
 def test_report_needs_two_columns():
     with pytest.raises(InvalidParameterError):
         decorrelation_report(SampleBlocks(p=2, B=1, L=1, data=(np.ones((2, 1)),)))
+
+
+P_VAR, A_VAR, W_VAR = 8, 0.5, 16
+
+
+def var1_record(cov, N, seed):
+    """x_t = a x_{t-1} + e_t with e_t ~ N(0, cov), a p x N stationary stretch.
+
+    x_t is the sum over k < 64 of a^k e_{t-k}; a^64 < 1e-17, so the rest of
+    the series lies below an ulp.  The sum is built by doubling: after each
+    step the array holds the sum over k < 2m of the one over k < m.
+    """
+    e = np.linalg.cholesky(cov) @ np.random.default_rng(seed).standard_normal((P_VAR, N + 63))
+    m = 1
+    while m < 64:
+        e = e[:, m:] + A_VAR**m * e[:, :-m]
+        m *= 2
+    return e
+
+
+def recovered_through_decorrelate(seed, N):
+    # The inverse spectral density of a VAR(1) record with scalar a is
+    # |1 - a e^{-i theta}|^2 cov^{-1}, so its graph is the support of
+    # cov^{-1}, with the same rho_min (Dahlhaus, Metrika 2000).
+    cig = random_cig(P_VAR, 2, seed)
+    model = build_block_model(cig, 1, 1, 2.0, 0.4, seed + 100)
+    x = var1_record(model.covariances[0], N, seed + 200)
+    blocks = to_block_samples(StationarySeries(p=P_VAR, N=N, data=x, W=W_VAR))
+    lam = default_lambda(min_edge_strength(model, cig))
+    return estimate_graph(blocks, EstimatorConfig(s=2, lam=lam)).edges == cig.edges
+
+
+def test_planted_graph_is_recovered_through_decorrelate():
+    exact = {N: sum(recovered_through_decorrelate(seed, N) for seed in range(20))
+             for N in (1 << 12, 1 << 16)}
+    assert exact[1 << 16] >= 18
+    assert exact[1 << 12] < exact[1 << 16]

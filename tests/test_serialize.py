@@ -189,14 +189,14 @@ def test_cli_sample_bytes_are_the_library_bytes(tmp_path, model, seed, text_sha,
 def test_cli_sample_holds_one_block(tmp_path, binary):
     # 1.28 MB per block; the whole (B, p, L) stack would be 10.24 MB.  The
     # normals are drawn into the block, so beside it only buffers that do
-    # not grow with L are held: the writer's batch (1 MiB as binary, about
+    # not grow with L are held: the writer's batch (256 KiB as binary, about
     # 0.3 MB as text), the 256 KiB chunk of sample_process, small objects.
     p, B, L = 8, 8, 20_000
     save_model(build_block_model(random_cig(p, 2, 1), B, L, 2.0, 0.4, 2), tmp_path / "model.txt")
     argv = ["sample", str(tmp_path / "model.txt"), "--seed", "3", "-o", str(tmp_path / "s")]
     code, peak = traced_peak(lambda: main(argv + ["--binary"] * binary))
     assert code == 0
-    batch = 1 << 20 if binary else 300_000
+    batch = 1 << 18 if binary else 300_000
     assert peak < 8 * p * L + batch + 768 * 1024
 
 
