@@ -35,7 +35,7 @@ from .regression import (
     rho_condition_holds,
     sample_size_bound,
 )
-from .sampling import GramBlocks, SampleBlocks, cholesky_factor, sample_grams, sample_process
+from .sampling import GramBlocks, SampleBlocks, sample_grams, sample_process
 
 __all__ = [
     "BlockModel",
@@ -49,7 +49,6 @@ __all__ = [
     "SampleBlocks",
     "StationarySeries",
     "build_block_model",
-    "cholesky_factor",
     "decorrelation_report",
     "default_lambda",
     "empirical_tail",

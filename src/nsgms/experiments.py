@@ -6,8 +6,8 @@ regenerates the whole pipeline (random graph, block model, Gram sample)
 from a seed derived from (master seed, grid index, trial index), picks a
 random target node with a nonempty neighborhood, and counts an error
 when the estimated neighborhood differs from the true one.  A trial
-draws each block's Gram matrix from its Wishart law through the
-covariance roots its model build returns
+draws each block's Gram matrix from its Wishart law through the roots
+K^-1/2 its model build returns
 (:func:`~nsgms.sampling.sample_gram_stack`), forming no covariance and no
 p x L columns, so its time and memory do not grow with the block length.
 Everything is a pure function of the config, so reruns give identical
@@ -257,8 +257,8 @@ def calibrate_rho_min(config: ExperimentConfig) -> float:
     A pilot draws its graph and W entries as a trial does, and builds its
     precision stack as a full model build does, but gets
     only the strengths (:func:`~nsgms.model.pilot_min_edge_strengths`),
-    the same values ``build_model_stack`` returns: nothing reads a pilot's
-    covariances, so none are formed.  Pilots are mapped to the band in
+    the same values ``build_model_stack`` returns: nothing draws from a
+    pilot, so its roots are not formed.  Pilots are mapped to the band in
     chunks of :data:`MODELS_PER_STACK`, on one stack per chunk.
     """
     return min(_chunked(_CALIBRATION_PILOTS, _pilot_min, config))
@@ -316,8 +316,8 @@ def _run_trials(config: ExperimentConfig, L: int, grid_index: int, trials):
         streams.append(stream)
         cigs.append(cig)
         nodes.append(node)
-    # Slicing drops the precisions: only the covariances' square roots,
-    # from the build's eigh, are held while the Gram matrices are drawn.
+    # Slicing drops the precisions: only the roots K^-1/2, from the build's
+    # eigh, are held while the Gram matrices are drawn.
     roots, rhos = build_model_stack(cigs, config.B, config.beta, config.coupling, streams)[1:]
     grams = sample_gram_stack(roots, L, streams)
     del roots, streams

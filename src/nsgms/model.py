@@ -2,13 +2,14 @@
 
 A model is a stack of B precision matrices sharing one graph:
 off-diagonal precision entries are nonzero exactly on the graph's edges,
-and every covariance matrix has its eigenvalues inside a band [1, beta].
-A :class:`BlockModel` is stated by its precisions alone: it derives its
-covariances by one rule, :func:`covariances_of` its precisions, and checks
-on construction that p, B and L are integers >= 1, that 1 < beta < 2^52, and
-that its precisions are finite and exactly symmetric.  Positive
-definiteness is checked where the covariances are factored
-(:mod:`nsgms.sampling`).
+and every covariance matrix K^-1 has its eigenvalues inside a band
+[1, beta].  A :class:`BlockModel` is its precisions and nothing more: it
+checks on construction that p, B and L are integers >= 1, that
+1 < beta < 2^52, and that its precisions are finite and exactly
+symmetric.  Every draw from a model goes through one root per block,
+:func:`inverse_square_roots`, K^-1/2 = V diag(lambda^-1/2) V^T from the
+eigendecomposition of K; positive definiteness is checked where that root
+is formed.  No covariance is formed anywhere.
 
 Construction recipe: per block, start from K = I + W where W is symmetric
 with support on the edges and entries drawn uniformly from
@@ -32,17 +33,16 @@ and forms no roots.
 
 n models of one shape are built on one (n*B, p, p) stack
 (:func:`build_model_stack`): each model draws all its W entries from its
-own stream in one call, and then one scatter, one ``eigh``, one band map,
-one root scaling and one strength reduction serve them all, with a root
-check per model.  No covariance is formed: that ``eigh`` gives each
-covariance's square root, which is all the Gram sampler needs.  Every
-step is per block, so a stacked model is bit for bit the model built
-alone; :func:`build_block_model` is the case n = 1.
+own stream in one call, and then one scatter, one ``eigh``, one band map
+and one strength reduction serve them all, and each model's roots are
+formed and checked from that ``eigh``, one model at a time.  Every step
+is per block, so a stacked model is bit for bit the model built alone;
+:func:`build_block_model` is the case n = 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -50,7 +50,7 @@ import numpy as np
 from .errors import ConstructionFailure, InvalidParameterError, NotPositiveDefiniteError
 from .graph import Cig, _positive_int
 
-#: relative tolerance on ||F^T K F - I||_inf of a square root F of C = K^-1, scaled by p
+#: relative tolerance on ||F K F - I||_inf of a built root F = K^-1/2, scaled by p
 INVERSION_TOL = 1e-8
 
 #: slack allowed on the covariance eigenvalue band [1, beta]
@@ -71,14 +71,14 @@ class BlockModel:
     """B zero-mean Gaussian blocks of size p, each stated by its precision matrix.
 
     ``precisions`` is a (B, p, p) float64 stack; a sequence of B p x p
-    matrices is stacked on construction.  ``covariances`` is not an
-    argument: it is derived, :func:`covariances_of` the precisions.
-    Construction checks that p, B and L are integers >= 1, that
-    1 < beta < 2^52, and that the precisions are finite and exactly
-    symmetric, in that order, before the covariances are formed.  Positive
-    definiteness is checked where the covariances are factored:
+    matrices is stacked on construction.  Construction checks that p, B
+    and L are integers >= 1, that 1 < beta < 2^52, and that the precisions
+    are finite and exactly symmetric, in that order.  Positive
+    definiteness is checked where a root is formed
+    (:func:`inverse_square_roots`): by
     :class:`~nsgms.sampling.BlockDraws`, :func:`~nsgms.sampling.sample_process`
-    and :func:`~nsgms.sampling.sample_grams`.
+    and :func:`~nsgms.sampling.sample_grams`, so a singular or indefinite
+    model is built, and fails when it is drawn from.
     """
 
     p: int
@@ -86,7 +86,6 @@ class BlockModel:
     L: int
     beta: float
     precisions: np.ndarray
-    covariances: np.ndarray = field(init=False)
 
     def __post_init__(self):
         for name in ("p", "B", "L"):
@@ -102,12 +101,11 @@ class BlockModel:
             )
         _check_finite(K, "precisions")
         # Exact, not within a tolerance: a built stack is bit-symmetric and a
-        # written one loads back exactly, and only then are the covariances
-        # the inverse of the precisions held.
+        # written one loads back exactly, and eigh, which forms the roots,
+        # reads one triangle only.
         if not np.array_equal(K, K.swapaxes(1, 2)):
             raise InvalidParameterError("precisions are not symmetric")
         object.__setattr__(self, "precisions", K)
-        object.__setattr__(self, "covariances", covariances_of(K))
 
 
 @dataclass(frozen=True)
@@ -127,8 +125,8 @@ def _spectrum_to_band(K: np.ndarray, beta: float):
     ``K`` is a (B, p, p) stack; it is overwritten.  Returns the mapped
     precision stack K_new together with its eigenvalues and eigenvectors,
     all from one symmetric eigendecomposition per block;
-    :func:`build_model_stack` turns the latter two into square roots of
-    K_new's inverse.  The map acts entrywise, so K_new is as exactly
+    :func:`build_model_stack` turns the latter two into K_new's roots
+    K_new^-1/2.  The map acts entrywise, so K_new is as exactly
     symmetric as K.
     """
     evals, vecs = np.linalg.eigh(K)
@@ -147,19 +145,24 @@ def _spectrum_to_band(K: np.ndarray, beta: float):
     return K, new_evals, vecs
 
 
-def covariances_of(precisions: np.ndarray) -> np.ndarray:
-    """0.5 * (C + C^T) with C = K^-1, per block of a precision stack K.
+def inverse_square_roots(evals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """K^-1/2 = V diag(lambda^-1/2) V^T per block, from ``np.linalg.eigh(K)``
+    of a precision stack K, written over ``vecs``.
 
-    Every :class:`BlockModel` gets its covariances by this one rule.  The
-    transpose is copied first, so the sum runs on two contiguous stacks;
-    a sum with the strided transpose makes numpy allocate an iteration buffer
-    as large as the stack.
+    The root every draw goes through: X = F Z has covariance F F^T = K^-1.
+    Each eigenvector enters twice, so the root does not depend on the signs
+    LAPACK gives them, nor on the basis it picks where eigenvalues repeat,
+    and a rounding-level change to K moves it at rounding level.  It is
+    formed as U U^T with U = V diag(lambda^-1/4), which is exactly
+    symmetric.  An eigenvalue lambda <= 0 raises
+    :class:`NotPositiveDefiniteError`.
     """
-    C = np.linalg.inv(precisions)
-    out = C.swapaxes(-1, -2).copy()
-    out += C
-    out *= 0.5
-    return out
+    # Checked first: the square root would warn and give NaN roots instead.
+    if np.any(evals <= 0):
+        raise NotPositiveDefiniteError("precision matrix is not positive definite")
+    vecs /= np.sqrt(np.sqrt(evals))[..., None, :]
+    vecs[...] = vecs @ vecs.swapaxes(-1, -2)
+    return vecs
 
 
 def _coupling_draws(cig: Cig, B: int, coupling: float, seed) -> np.ndarray:
@@ -240,25 +243,24 @@ def build_model_stack(cigs, B: int, beta: float, coupling: float, seeds):
     """Precision and root stacks, each (n, B, p, p), of n models built at
     once, and each model's minimum edge strength.
 
-    A block's root F = V diag(lambda^-1/2), from the band map's ``eigh``, has
-    F F^T = C = K^-1.  Model k has graph ``cigs[k]`` and draws its W entries
-    on ``seeds[k]`` (see :func:`_coupling_draws`); it is bit for bit the
-    model :func:`build_block_model` builds from that pair.  Each model's
-    mapped eigenvalues must be positive (:class:`NotPositiveDefiniteError`),
-    then F^T K F = I must hold within ``INVERSION_TOL * p``
-    (:class:`ConstructionFailure`) and its precisions must be finite, which
-    makes its roots finite; the first model that fails raises.
+    A block's root is F = K^-1/2 (:func:`inverse_square_roots`), formed
+    from the band map's ``eigh`` in that model's own eigenvector buffer.
+    Model k has graph ``cigs[k]`` and draws its W entries on ``seeds[k]``
+    (see :func:`_coupling_draws`); it is bit for bit the model
+    :func:`build_block_model` builds from that pair.  Per model, in order,
+    its mapped eigenvalues must be positive
+    (:class:`NotPositiveDefiniteError`), then F K F = I must hold within
+    ``INVERSION_TOL * p`` (:class:`ConstructionFailure`); the first model
+    that fails raises.  Last, the precisions must be finite, which makes
+    the roots finite.
     """
     n, p = len(cigs), cigs[0].p
     K_new, new_evals, roots = _banded_precisions(cigs, B, beta, coupling, seeds)
-    # Checked before the square root, which would warn and give NaN roots instead.
-    if np.any(new_evals <= 0):
-        raise NotPositiveDefiniteError("mapped precision matrix is not positive definite")
-    roots /= np.sqrt(new_evals)[:, None, :]
     K_new, roots = K_new.reshape(n, B, p, p), roots.reshape(n, B, p, p)
-    # One model at a time, so a residual holds B blocks, not the stack.
-    for K, F in zip(K_new, roots):
-        e = np.abs(F.swapaxes(1, 2) @ K @ F - np.eye(p)).max()
+    # One model at a time, so a root's product and a residual hold B blocks, not the stack.
+    for K, evals, F in zip(K_new, new_evals.reshape(n, B, p), roots):
+        inverse_square_roots(evals, F)
+        e = np.abs(F @ K @ F - np.eye(p)).max()
         if e > INVERSION_TOL * p:
             raise ConstructionFailure(f"inversion residual {e:.3e} exceeds tolerance")
     _check_finite(K_new, "precisions")
@@ -314,9 +316,11 @@ def min_edge_strength(model: BlockModel, cig: Cig) -> float:
 
 
 def covariance_eig_range(model: BlockModel):
-    """Extreme covariance eigenvalues over all blocks."""
-    evals = np.linalg.eigvalsh(model.covariances)
-    return evals[:, 0].min(), evals[:, -1].max()
+    """Extreme covariance eigenvalues over all blocks: the reciprocals of the
+    precisions' eigenvalues, so a singular block gives an infinite one."""
+    with np.errstate(divide="ignore"):
+        evals = 1.0 / np.linalg.eigvalsh(model.precisions)
+    return evals.min(), evals.max()
 
 
 def verify_assumptions(model: BlockModel, cig: Cig, rho_min: float, s: int) -> ModelReport:

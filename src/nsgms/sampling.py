@@ -4,19 +4,23 @@ The estimator reads block b only through its Gram matrix W_b = X_b X_b^T,
 so there are two samplers:
 
 - :func:`sample_process` draws the L i.i.d. zero-mean columns of each
-  block, or of the listed blocks, as G @ Z with G the Cholesky factor of
-  the block's covariance and Z one p x L standard normal draw.  Z is drawn
-  straight into the block's output and turned into G @ Z in place, a
-  chunk of columns at a time, so a draw holds its output and one small
-  buffer.  Every check that needs columns, such as the projection oracle,
-  uses it.  :class:`BlockDraws` yields the same blocks one at a time, each
-  drawn by :func:`sample_process` into one reused buffer; the ``sample``
-  command writes them as they come, so it holds one block, not the stack.
+  block, or of the listed blocks, as F @ Z with F = K^-1/2 the root of the
+  block's precision matrix K (:func:`~nsgms.model.inverse_square_roots`)
+  and Z one p x L standard normal draw.  Z is drawn straight into the
+  block's output and turned into F @ Z in place, a chunk of columns at a
+  time, so a draw holds its output and one small buffer.  Every check
+  that needs columns, such as the projection oracle, uses it.
+  :class:`BlockDraws` yields the same blocks one at a time, each drawn by
+  :func:`sample_process` into one reused buffer; the ``sample`` command
+  writes them as they come, so it holds one block, not the stack.
 - :func:`sample_grams` draws W_b itself from its Wishart law, in O(p^2)
   numbers per block whatever L is; :func:`sample_gram_stack` does so for
-  n models at once, from any square roots of their covariances.  The Monte
-  Carlo harness uses the latter on the roots of the model build
-  (:func:`~nsgms.model.build_model_stack`) and never materialises columns.
+  n models at once, from their roots.  :func:`sample_grams` forms its
+  model's roots from ``eigh`` of the precisions; the Monte Carlo harness
+  takes them from the model build (:func:`~nsgms.model.build_model_stack`)
+  and never materialises columns.  Both are K^-1/2, a continuous function
+  of K, so a rounding-level change to a model moves every draw from it at
+  rounding level only.
 
 Samples are one (B, p, L) stack (:class:`SampleBlocks`) and Gram matrices
 one (B, p, p) stack (:class:`GramBlocks`).
@@ -40,17 +44,15 @@ contain non-finite values" for such input.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, NotPositiveDefiniteError
-from .model import BlockModel
+from .errors import InvalidParameterError
+from .model import BlockModel, inverse_square_roots
 
-#: relative tolerance on the Cholesky reconstruction ||G G^T - C||_inf
-CHOLESKY_TOL = 1e-10
-
-#: bytes of one chunk of columns that :func:`sample_process` multiplies by G
+#: bytes of one chunk of columns that :func:`sample_process` multiplies by F
 _CHUNK_BYTES = 1 << 18
 
 
@@ -114,53 +116,32 @@ class GramBlocks:
         return self.B * self.L
 
 
-def cholesky_factor(C: np.ndarray) -> np.ndarray:
-    """Lower-triangular G with G @ G^T == C, for symmetric positive-definite C.
-
-    ``C`` is a p x p matrix or a (B, p, p) stack, checked block by block with
-    tolerances scaled by each block's largest entry; G has the shape of C.
-    """
-    C = np.asarray(C, dtype=float)
-    if C.ndim not in (2, 3) or C.shape[-1] != C.shape[-2]:
-        raise InvalidParameterError(f"expected p x p or (B, p, p), got shape {C.shape}")
-    scale = np.abs(C).max(axis=(-2, -1))
-    # C^T - C on a contiguous copy of C^T: no stack-sized iteration buffer.
-    asymmetry = C.swapaxes(-1, -2).copy()
-    asymmetry -= C
-    # A NaN compares false, so it fails here as in np.allclose.
-    if not np.all(np.abs(asymmetry, out=asymmetry).max(axis=(-2, -1))
-                  <= 1e-12 * np.maximum(1.0, scale)):
-        raise InvalidParameterError("matrix is not symmetric")
-    del asymmetry
-    try:
-        G = np.linalg.cholesky(C)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefiniteError("matrix is not positive definite") from None
-    residual = G @ G.swapaxes(-1, -2)
-    residual -= C
-    err = np.abs(residual, out=residual).max(axis=(-2, -1))
-    del residual
-    if np.any(err > CHOLESKY_TOL * np.maximum(scale, 1e-300)):
-        raise NotPositiveDefiniteError(f"Cholesky reconstruction error {err.max():.3e} too large")
-    return G
-
-
 def _chunk_columns(p: int) -> int:
     """Columns per chunk: about ``_CHUNK_BYTES`` of a p-row block, a multiple of 8, at least 8."""
     return max(8, _CHUNK_BYTES // (8 * p) // 8 * 8)
 
 
-def sample_process(model: BlockModel, seed, blocks=None, out=None) -> SampleBlocks:
-    """Draw L i.i.d. columns for the listed blocks (default all B), block b with covariance C^(b).
+def _is_block(b, B: int) -> bool:
+    """Whether ``b`` is an integer of any type but bool in 0..B-1: the rule of
+    ``graph._positive_int``, 0-based."""
+    try:
+        return not isinstance(b, bool) and 0 <= operator.index(b) < B
+    except TypeError:  # not an integer, e.g. 1.0
+        return False
 
-    Block b draws on its own (seed, b) stream, so it comes out bit for bit
-    the same whichever other blocks are drawn with it; the result stacks the
+
+def sample_process(model: BlockModel, seed, blocks=None, out=None) -> SampleBlocks:
+    """Draw L i.i.d. columns for the listed blocks (default all B), block b with covariance K_b^-1.
+
+    ``blocks`` lists integer block indices in 0..B-1, bool excluded.  Block
+    b draws on its own (seed, b) stream, so it comes out bit for bit the
+    same whichever other blocks are drawn with it; the result stacks the
     listed blocks in the order given.  ``out``, a writable C-contiguous
     (n, p, L) float64 array for n listed blocks, receives the draw in place
     of a new stack.
 
     Each block's normals Z are drawn into its output, in the order of
-    ``standard_normal((p, L))``, and replaced by G @ Z one chunk of about
+    ``standard_normal((p, L))``, and replaced by F @ Z one chunk of about
     256 KiB of columns at a time through one reused buffer, so no p x L
     array is allocated besides the output.  The draws are those of one
     product over the whole block, but not always its rounding: chunks are
@@ -169,7 +150,7 @@ def sample_process(model: BlockModel, seed, blocks=None, out=None) -> SampleBloc
     block, by about an ulp of the column's scale.
     """
     blocks = list(range(model.B) if blocks is None else blocks)
-    if not blocks or not all(0 <= b < model.B for b in blocks):
+    if not blocks or not all(_is_block(b, model.B) for b in blocks):
         raise InvalidParameterError(f"blocks {blocks} must name one or more of 0..{model.B - 1}")
     p, L = model.p, model.L
     shape = (len(blocks), p, L)
@@ -178,15 +159,15 @@ def sample_process(model: BlockModel, seed, blocks=None, out=None) -> SampleBloc
     elif (out.shape != shape or out.dtype != np.float64
           or not (out.flags.c_contiguous and out.flags.writeable)):
         raise InvalidParameterError(f"out must be a writable C-contiguous float64 array of shape {shape}")
-    factors = cholesky_factor(model.covariances[blocks])
+    roots = inverse_square_roots(*np.linalg.eigh(model.precisions[blocks]))
     w = _chunk_columns(p)
     buf = np.empty((p, min(w, L)))
-    for X, b, G in zip(out, blocks, factors):
+    for X, b, F in zip(out, blocks, roots):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(b,)))
         rng.standard_normal(out=X)
         for lo in range(0, L, w):
             chunk = buf[:, :min(w, L - lo)]
-            np.matmul(G, X[:, lo:lo + w], out=chunk)
+            np.matmul(F, X[:, lo:lo + w], out=chunk)
             X[:, lo:lo + w] = chunk
     return SampleBlocks(p=p, B=len(blocks), L=L, data=out)
 
@@ -201,16 +182,15 @@ class BlockDraws:
     writer of the blocks thus holds one block (the buffer, and the small
     chunk :func:`sample_process` multiplies through) instead of the
     (B, p, L) stack, and allocates no block-sized array after the first
-    block.  Every block's covariance is factored and checked on
-    construction, so a model that cannot be sampled fails before anything
-    is drawn or written.
+    block.  Every block's root is formed on construction, so a model that
+    is not positive definite fails before anything is drawn or written.
     """
 
     model: BlockModel
     seed: int
 
     def __post_init__(self):
-        cholesky_factor(self.model.covariances)
+        inverse_square_roots(*np.linalg.eigh(self.model.precisions))
 
     p = property(lambda self: self.model.p)
     B = property(lambda self: self.model.B)
@@ -225,13 +205,13 @@ class BlockDraws:
 def sample_gram_stack(factors: np.ndarray, L: int, seeds) -> np.ndarray:
     """Draw the Gram matrices of n models' blocks at once, without their columns.
 
-    ``factors`` is the (n, B, p, p) stack of the blocks' covariance roots,
-    any square root F with F F^T = C: the model build's or the Cholesky
-    factor (:func:`cholesky_factor`).  Model k draws on ``seeds[k]``,
+    ``factors`` is the (n, B, p, p) stack of the blocks' roots, any F with
+    F F^T = C the block's covariance; every caller passes K^-1/2, the model
+    build's or :func:`sample_grams`'.  Model k draws on ``seeds[k]``,
     anything ``np.random.default_rng`` takes (a Generator or bit generator
     is drawn from in place); returns the (n, B, p, p) stack of W_b =
-    X_b X_b^T.  On Cholesky factors, each model's is bit for bit what
-    :func:`sample_grams` draws for it alone.
+    X_b X_b^T.  Each model's is bit for bit what it draws alone on the
+    same roots.
     W_b = (F A)(F A)^T, with A the p x min(p, L) lower-trapezoidal Bartlett
     factor: A_kk = sqrt(chi^2_{L-k}) for k = 0, 1, ..., and N(0, 1) entries
     below the diagonal (Bartlett 1933; Odell & Feiveson 1966).  A is
@@ -269,9 +249,11 @@ def sample_gram_stack(factors: np.ndarray, L: int, seeds) -> np.ndarray:
 def sample_grams(model: BlockModel, seed) -> GramBlocks:
     """Draw each block's Gram matrix X_b X_b^T directly, without its L columns.
 
-    The case n = 1 of :func:`sample_gram_stack`, which gives the law.
+    The case n = 1 of :func:`sample_gram_stack`, which gives the law, on the
+    roots K^-1/2 of the model's precisions.
     """
-    (grams,) = sample_gram_stack(cholesky_factor(model.covariances)[None], model.L, [seed])
+    roots = inverse_square_roots(*np.linalg.eigh(model.precisions))
+    (grams,) = sample_gram_stack(roots[None], model.L, [seed])
     return GramBlocks(p=model.p, B=model.B, L=model.L, grams=grams)
 
 

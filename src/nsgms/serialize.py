@@ -5,12 +5,13 @@ Model files:
     block 1
     <p rows of p whitespace-separated precision entries>
     ...
-Covariances are not stored: a loaded model is parsed, then constructed as
-a built one is, so :class:`~nsgms.model.BlockModel` derives its covariances
-from its precisions and checks the header's beta (1 < beta < 2^52) and that
-the precisions are finite and exactly symmetric.  A file that states no
-valid model raises :class:`FormatError`; positive definiteness is checked
-where the covariances are factored, as for a built model.
+A model is its precisions: a loaded model is parsed, then constructed as
+a built one is, so :class:`~nsgms.model.BlockModel` checks the header's
+beta (1 < beta < 2^52) and that the precisions are finite and exactly
+symmetric.  A file that states no valid model raises
+:class:`FormatError`.  A singular or indefinite block loads; positive
+definiteness is checked where a root K^-1/2 is formed, as for a built
+model.
 
 Sample files:
     nsgms-samples v1 p=<p> B=<B> L=<L>

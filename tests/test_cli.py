@@ -63,8 +63,8 @@ def test_sample_then_estimate_pipeline(tmp_path, model_path):
 # samples of ``sample --seed 7`` from the ``model_path`` model.  The digests
 # hold for a given numpy, LAPACK and BLAS build.
 NODE_PINS = [
-    (2, "c63530a7c54e724450fb5a2d1370af8331bbc0dc3be0c89542d930d6becd99e6"),
-    (3, "fe739199658e26540ebca932ba63d1ce9126adb0e96ab99dd068363ae5c78f2f"),
+    pytest.param(2, "3d1dba96619e5393c000e548aa3b3364d4b4202e302e62462b8b08b0c34aec60", id="s2"),
+    pytest.param(3, "0fc5d8bc523539a130a0a3b76359efee9daa6a20b586d10e5d1cf2ec114d5d40", id="s3"),
 ]
 
 
@@ -503,9 +503,9 @@ def test_numerical_errors_exit_3(tmp_path):
 
 @pytest.mark.parametrize("binary", [False, True])
 def test_sample_of_an_indefinite_model_exits_3_and_writes_nothing(tmp_path, capsys, binary):
-    # Block 1 is fine; block 2's precision has a negative eigenvalue, so its
-    # covariance has no Cholesky factor.  Every block is checked before the
-    # output is opened, though blocks are drawn only as they are written.
+    # Block 1 is fine; block 2's precision has a negative eigenvalue, so it
+    # has no root K^-1/2.  Every block is checked before the output is
+    # opened, though blocks are drawn only as they are written.
     mpath, spath = tmp_path / "m.txt", tmp_path / "samples.out"
     mpath.write_text("nsgms-model v1 p=3 B=2 L=16 beta=2\n"
                      "block 1\n1 0 0\n0 1 0\n0 0 1\n"
@@ -513,6 +513,17 @@ def test_sample_of_an_indefinite_model_exits_3_and_writes_nothing(tmp_path, caps
     assert run("sample", mpath, "--seed", 1, "-o", spath, *["--binary"] * binary) == 3
     assert "not positive definite" in capsys.readouterr().err
     assert not spath.exists() and not Path(f"{spath}.meta").exists()
+
+
+@pytest.mark.parametrize("block", ["0 0\n0 0", "1 2\n2 1"], ids=["singular", "indefinite"])
+def test_sample_of_a_singular_or_indefinite_block_exits_3_with_one_message(tmp_path, capsys, block):
+    # A singular block loads as any model does; both fail where the root is formed.
+    mpath, spath = tmp_path / "m.txt", tmp_path / "samples.out"
+    mpath.write_text(f"nsgms-model v1 p=2 B=1 L=4 beta=2\nblock 1\n{block}\n")
+    assert load_model(mpath).precisions.shape == (1, 2, 2)
+    assert run("sample", mpath, "--seed", 1, "-o", spath) == 3
+    assert capsys.readouterr().err == "numerical failure: precision matrix is not positive definite\n"
+    assert not spath.exists()
 
 
 def test_version_flag(capsys):

@@ -15,6 +15,7 @@ from nsgms import (
     to_block_samples,
 )
 from nsgms.errors import InvalidParameterError
+from nsgms.model import inverse_square_roots
 from nsgms.sampling import SampleBlocks
 
 
@@ -167,14 +168,15 @@ def test_report_needs_two_columns():
 P_VAR, A_VAR, W_VAR = 8, 0.5, 16
 
 
-def var1_record(cov, N, seed):
-    """x_t = a x_{t-1} + e_t with e_t ~ N(0, cov), a p x N stationary stretch.
+def var1_record(K, N, seed):
+    """x_t = a x_{t-1} + e_t with e_t ~ N(0, K^-1), a p x N stationary stretch.
 
     x_t is the sum over k < 64 of a^k e_{t-k}; a^64 < 1e-17, so the rest of
     the series lies below an ulp.  The sum is built by doubling: after each
     step the array holds the sum over k < 2m of the one over k < m.
     """
-    e = np.linalg.cholesky(cov) @ np.random.default_rng(seed).standard_normal((P_VAR, N + 63))
+    root = inverse_square_roots(*np.linalg.eigh(K))
+    e = root @ np.random.default_rng(seed).standard_normal((P_VAR, N + 63))
     m = 1
     while m < 64:
         e = e[:, m:] + A_VAR**m * e[:, :-m]
@@ -188,7 +190,7 @@ def recovered_through_decorrelate(seed, N):
     # cov^{-1}, with the same rho_min (Dahlhaus, Metrika 2000).
     cig = random_cig(P_VAR, 2, seed)
     model = build_block_model(cig, 1, 1, 2.0, 0.4, seed + 100)
-    x = var1_record(model.covariances[0], N, seed + 200)
+    x = var1_record(model.precisions[0], N, seed + 200)
     blocks = to_block_samples(StationarySeries(p=P_VAR, N=N, data=x, W=W_VAR))
     lam = default_lambda(min_edge_strength(model, cig))
     return estimate_graph(blocks, EstimatorConfig(s=2, lam=lam)).edges == cig.edges

@@ -39,8 +39,8 @@ from nsgms.experiments import (
     run_phase_transition,
     wilson_interval,
 )
-from nsgms.model import _coupling_draws, build_model_stack, covariances_of
-from nsgms.sampling import cholesky_factor, sample_gram_stack
+from nsgms.model import _coupling_draws, build_model_stack
+from nsgms.sampling import sample_gram_stack
 
 BASE_CONFIG = """
 # recovery sweep
@@ -341,7 +341,7 @@ def old_layout_trial(cfg, L, t):
 def new_layout_trial(cfg, L, t):
     """The same draws as ``_run_trials`` makes them, all on trial t's stream.
 
-    With identity covariance factors a Gram matrix is A A^T, so its Cholesky
+    With identity roots a Gram matrix is A A^T, so its Cholesky
     factor is the Bartlett factor A, whose squared diagonal is the chi-square draws.
     """
     stream, cig, _ = _draw_trial(cfg, 0, t)
@@ -382,14 +382,14 @@ def test_one_stream_per_trial_keeps_the_law_of_every_draw():
 def normalised_gram_entries(cfg, L, trials, through_cholesky):
     """W_ij / sqrt(C_ii C_jj) at a few fixed (block, i, j) of each trial's Grams,
     drawn as ``_run_trials`` draws them but through the build's root F or
-    through the Cholesky factor of the model's covariances, C = F F^T."""
+    through the Cholesky factor of the model's covariance C = K^-1 = F F^T."""
     picks = [(0, 0, 0), (0, 1, 0), (0, 7, 3), (cfg.B - 1, 5, 2)]
     out = []
     for t in trials:
         stream, cig, _ = _draw_trial(cfg, 0, t)
         (K,), roots, _ = build_model_stack([cig], cfg.B, cfg.beta, cfg.coupling, [stream])
-        C = covariances_of(K)
-        factors = cholesky_factor(C)[None] if through_cholesky else roots
+        C = np.linalg.inv(K)
+        factors = np.linalg.cholesky(C)[None] if through_cholesky else roots
         (W,) = sample_gram_stack(factors, L, [stream])
         out.append([W[b, i, j] / math.sqrt(C[b, i, i] * C[b, j, j]) for b, i, j in picks])
     return np.array(out)
@@ -443,20 +443,21 @@ master_seed = {seed}
 
 
 # sha256 of ``experiment --no-timings`` CSVs, recorded when each pilot and
-# trial came to draw everything on its one stream, and again when trials came
-# to draw their Gram matrices through the model build's square roots; a change
-# that keeps the streams and the roots must not move the bytes.
+# trial came to draw everything on its one stream, again when trials came to
+# draw their Gram matrices through the model build's square roots, and again
+# when those roots became the sign-free K^-1/2; a change that keeps the
+# streams and the roots must not move the bytes.
 @pytest.mark.parametrize("text, sha", [
     (ACCEPTANCE.format(grid="N_grid = 1e-4x, 0.1x, 1x, 752", trials=20, seed=20260824),
-     "51260180eee69b5de2af1fd23c76af83afea72d4074343aa0f14773e2097bd8f"),
+     "34e9d200a785e9e0700797d8fe175eef10629e2ca6b0113188dda923210eba05"),
     (ACCEPTANCE.format(grid="N_grid = 0.01x, 1x, 300", trials=7, seed=3),
      "e5fc5b30fe98bbddd66d270317797ecd3c03775c5e947857a7a656420acf35a7"),
     ("p = 10\ns_true = 2\ns_est = 3\nB = 3\nN_grid = 0.05x, 1x, 600\nbeta = 2.5\n"
      "coupling = 0.5\ntrials = 9\neta = 0.05\nmaster_seed = 11\n",
-     "e4c476b3b9576d0bc47fa0a8e2664b2eaf2a8e736c20f92ceeb11c3e5de01873"),
+     "6305ac066891b7b5f468caa64a7723b9ae71932f8b3e45356d6c1644b2700ce1"),
     ("p = 7\ns_true = 2\ns_est = 2\nB = 9\nL_grid = 10, 40, 400\nbeta = 3.0\n"
      "coupling = 0.3\ntrials = 6\neta = 0.1\nmaster_seed = 42\nlambda_mode = 0.01\n",
-     "78654a5ddadc7e93258e178764487a6d0ac2ec07de4922534a9dceb910845246"),
+     "a2c212e4e0d64220daf9836c2f15e1afc1a38d49c6e8955d167cbbb799b20af6"),
 ], ids=["acceptance", "trials-7", "p10-s3-B3", "L-grid"])
 def test_experiment_csv_bytes_are_pinned(tmp_path, text, sha):
     cpath, out = tmp_path / "sweep.cfg", tmp_path / "sweep.csv"

@@ -1,5 +1,6 @@
 """Graphs, block models, partial correlations, and assumption checks."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -24,7 +25,7 @@ from nsgms.model import (
     _spectrum_to_band,
     build_model_stack,
     covariance_eig_range,
-    covariances_of,
+    inverse_square_roots,
     pilot_min_edge_strengths,
 )
 
@@ -244,7 +245,7 @@ def test_coupling_draws_decode_the_scalar_loop(p, B, coupling, seed, edgeless, d
 
 def test_block_model_stacks_a_tuple_of_matrices():
     model = model_from_precisions([np.eye(3), 2 * np.eye(3)])
-    assert model.precisions.shape == model.covariances.shape == (2, 3, 3)
+    assert model.precisions.shape == (2, 3, 3)
     assert model.precisions.dtype == np.float64
 
 
@@ -268,9 +269,10 @@ def test_block_model_rejects_non_finite_values(bad):
         BlockModel(p=3, B=2, L=4, beta=2.0, precisions=K)
 
 
-def test_block_model_derives_its_covariances_from_its_precisions():
-    model = model_from_precisions([np.array([[2.0, 0.5], [0.5, 1.0]]), 4 * np.eye(2)])
-    assert model.covariances.tobytes() == covariances_of(model.precisions).tobytes()
+def test_block_model_is_its_precisions():
+    # A singular or indefinite block is a model; it fails where a root is formed.
+    model = model_from_precisions([np.array([[2.0, 0.5], [0.5, 1.0]]), np.zeros((2, 2))])
+    assert [f.name for f in dataclasses.fields(model)] == ["p", "B", "L", "beta", "precisions"]
     with pytest.raises(TypeError):
         BlockModel(p=2, B=1, L=4, beta=2.0, precisions=np.eye(2)[None], covariances=np.eye(2)[None])
 
@@ -329,7 +331,7 @@ def test_eigenvalues_match_characteristic_polynomial_roots():
     # Independent eigenvalue oracle for p <= 3: roots of det(C - x I).
     g = Cig(p=3, edges=frozenset({frozenset({1, 2}), frozenset({2, 3})}))
     model = build_block_model(g, 2, 8, 2.0, 0.4, 5)
-    for C in model.covariances:
+    for C in np.linalg.inv(model.precisions):
         c2 = -np.trace(C)
         c1 = 0.5 * (np.trace(C) ** 2 - np.trace(C @ C))
         c0 = -np.linalg.det(C)
@@ -476,17 +478,19 @@ def test_stacked_models_are_bitwise_the_models_built_alone(p, B, n, beta, coupli
 @pytest.mark.parametrize("p, B, beta, coupling", [(8, 4, 2.0, 0.4), (3, 1, 1.1, 0.95),
                                                    (11, 9, 10.0, 0.05)])
 def test_stacked_roots_are_square_roots_of_the_covariances_built_alone(p, B, beta, coupling):
-    # Four models, one edgeless, on one stack: each block's root F has
-    # F F^T = C (the model's covariance, K's symmetrised inverse) and
-    # F^T K F = I, and is bit for bit the root of the model built alone.
+    # Four models, one edgeless, on one stack: each block's root F = K^-1/2
+    # is exactly symmetric, has F F = K^-1 and F K F = I, is within rounding
+    # the root the samplers form from eigh of the mapped K, and is bit for
+    # bit the root of the model built alone.
     cigs = [random_cig(p, 2, 1), Cig(p=p), random_cig(p, 1, 2), random_cig(p, p - 1, 3)]
     seeds = [10, 11, 12, 13]
     precisions, roots, _ = build_model_stack(cigs, B, beta, coupling, seeds)
     identity = np.eye(p)
     for cig, seed, K, F in zip(cigs, seeds, precisions, roots):
-        C = build_block_model(cig, B, 1, beta, coupling, seed).covariances
-        assert np.abs(F @ F.swapaxes(1, 2) - C).max() <= 1e-13 * beta
-        assert np.abs(F.swapaxes(1, 2) @ K @ F - identity).max() <= 1e-13 * beta
+        assert np.array_equal(F, F.swapaxes(1, 2))
+        assert np.abs(F @ F - np.linalg.inv(K)).max() <= 1e-13 * beta
+        assert np.abs(F @ K @ F - identity).max() <= 1e-13 * beta
+        assert np.abs(F - inverse_square_roots(*np.linalg.eigh(K))).max() <= 1e-13 * beta
         assert F.tobytes() == build_model_stack([cig], B, beta, coupling, [seed])[1].tobytes()
 
 

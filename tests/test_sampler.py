@@ -1,4 +1,4 @@
-"""Cholesky factorization and seeded block sampling, as columns and as Grams."""
+"""Roots K^-1/2 of the precisions, and seeded block sampling, as columns and as Grams."""
 
 import dataclasses
 import hashlib
@@ -9,47 +9,51 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nsgms.model as model_module
 from nsgms import (
+    BlockModel,
     Cig,
     GramBlocks,
     SampleBlocks,
     build_block_model,
-    cholesky_factor,
     random_cig,
     sample_grams,
     sample_process,
 )
 from nsgms.errors import InvalidParameterError, NotPositiveDefiniteError
+from nsgms.model import build_model_stack, inverse_square_roots
 from nsgms.regression import EstimatorConfig, estimate_graph, estimate_neighborhood
 from nsgms.sampling import BlockDraws, _chunk_columns, block_grams, sample_gram_stack
 
 
-def test_cholesky_identity():
-    assert np.array_equal(cholesky_factor(np.eye(4)), np.eye(4))
+def roots(K):
+    """K^-1/2 of a precision matrix or stack, as every sampler forms it."""
+    return inverse_square_roots(*np.linalg.eigh(K))
 
 
-def test_cholesky_diagonal():
-    G = cholesky_factor(np.diag([4.0, 9.0]))
-    assert np.allclose(G, np.diag([2.0, 3.0]))
+def test_root_of_the_identity_is_the_identity():
+    assert np.array_equal(roots(np.eye(4)), np.eye(4))
 
 
-def test_cholesky_random_spd_reconstructs():
+def test_root_of_a_diagonal_precision():
+    assert np.allclose(roots(np.diag([4.0, 9.0])), np.diag([0.5, 1.0 / 3.0]))
+
+
+def test_root_of_a_random_spd_precision_is_its_inverse_square_root():
     rng = np.random.default_rng(1)
     A = rng.standard_normal((5, 5))
-    C = A @ A.T + 5 * np.eye(5)
-    G = cholesky_factor(C)
-    assert np.abs(G @ G.T - C).max() <= 1e-10 * np.abs(C).max()
-    assert np.allclose(np.triu(G, 1), 0.0)
+    K = A @ A.T + 5 * np.eye(5)
+    F = roots(K)
+    assert np.array_equal(F, F.T)
+    assert np.abs(F @ K @ F - np.eye(5)).max() <= 1e-13
+    assert np.abs(F @ F - np.linalg.inv(K)).max() <= 1e-13 * np.abs(np.linalg.inv(K)).max()
 
 
-def test_cholesky_rejects_asymmetric():
-    with pytest.raises(InvalidParameterError):
-        cholesky_factor(np.array([[1.0, 0.5], [0.0, 1.0]]))
-
-
-def test_cholesky_rejects_indefinite():
-    with pytest.raises(NotPositiveDefiniteError):
-        cholesky_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
+@pytest.mark.parametrize("K", [[[1.0, 2.0], [2.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]]],
+                         ids=["indefinite", "singular"])
+def test_root_rejects_a_precision_that_is_not_positive_definite(K):
+    with pytest.raises(NotPositiveDefiniteError, match="not positive definite"):
+        roots(np.array(K))
 
 
 def spd_stack(B, p=5, seed=2):
@@ -58,27 +62,66 @@ def spd_stack(B, p=5, seed=2):
     return A @ A.swapaxes(1, 2) + p * np.eye(p)
 
 
-def test_cholesky_stack_matches_per_block_factors():
-    C = spd_stack(6)
-    G = cholesky_factor(C)
-    assert G.shape == C.shape
+def test_root_stack_matches_per_block_roots():
+    K = spd_stack(6)
+    F = roots(K)
+    assert F.shape == K.shape
     for b in range(6):
-        assert np.array_equal(G[b], cholesky_factor(C[b]))
+        assert np.array_equal(F[b], roots(K[b]))
 
 
-def test_cholesky_stack_rejects_one_indefinite_block():
-    C = spd_stack(4)
-    C[2, 4, 4] = -1.0  # a negative diagonal entry rules out positive definiteness
+def test_root_stack_rejects_one_indefinite_block():
+    K = spd_stack(4)
+    K[2, 4, 4] = -1.0  # a negative diagonal entry rules out positive definiteness
     with pytest.raises(NotPositiveDefiniteError):
-        cholesky_factor(C)
+        roots(K)
 
 
-@pytest.mark.parametrize("bad", [0.5, np.nan])
-def test_cholesky_stack_rejects_one_asymmetric_or_nan_block(bad):
-    C = spd_stack(4)
-    C[3, 0, 1] += bad
-    with pytest.raises(InvalidParameterError):
-        cholesky_factor(C)
+def one_ulp_up(K):
+    """K with each block's (1, 1) entry one ulp higher, still exactly symmetric."""
+    K = K.copy()
+    K[..., 0, 0] = np.nextafter(K[..., 0, 0], np.inf)
+    return K
+
+
+def relative_change(a, b):
+    return np.abs(a - b).max() / np.abs(a).max()
+
+
+def test_a_one_ulp_change_to_the_precisions_moves_every_draw_at_rounding_level(monkeypatch):
+    # Every draw goes through K^-1/2, which does not depend on the signs LAPACK
+    # gives eigenvectors.  A root V diag(lambda^-1/2) flips with those signs,
+    # and through it these harness Grams move by O(1) in most of the models.
+    p, B, L = 8, 4, 50
+    cigs, seeds = [random_cig(p, 2, k) for k in range(20)], range(100, 120)
+
+    def sampler_draws(K, seed):
+        model = BlockModel(p=p, B=B, L=L, beta=2.0, precisions=K)
+        return roots(K), sample_process(model, seed).data, sample_grams(model, seed).grams
+
+    def harness_draws():
+        out = []
+        for cig, seed in zip(cigs, seeds):
+            (K,), F, _ = build_model_stack([cig], B, 2.0, 0.4, [seed])
+            out.append((K, F, sample_gram_stack(F, L, [seed])))
+        return out
+
+    models = [build_block_model(cig, B, L, 2.0, 0.4, seed) for cig, seed in zip(cigs, seeds)]
+    for model, seed in zip(models, seeds):
+        before = sampler_draws(model.precisions, seed)
+        after = sampler_draws(one_ulp_up(model.precisions), seed)
+        for a, b in zip(before, after):
+            assert relative_change(a, b) <= 1e-12
+    # The harness forms its roots inside the build, from the band map's eigh,
+    # so the change goes in before the map, which carries it to the mapped
+    # precisions at rounding level.
+    before = harness_draws()
+    spectrum_to_band = model_module._spectrum_to_band
+    monkeypatch.setattr(model_module, "_spectrum_to_band",
+                        lambda K, beta: spectrum_to_band(one_ulp_up(K), beta))
+    for draws, nudged in zip(before, harness_draws()):
+        for a, b in zip(draws, nudged):
+            assert relative_change(a, b) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -134,7 +177,7 @@ def test_block_draws_reuse_one_buffer():
     assert all(np.shares_memory(first, X) for X in rest)
 
 
-@pytest.mark.parametrize("blocks", [[], [3], [-1], [0, 3]])
+@pytest.mark.parametrize("blocks", [[], [3], [-1], [0, 3], [True], [1.0], [1.5]])
 def test_sample_process_rejects_blocks_outside_the_model(blocks):
     model = build_block_model(random_cig(4, 2, 1), 3, 10, 2.0, 0.4, 2)
     with pytest.raises(InvalidParameterError, match="blocks"):
@@ -152,11 +195,11 @@ def _chunk_edge_lengths(p):
 
 @pytest.mark.parametrize("p", [1, 16, 17])
 def test_sample_process_draws_each_blocks_stream_across_chunk_edges(p):
-    # With C = I the product is exact, so the output is the (seed, b)
-    # stream's normals bit for bit, whichever chunk a column falls in.
+    # With K = I the root is I and the product is exact, so the output is the
+    # (seed, b) stream's normals bit for bit, whichever chunk a column falls in.
     for L in _chunk_edge_lengths(p):
         model = build_block_model(Cig(p=p), 2, L, 2.0, 0.3, 6)
-        assert np.array_equal(model.covariances, np.broadcast_to(np.eye(p), (2, p, p)))
+        assert np.array_equal(roots(model.precisions), np.broadcast_to(np.eye(p), (2, p, p)))
         X = sample_process(model, 23).data
         for b in range(2):
             assert np.array_equal(X[b], _stream_normals(23, b, p, L))
@@ -166,15 +209,15 @@ def test_sample_process_draws_each_blocks_stream_across_chunk_edges(p):
 def test_sample_process_is_g_times_z_across_chunk_edges(p):
     # Chunked or not, each entry is a p-term dot product, whose rounding
     # error is at most gamma_p = p u / (1 - p u) < p * eps times that entry
-    # of |G| @ |Z|; two such roundings differ by at most twice that.
+    # of |F| @ |Z|; two such roundings differ by at most twice that.
     eps = np.finfo(float).eps
     for L in _chunk_edge_lengths(p):
         graph = random_cig(p, 2, L) if p > 1 else Cig(p=1)
         model = build_block_model(graph, 2, L, 2.0, 0.4, L)
         X = sample_process(model, 29).data
-        for b, G in enumerate(cholesky_factor(model.covariances)):
+        for b, F in enumerate(roots(model.precisions)):
             Z = _stream_normals(29, b, p, L)
-            assert np.all(np.abs(X[b] - G @ Z) <= 2 * p * eps * (np.abs(G) @ np.abs(Z)))
+            assert np.all(np.abs(X[b] - F @ Z) <= 2 * p * eps * (np.abs(F) @ np.abs(Z)))
 
 
 def _traced_peak(fn):
@@ -215,8 +258,8 @@ def test_block_draws_check_every_covariance_on_construction():
 
 def test_identity_covariance_unit_variance():
     model = build_block_model(Cig(p=3), 2, 20_000, 2.0, 0.3, 6)
-    # Empty graph plus the exact eigenvalue band forces C^(b) = I here.
-    assert all(np.allclose(C, np.eye(3)) for C in model.covariances)
+    # Empty graph plus the exact eigenvalue band forces K_b = I here.
+    assert np.allclose(model.precisions, np.eye(3))
     samples = sample_process(model, 17)
     for X in samples.data:
         var = np.mean(X * X, axis=1)
@@ -229,10 +272,11 @@ def test_block_covariances_match_model():
     L = 10_000
     model = build_block_model(g, 2, L, 2.0, 0.5, 11)
     samples = sample_process(model, 12)
-    assert not np.allclose(model.covariances[0], model.covariances[1])
+    C = np.linalg.inv(model.precisions)
+    assert not np.allclose(C[0], C[1])
     for b in range(2):
         emp = block_grams(samples)[b] / samples.L
-        err = np.linalg.norm(emp - model.covariances[b])
+        err = np.linalg.norm(emp - C[b])
         assert err <= 10.0 * model.p / np.sqrt(L)
 
 
@@ -252,7 +296,7 @@ def test_empirical_covariance_consistency():
     for seed in range(10):
         samples = sample_process(model, seed)
         emp = block_grams(samples)[0] / samples.L
-        ok += np.linalg.norm(emp - model.covariances[0]) <= 0.15
+        ok += np.linalg.norm(emp - np.linalg.inv(model.precisions[0])) <= 0.15
     assert ok >= 9
 
 
@@ -273,7 +317,7 @@ VAR_RTOL = 0.2
 def test_sample_grams_moments_match_wishart(L):
     model = build_block_model(random_cig(4, 2, 30), 2, L, 2.0, 0.5, 31)
     draws = np.stack([sample_grams(model, seed).grams for seed in range(GRAM_DRAWS)])
-    for b, C in enumerate(model.covariances):
+    for b, C in enumerate(np.linalg.inv(model.precisions)):
         W = draws[:, b]
         var_expected = L * (C * C + np.outer(np.diag(C), np.diag(C)))
         se = np.sqrt(var_expected / GRAM_DRAWS)
@@ -305,26 +349,27 @@ def test_gram_stack_is_bitwise_the_grams_sampled_alone(p, B, n, L, data):
     model_seeds = [data.draw(st.integers(0, 2**63 - 1)) for _ in range(n)]
     gram_seeds = [data.draw(st.integers(0, 2**63 - 1)) for _ in range(n)]
     models = [build_block_model(cig, B, L, 2.0, 0.4, seed) for cig, seed in zip(cigs, model_seeds)]
-    factors = cholesky_factor(np.concatenate([m.covariances for m in models])).reshape(n, B, p, p)
+    factors = roots(np.concatenate([m.precisions for m in models])).reshape(n, B, p, p)
     grams = sample_gram_stack(factors, L, gram_seeds)
     assert grams.shape == (n, B, p, p)
     for k, model in enumerate(models):
         assert grams[k].tobytes() == sample_grams(model, gram_seeds[k]).grams.tobytes()
 
 
-# sha256 of covariance and Gram stack bytes, recorded when every BlockModel
-# came to take its covariances as the symmetrised inverse of its precisions.
-@pytest.mark.parametrize("p, s, B, L, seed, cov_sha, gram_sha", [
-    (8, 2, 4, 187252, 1, "df07d033f29b7dca3fd6f4b09ae1152ec368e2186cd9ae1147344c9896e08c98",
-     "610a1f05a38d9a4a1d60629d0bc09b24466550152625d9870c973510b2d974f1"),
-    (6, 3, 9, 4, 7, "def65f515986b0dc057f18344f4b6b5541fff91db8bf993733931c72f9571db4",
-     "304597c23c3822e5abc72cbc07203ad687c767337b37bc96a0930e9bf7af1a62"),
-    (10, 3, 3, 50, 2026, "b0bf091d01bf8604f4e09fd424df4bf085e27381b9e1987e6bf7f8325cd68f74",
-     "ffe0be24ecf07987ae88cde2489705bb4ac6aabe867baebc1c2cf0f0a57e07e3"),
+# sha256 of the roots K^-1/2 that sample_grams forms and of its Gram stack,
+# recorded when every draw came to go through that one root.  The digests
+# hold for a given numpy, LAPACK (eigh) and BLAS build.
+@pytest.mark.parametrize("p, s, B, L, seed, root_sha, gram_sha", [
+    (8, 2, 4, 187252, 1, "602c8d7339171032239ace321ef3fdbe8ead08a6e7b2ad152308afea33493045",
+     "d1144da08e8a11fa2b9d5975ab21b43021ecff64d1270837aec98caa21be078c"),
+    (6, 3, 9, 4, 7, "db34a2d8f1545b2220267fe23c996a02dc332e172b06715b0fc2fae0b2065c2d",
+     "1c37f98219b90f2de973eac3fe0141e9850ed6bf43942616236e2bbb96308e18"),
+    (10, 3, 3, 50, 2026, "93aba2fcb974b4230c517279766321b0c1123c64abc5b49a201d8dec4a045d1a",
+     "b8f22f683613e17fc8b0b6718779cb13399e65332a448c59d84857aad0fc7e2c"),
 ], ids=["p8-B4-L187252", "p6-B9-L4", "p10-B3-L50"])
-def test_covariance_and_gram_streams_are_pinned(p, s, B, L, seed, cov_sha, gram_sha):
+def test_covariance_and_gram_streams_are_pinned(p, s, B, L, seed, root_sha, gram_sha):
     model = build_block_model(random_cig(p, s, seed), B, L, 2.0, 0.4, seed + 1)
-    assert hashlib.sha256(model.covariances.tobytes()).hexdigest() == cov_sha
+    assert hashlib.sha256(roots(model.precisions).tobytes()).hexdigest() == root_sha
     grams = sample_grams(model, seed + 2).grams
     assert hashlib.sha256(grams.tobytes()).hexdigest() == gram_sha
 
