@@ -62,6 +62,22 @@ def spd_stack(B, p=5, seed=2):
     return A @ A.swapaxes(1, 2) + p * np.eye(p)
 
 
+# A draw is formed from a model's precisions only, so the symmetry and
+# finiteness a Cholesky draw once checked are checked when the model is made.
+
+def test_cholesky_rejects_asymmetric():
+    with pytest.raises(InvalidParameterError, match="not symmetric"):
+        BlockModel(p=2, B=1, L=4, beta=2.0, precisions=np.array([[[1.0, 0.5], [0.0, 1.0]]]))
+
+
+@pytest.mark.parametrize("bad", [0.5, np.nan])
+def test_cholesky_stack_rejects_one_asymmetric_or_nan_block(bad):
+    K = spd_stack(4)
+    K[3, 0, 1] += bad
+    with pytest.raises(InvalidParameterError):
+        BlockModel(p=5, B=4, L=4, beta=2.0, precisions=K)
+
+
 def test_root_stack_matches_per_block_roots():
     K = spd_stack(6)
     F = roots(K)
