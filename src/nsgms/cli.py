@@ -58,7 +58,7 @@ _NUMERICAL_ERRORS = (
 
 def _cmd_model(args) -> int:
     cig = random_cig(args.p, args.s_max, args.seed)
-    model = build_block_model(cig, args.blocks, args.length, args.beta, args.coupling, args.seed + 1)
+    model = build_block_model(cig, args.blocks, args.length, args.beta, args.seed + 1)
     save_model(model, args.output)
     if args.graph:
         save_graph(cig, args.graph)
@@ -174,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("-B", "--blocks", type=int, required=True)
     q.add_argument("-L", "--length", type=int, required=True)
     q.add_argument("--beta", type=float, required=True, help="covariance eigenvalue cap")
-    q.add_argument("--coupling", type=float, required=True)
+    q.add_argument("--coupling", type=float, help="ignored; accepted so existing command lines keep working")
     q.add_argument("--seed", type=_int_at_least(0), required=True)
     q.add_argument("-o", "--output", required=True)
     q.add_argument("--graph", help="also write the ground-truth edge list here")

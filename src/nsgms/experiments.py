@@ -81,7 +81,6 @@ class ExperimentConfig:
     grid: tuple        # entries: int, or float multiplier of the calibrated bound
     grid_kind: str     # "N" or "L"
     beta: float
-    coupling: float
     lambda_mode: str   # "default" or a decimal literal
     trials: int
     eta: float
@@ -102,8 +101,6 @@ class ExperimentConfig:
             raise ConfigError(f"need a finite eta > 0, got {self.eta!r}")
         if not (math.isfinite(self.beta) and self.beta > 1):
             raise ConfigError(f"need a finite beta > 1, got {self.beta!r}")
-        if not 0 < self.coupling < 1:
-            raise ConfigError(f"need 0 < coupling < 1, got {self.coupling!r}")
         if self.s_est < self.s_true:
             raise ConfigError(f"need s_est >= s_true, got {self.s_est} < {self.s_true}")
         if self.s_est >= self.p:
@@ -153,12 +150,13 @@ class ExperimentRow:
 CSV_COLUMNS = tuple("lambda" if f.name == "lam" else f.name for f in dc_fields(ExperimentRow))
 
 _INT_KEYS = ("p", "s_true", "s_est", "B", "trials", "master_seed")
-_FLOAT_KEYS = ("beta", "coupling", "eta")
+_FLOAT_KEYS = ("beta", "eta")
 _OTHER_KEYS = ("L_grid", "N_grid", "lambda_mode")
+_IGNORED_KEYS = ("coupling",)  # the band map cancels the W scale it set (model.W_SCALE)
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse ``key = value`` lines; unknown keys are a hard error."""
+    """Parse ``key = value`` lines; unknown keys are a hard error, ``coupling`` is ignored."""
     raw = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -167,7 +165,7 @@ def parse_config(text: str) -> ExperimentConfig:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {stripped!r}")
         key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in _INT_KEYS + _FLOAT_KEYS + _OTHER_KEYS:
+        if key not in _INT_KEYS + _FLOAT_KEYS + _OTHER_KEYS + _IGNORED_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in raw:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
@@ -246,7 +244,7 @@ def _pilot_min(config: ExperimentConfig, pilots) -> float:
         rng, cig = _draw_graph(config, _CALIBRATION_KEY, k)
         streams.append(rng.bit_generator)
         cigs.append(cig)
-    return min(pilot_min_edge_strengths(cigs, config.B, config.beta, config.coupling, streams))
+    return min(pilot_min_edge_strengths(cigs, config.B, config.beta, streams))
 
 
 def calibrate_rho_min(config: ExperimentConfig) -> float:
@@ -318,7 +316,7 @@ def _run_trials(config: ExperimentConfig, L: int, grid_index: int, trials):
         nodes.append(node)
     # Slicing drops the precisions: only the roots K^-1/2, from the build's
     # eigh, are held while the Gram matrices are drawn.
-    roots, rhos = build_model_stack(cigs, config.B, config.beta, config.coupling, streams)[1:]
+    roots, rhos = build_model_stack(cigs, config.B, config.beta, streams)[1:]
     grams = sample_gram_stack(roots, L, streams)
     del roots, streams
     errors = 0

@@ -13,13 +13,14 @@ is formed.  No covariance is formed anywhere.
 
 Construction recipe: per block, start from K = I + W where W is symmetric
 with support on the edges and entries drawn uniformly from
-+-[coupling/(2*s_max), coupling/s_max] (sign and magnitude redrawn per
++-[c/(2*s_max), c/s_max], c = ``W_SCALE`` (sign and magnitude redrawn per
 block, so the family genuinely varies across blocks).  The spectrum of K
 is then mapped affinely, K <- alpha*(K + gamma*I), with alpha and gamma
 chosen from the extreme eigenvalues so the covariance eigenvalues land on
-[1, beta] exactly.  An affine map of the precision matrix preserves its
-off-diagonal zero pattern, which an affine map of the covariance would
-not, and the pattern is what encodes the graph.
+[1, beta] exactly.  This cancels c and the I: the edge strengths follow
+from beta, the graph and the W draws alone.  An affine map of the
+precision matrix preserves its off-diagonal zero pattern, which an affine
+map of the covariance would not, and the pattern encodes the graph.
 
 Edge strength is measured by the block-averaged squared ratio of the
 off-diagonal precision entry to the diagonal one; it is reported, never
@@ -59,6 +60,10 @@ EIG_BAND_TOL = 1e-9
 #: beta must lie below 1/eps = 2^52: the band map puts the precision floor 1/beta
 #: beside the top of the band at 1, and a smaller floor is lost to rounding there
 BETA_LIMIT = 2.0**52
+
+#: scale of the W entries; the band map cancels it, so ``coupling`` inputs are ignored
+#: and it stays at 0.4, the value recorded outputs were built with
+W_SCALE = 0.4
 
 #: sign of a W entry by the bit ``rng.integers(2)`` returns, and where that bit
 #: sits in a raw PCG64 word: bit 31 of its low 32-bit half, bit 63 of its high half
@@ -131,8 +136,6 @@ def _spectrum_to_band(K: np.ndarray, beta: float):
     """
     evals, vecs = np.linalg.eigh(K)
     kmin, kmax = evals[:, 0], evals[:, -1]
-    if np.any(kmin <= 0):
-        raise ConstructionFailure("precision matrix not positive definite; reduce coupling")
     # A flat spectrum (e.g. empty graph) is plainly scaled: all eigenvalues at 1.
     flat = kmax - kmin <= 1e-12 * kmax
     alpha = np.where(flat, 1.0 / kmax, (1.0 - 1.0 / beta) / np.where(flat, 1.0, kmax - kmin))
@@ -154,18 +157,20 @@ def inverse_square_roots(evals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     LAPACK gives them, nor on the basis it picks where eigenvalues repeat,
     and a rounding-level change to K moves it at rounding level.  It is
     formed as U U^T with U = V diag(lambda^-1/4), which is exactly
-    symmetric.  An eigenvalue lambda <= 0 raises
-    :class:`NotPositiveDefiniteError`.
+    symmetric.  A block with lambda_min <= p*eps*lambda_max, the floor of
+    numpy's ``matrix_rank``, raises :class:`NotPositiveDefiniteError`: eigh
+    puts a singular block's zero eigenvalue at rounding level, of either sign.
     """
-    # Checked first: the square root would warn and give NaN roots instead.
-    if np.any(evals <= 0):
+    # Checked first: the square root would warn and give NaN or huge roots instead.
+    floor = evals.shape[-1] * np.finfo(float).eps * evals[..., -1]
+    if not np.all(evals[..., 0] > floor):
         raise NotPositiveDefiniteError("precision matrix is not positive definite")
     vecs /= np.sqrt(np.sqrt(evals))[..., None, :]
     vecs[...] = vecs @ vecs.swapaxes(-1, -2)
     return vecs
 
 
-def _coupling_draws(cig: Cig, B: int, coupling: float, seed) -> np.ndarray:
+def _w_draws(cig: Cig, B: int, seed) -> np.ndarray:
     """One model's W entries, in block then edge order, from one raw draw on ``seed``.
 
     ``seed`` is anything ``np.random.default_rng`` takes; a Generator or bit
@@ -182,7 +187,7 @@ def _coupling_draws(cig: Cig, B: int, coupling: float, seed) -> np.ndarray:
     """
     rng = np.random.default_rng(seed)
     s_max = max(cig.max_degree, 1)
-    lo, hi = coupling / (2 * s_max), coupling / s_max
+    lo, hi = W_SCALE / (2 * s_max), W_SCALE / s_max
     n = B * len(cig.edges)
     # An odd n leaves the last triple one word short; its pad word is decoded and cut.
     words = np.zeros(3 * ((n + 1) // 2), dtype=np.uint64)
@@ -205,7 +210,7 @@ def _edge_index(model_edges, B: int):
     return flat.reshape(-1, 3).T
 
 
-def _banded_precisions(cigs, B: int, beta: float, coupling: float, seeds):
+def _banded_precisions(cigs, B: int, beta: float, seeds):
     """The precision half of n model builds: draw each W, map K = I + W into the band.
 
     Returns ``_spectrum_to_band``'s (K_new, new_evals, vecs) over the
@@ -214,17 +219,14 @@ def _banded_precisions(cigs, B: int, beta: float, coupling: float, seeds):
     if B < 1:
         raise InvalidParameterError(f"need B >= 1, got B={B}")
     _check_beta(beta)
-    if not (0 < coupling < 1):
-        raise InvalidParameterError(f"need 0 < coupling < 1, got {coupling}")
     p = cigs[0].p
     if any(cig.p != p for cig in cigs):
         raise InvalidParameterError("graphs of one stack differ in p")
-    draws = np.concatenate([_coupling_draws(cig, B, coupling, seed)
-                            for cig, seed in zip(cigs, seeds)])
+    draws = np.concatenate([_w_draws(cig, B, seed) for cig, seed in zip(cigs, seeds)])
     blocks, rows, cols = _edge_index([cig.edges for cig in cigs], B)
     K = np.zeros((len(cigs) * B, p, p))
     K[blocks, rows, cols] = K[blocks, cols, rows] = draws
-    K += np.eye(p)  # each row of |W| sums to <= coupling < 1: PD by Gershgorin
+    K += np.eye(p)  # each row of |W| sums to <= W_SCALE < 1: PD by Gershgorin
     return _spectrum_to_band(K, beta)
 
 
@@ -239,23 +241,22 @@ def _check_finite(stack: np.ndarray, name: str) -> None:
         raise InvalidParameterError(f"{name} contain non-finite values")
 
 
-def build_model_stack(cigs, B: int, beta: float, coupling: float, seeds):
+def build_model_stack(cigs, B: int, beta: float, seeds):
     """Precision and root stacks, each (n, B, p, p), of n models built at
     once, and each model's minimum edge strength.
 
     A block's root is F = K^-1/2 (:func:`inverse_square_roots`), formed
     from the band map's ``eigh`` in that model's own eigenvector buffer.
     Model k has graph ``cigs[k]`` and draws its W entries on ``seeds[k]``
-    (see :func:`_coupling_draws`); it is bit for bit the model
+    (see :func:`_w_draws`); it is bit for bit the model
     :func:`build_block_model` builds from that pair.  Per model, in order,
-    its mapped eigenvalues must be positive
-    (:class:`NotPositiveDefiniteError`), then F K F = I must hold within
-    ``INVERSION_TOL * p`` (:class:`ConstructionFailure`); the first model
-    that fails raises.  Last, the precisions must be finite, which makes
-    the roots finite.
+    its roots must form (:class:`NotPositiveDefiniteError`), then F K F = I
+    must hold within ``INVERSION_TOL * p`` (:class:`ConstructionFailure`);
+    the first model that fails raises.  Last, the precisions must be
+    finite, which makes the roots finite.
     """
     n, p = len(cigs), cigs[0].p
-    K_new, new_evals, roots = _banded_precisions(cigs, B, beta, coupling, seeds)
+    K_new, new_evals, roots = _banded_precisions(cigs, B, beta, seeds)
     K_new, roots = K_new.reshape(n, B, p, p), roots.reshape(n, B, p, p)
     # One model at a time, so a root's product and a residual hold B blocks, not the stack.
     for K, evals, F in zip(K_new, new_evals.reshape(n, B, p), roots):
@@ -267,20 +268,20 @@ def build_model_stack(cigs, B: int, beta: float, coupling: float, seeds):
     return K_new, roots, _rho_mins(K_new, [cig.edges for cig in cigs])
 
 
-def build_block_model(cig: Cig, B: int, L: int, beta: float, coupling: float, seed) -> BlockModel:
+def build_block_model(cig: Cig, B: int, L: int, beta: float, seed) -> BlockModel:
     """Build a B-block model whose precision support equals the graph's edges."""
-    (precisions,), _, _ = build_model_stack([cig], B, beta, coupling, [seed])
+    (precisions,), _, _ = build_model_stack([cig], B, beta, [seed])
     return BlockModel(p=cig.p, B=B, L=L, beta=float(beta), precisions=precisions)
 
 
-def pilot_min_edge_strengths(cigs, B: int, beta: float, coupling: float, seeds) -> list:
+def pilot_min_edge_strengths(cigs, B: int, beta: float, seeds) -> list:
     """The strengths ``build_model_stack(cigs, ...)`` returns, without the models.
 
     Draws the same streams and forms the same precision stack, bit for
     bit, but no roots, so it skips their checks; the precisions get the
     finiteness check.
     """
-    K_new = _banded_precisions(cigs, B, beta, coupling, seeds)[0]
+    K_new = _banded_precisions(cigs, B, beta, seeds)[0]
     _check_finite(K_new, "precisions")
     return _rho_mins(K_new, [cig.edges for cig in cigs])
 

@@ -34,8 +34,7 @@ def report(name: str, ok: bool, detail: str) -> bool:
 def recovery_config(grid, trials):
     return ExperimentConfig(
         p=8, s_true=2, s_est=2, B=4, grid=grid, grid_kind="N", beta=2.0,
-        coupling=0.4, lambda_mode="default", trials=trials, eta=0.1,
-        master_seed=20260824,
+        lambda_mode="default", trials=trials, eta=0.1, master_seed=20260824,
     )
 
 

@@ -39,6 +39,18 @@ def model_path(tmp_path):
     return path
 
 
+def test_model_ignores_coupling(tmp_path, capsys):
+    # The band map cancels the W scale --coupling once set; the flag is accepted
+    # so that existing command lines keep working.
+    outputs = []
+    for coupling in (("--coupling", 0.3), ()):
+        mpath, gpath = tmp_path / "m.txt", tmp_path / "g.txt"
+        assert run("model", "-p", 8, "--s-max", 2, "-B", 4, "-L", 16, "--beta", 2.0, *coupling,
+                   "--seed", 1, "-o", mpath, "--graph", gpath) == 0
+        outputs.append((mpath.read_bytes(), gpath.read_bytes(), capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+
+
 def test_model_writes_graph_too(tmp_path):
     mpath, gpath = tmp_path / "m.txt", tmp_path / "g.txt"
     assert run("model", "-p", 5, "--s-max", 2, "-B", 1, "-L", 16, "--beta", 2.0,
@@ -404,7 +416,6 @@ def test_bad_counts_and_seeds_exit_2(tmp_path, capsys, model_path, command, args
 @pytest.mark.parametrize("command, value", [
     ("model", "inf"), ("model", "1e308"), ("model", "1e17"), ("model", "nan"), ("model", "1"),
     ("experiment", "beta = inf"), ("experiment", "beta = 1e308"), ("experiment", "beta = nan"),
-    ("experiment", "coupling = 1"), ("experiment", "coupling = nan"),
 ])
 def test_bad_beta_and_coupling_exit_2(tmp_path, capsys, command, value):
     # An infinite or overflowing beta used to print numpy's divide and matmul
@@ -421,7 +432,7 @@ def test_bad_beta_and_coupling_exit_2(tmp_path, capsys, command, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
-    assert "beta" in captured.err or "coupling" in captured.err
+    assert "beta" in captured.err
     assert not out.exists()
 
 
@@ -515,9 +526,12 @@ def test_sample_of_an_indefinite_model_exits_3_and_writes_nothing(tmp_path, caps
     assert not spath.exists() and not Path(f"{spath}.meta").exists()
 
 
-@pytest.mark.parametrize("block", ["0 0\n0 0", "1 2\n2 1"], ids=["singular", "indefinite"])
+@pytest.mark.parametrize("block", ["0 0\n0 0", "1 2\n2 1", "1 3\n3 9"],
+                         ids=["singular", "indefinite", "rank-deficient"])
 def test_sample_of_a_singular_or_indefinite_block_exits_3_with_one_message(tmp_path, capsys, block):
-    # A singular block loads as any model does; both fail where the root is formed.
+    # A singular block loads as any model does; all fail where the root is formed.
+    # eigh can put the zero eigenvalue of the rank-1 block 1 3 / 3 9 at +1e-16,
+    # which a check of lambda <= 0 let through to samples about 1e7 too large.
     mpath, spath = tmp_path / "m.txt", tmp_path / "samples.out"
     mpath.write_text(f"nsgms-model v1 p=2 B=1 L=4 beta=2\nblock 1\n{block}\n")
     assert load_model(mpath).precisions.shape == (1, 2, 2)

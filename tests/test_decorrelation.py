@@ -189,7 +189,7 @@ def recovered_through_decorrelate(seed, N):
     # |1 - a e^{-i theta}|^2 cov^{-1}, so its graph is the support of
     # cov^{-1}, with the same rho_min (Dahlhaus, Metrika 2000).
     cig = random_cig(P_VAR, 2, seed)
-    model = build_block_model(cig, 1, 1, 2.0, 0.4, seed + 100)
+    model = build_block_model(cig, 1, 1, 2.0, seed + 100)
     x = var1_record(model.precisions[0], N, seed + 200)
     blocks = to_block_samples(StationarySeries(p=P_VAR, N=N, data=x, W=W_VAR))
     lam = default_lambda(min_edge_strength(model, cig))

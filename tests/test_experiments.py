@@ -39,7 +39,7 @@ from nsgms.experiments import (
     run_phase_transition,
     wilson_interval,
 )
-from nsgms.model import _coupling_draws, build_model_stack
+from nsgms.model import W_SCALE, _w_draws, build_model_stack
 from nsgms.sampling import sample_gram_stack
 
 BASE_CONFIG = """
@@ -50,7 +50,6 @@ s_est = 2
 B = 2
 N_grid = 200, 400
 beta = 2.0
-coupling = 0.4
 trials = 4
 eta = 0.1
 master_seed = 5
@@ -59,7 +58,7 @@ master_seed = 5
 
 def small_config(**overrides):
     kw = dict(p=6, s_true=2, s_est=2, B=2, grid=(200, 400), grid_kind="N",
-              beta=2.0, coupling=0.4, lambda_mode="default", trials=4,
+              beta=2.0, lambda_mode="default", trials=4,
               eta=0.1, master_seed=5)
     kw.update(overrides)
     return ExperimentConfig(**kw)
@@ -142,9 +141,7 @@ def test_parse_config_rejects_bad_eta(eta):
         parse_config(BASE_CONFIG.replace("eta = 0.1", f"eta = {eta}"))
 
 
-@pytest.mark.parametrize("line", ["beta = inf", "beta = nan", "beta = 1", "beta = 0.5",
-                                  "coupling = 1", "coupling = 0", "coupling = nan",
-                                  "coupling = inf", "coupling = -0.2"])
+@pytest.mark.parametrize("line", ["beta = inf", "beta = nan", "beta = 1", "beta = 0.5"])
 def test_parse_config_rejects_bad_beta_and_coupling(line):
     key = line.split(" = ")[0]
     text = "".join(f"{line}\n" if row.startswith(key) else f"{row}\n"
@@ -186,7 +183,7 @@ def test_wilson_interval_valid(trials, data):
 def test_calibration_is_pinned_on_the_acceptance_config():
     # Recorded when each pilot came to draw its graph and W entries on its one
     # stream (0.0174415429237954 before); a change that keeps the streams keeps it.
-    config = small_config(p=8, s_true=2, s_est=2, B=4, grid=(1.0,), coupling=0.4,
+    config = small_config(p=8, s_true=2, s_est=2, B=4, grid=(1.0,),
                           beta=2.0, eta=0.1, master_seed=20260824)
     assert repr(calibrate_rho_min(config)) == "0.018721847625221007"
 
@@ -324,12 +321,12 @@ def old_layout_trial(cfg, L, t):
     rng.integers(len({v for e in cig.edges for v in e}))  # the target node
     gram_seed = rng.integers(2**63)
     model_rng = np.random.default_rng(model_seed)
-    hi = cfg.coupling / max(cig.max_degree, 1)
+    hi = W_SCALE / max(cig.max_degree, 1)
     W = [(hi / 2 + hi / 2 * model_rng.random()) * (-1.0, 1.0)[model_rng.integers(2)]
          for _ in range(cfg.B * len(cig.edges))]
     # A build on a fresh generator draws the same W, bit for bit
     # (test_graph_model.py::test_coupling_draws_decode_the_scalar_loop).
-    rho = build_model_stack([cig], cfg.B, cfg.beta, cfg.coupling, [model_seed])[2][0]
+    rho = build_model_stack([cig], cfg.B, cfg.beta, [model_seed])[2][0]
     chi = []
     for b in range(cfg.B):
         block = np.random.default_rng(np.random.SeedSequence(entropy=gram_seed,
@@ -345,8 +342,8 @@ def new_layout_trial(cfg, L, t):
     factor is the Bartlett factor A, whose squared diagonal is the chi-square draws.
     """
     stream, cig, _ = _draw_trial(cfg, 0, t)
-    W = _coupling_draws(cig, cfg.B, cfg.coupling, copy.deepcopy(stream))
-    rho = build_model_stack([cig], cfg.B, cfg.beta, cfg.coupling, [stream])[2][0]
+    W = _w_draws(cig, cfg.B, copy.deepcopy(stream))
+    rho = build_model_stack([cig], cfg.B, cfg.beta, [stream])[2][0]
     identity = np.broadcast_to(np.eye(cfg.p), (1, cfg.B, cfg.p, cfg.p))
     A = np.linalg.cholesky(sample_gram_stack(identity, L, [stream])[0])
     return cig, W, rho, np.diagonal(A, axis1=-2, axis2=-1) ** 2
@@ -357,7 +354,7 @@ def test_one_stream_per_trial_keeps_the_law_of_every_draw():
     # [c / (2 s_max), c / s_max], so each magnitude is compared by its place in
     # that band; a graph's degrees are tied to each other, so each graph gives
     # one degree (of node 1) and one edge count.
-    cfg = small_config(p=8, s_true=2, s_est=2, B=4, coupling=0.4, beta=2.0, master_seed=20260824)
+    cfg = small_config(p=8, s_true=2, s_est=2, B=4, beta=2.0, master_seed=20260824)
     L = 12  # small degrees of freedom, where the chi-square law is far from normal
     draws = {}
     for layout, trial in (("old", old_layout_trial), ("new", new_layout_trial)):
@@ -365,7 +362,7 @@ def test_one_stream_per_trial_keeps_the_law_of_every_draw():
                    "chi-square diagonal": [], "edge count": [], "degree of node 1": []}
         for t in range(KS_TRIALS):
             cig, W, rho, chi = trial(cfg, L, t)
-            hi = cfg.coupling / max(cig.max_degree, 1)
+            hi = W_SCALE / max(cig.max_degree, 1)
             samples["W magnitude in its band"].append((np.abs(W) - hi / 2) / (hi / 2))
             samples["W sign"].append(np.sign(W))
             samples["rho_min"].append(rho)
@@ -387,7 +384,7 @@ def normalised_gram_entries(cfg, L, trials, through_cholesky):
     out = []
     for t in trials:
         stream, cig, _ = _draw_trial(cfg, 0, t)
-        (K,), roots, _ = build_model_stack([cig], cfg.B, cfg.beta, cfg.coupling, [stream])
+        (K,), roots, _ = build_model_stack([cig], cfg.B, cfg.beta, [stream])
         C = np.linalg.inv(K)
         factors = np.linalg.cholesky(C)[None] if through_cholesky else roots
         (W,) = sample_gram_stack(factors, L, [stream])
@@ -399,7 +396,7 @@ def test_grams_through_the_roots_keep_the_law_of_the_cholesky_draw():
     # Any square root F with F F^T = C gives a Gram matrix with C's Wishart law.
     # The two routes draw on disjoint trial streams, and each fixed entry gives
     # one independent value per trial, so each entry is compared on its own.
-    cfg = small_config(p=8, s_true=2, s_est=2, B=4, coupling=0.4, beta=2.0, master_seed=20260824)
+    cfg = small_config(p=8, s_true=2, s_est=2, B=4, beta=2.0, master_seed=20260824)
     L = 12
     cholesky = normalised_gram_entries(cfg, L, range(KS_TRIALS), True)
     roots = normalised_gram_entries(cfg, L, range(KS_TRIALS, 2 * KS_TRIALS), False)
@@ -446,7 +443,9 @@ master_seed = {seed}
 # trial came to draw everything on its one stream, again when trials came to
 # draw their Gram matrices through the model build's square roots, and again
 # when those roots became the sign-free K^-1/2; a change that keeps the
-# streams and the roots must not move the bytes.
+# streams and the roots must not move the bytes.  The coupling key is ignored
+# and the W scale fixed at 0.4, so p10-s3-B3 (0.5) and L-grid (0.3) were
+# re-recorded: their rho_min, lambda and bound_N moved in the last digits.
 @pytest.mark.parametrize("text, sha", [
     (ACCEPTANCE.format(grid="N_grid = 1e-4x, 0.1x, 1x, 752", trials=20, seed=20260824),
      "34e9d200a785e9e0700797d8fe175eef10629e2ca6b0113188dda923210eba05"),
@@ -454,16 +453,29 @@ master_seed = {seed}
      "e5fc5b30fe98bbddd66d270317797ecd3c03775c5e947857a7a656420acf35a7"),
     ("p = 10\ns_true = 2\ns_est = 3\nB = 3\nN_grid = 0.05x, 1x, 600\nbeta = 2.5\n"
      "coupling = 0.5\ntrials = 9\neta = 0.05\nmaster_seed = 11\n",
-     "6305ac066891b7b5f468caa64a7723b9ae71932f8b3e45356d6c1644b2700ce1"),
+     "b8d0f45e8424ac037ae7b9abe328ed2e9705e4ce6d1bd5d6ae0494b2926033cc"),
     ("p = 7\ns_true = 2\ns_est = 2\nB = 9\nL_grid = 10, 40, 400\nbeta = 3.0\n"
      "coupling = 0.3\ntrials = 6\neta = 0.1\nmaster_seed = 42\nlambda_mode = 0.01\n",
-     "a2c212e4e0d64220daf9836c2f15e1afc1a38d49c6e8955d167cbbb799b20af6"),
+     "5d0abf8368c116ace1254fd0046990dcccff6420470ad1e33262e947df980d25"),
 ], ids=["acceptance", "trials-7", "p10-s3-B3", "L-grid"])
 def test_experiment_csv_bytes_are_pinned(tmp_path, text, sha):
     cpath, out = tmp_path / "sweep.cfg", tmp_path / "sweep.csv"
     cpath.write_text(text)
     assert main(["experiment", str(cpath), "-o", str(out), "--no-timings"]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
+
+
+def test_experiment_ignores_coupling(tmp_path):
+    # The band map cancels the W scale the key once set; it is accepted so
+    # that existing config files keep working.  The multiplier runs the pilots.
+    text = BASE_CONFIG.replace("200, 400", "0.01x, 200")
+    outputs = set()
+    for line in ("coupling = 0.3\n", "coupling = 0.99\n", ""):
+        cpath, out = tmp_path / "sweep.cfg", tmp_path / "sweep.csv"
+        cpath.write_text(text + line)
+        assert main(["experiment", str(cpath), "-o", str(out), "--no-timings"]) == 0
+        outputs.add(out.read_bytes())
+    assert len(outputs) == 1
 
 
 def test_row_fields_consistent():

@@ -21,8 +21,9 @@ from nsgms import (
 from nsgms.errors import ConstructionFailure, InvalidParameterError, NotPositiveDefiniteError
 from nsgms.experiments import _trial_candidates
 from nsgms.model import (
-    _coupling_draws,
+    W_SCALE,
     _spectrum_to_band,
+    _w_draws,
     build_model_stack,
     covariance_eig_range,
     inverse_square_roots,
@@ -181,7 +182,7 @@ def test_degree_rejects_nodes_outside_the_graph():
 
 
 # sha256 of repr(list(edges)) and of the (3, p, p) precision stack of
-# build_block_model(g, 3, 5, 2.0, 0.4, seed + 1).  Batching a draw in the
+# build_block_model(g, 3, 5, 2.0, seed + 1).  Batching a draw in the
 # graph or model construction must leave both streams, and so these
 # digests, unchanged.  The precision digests hold for a given numpy and
 # LAPACK build (they pass through eigh).
@@ -201,18 +202,18 @@ STREAM_PINS = [
 def test_graph_and_model_streams_are_pinned(p, s_max, seed, graph_sha, precision_sha):
     g = random_cig(p, s_max, seed)
     assert hashlib.sha256(repr(list(g.edges)).encode()).hexdigest() == graph_sha
-    model = build_block_model(g, 3, 5, 2.0, 0.4, seed + 1)
+    model = build_block_model(g, 3, 5, 2.0, seed + 1)
     assert hashlib.sha256(model.precisions.tobytes()).hexdigest() == precision_sha
 
 
-def scalar_coupling_draws(cig, B, coupling, seed) -> tuple:
-    """The reference for ``_coupling_draws``: one ``rng.uniform(lo, hi)`` magnitude
+def scalar_w_draws(cig, B, seed) -> tuple:
+    """The reference for ``_w_draws``: one ``rng.uniform(lo, hi)`` magnitude
     (as ``lo + span * rng.random()``) and one ``rng.integers(2)`` sign per edge
     and block, drawn in turn from a fresh generator, as W was once drawn.
     Returns the entries and the generator's PCG64 state after them."""
     rng = np.random.default_rng(seed)
     s_max = max(cig.max_degree, 1)
-    lo, hi = coupling / (2 * s_max), coupling / s_max
+    lo, hi = W_SCALE / (2 * s_max), W_SCALE / s_max
     span = hi - lo
     draws = [(lo + span * rng.random()) * (-1.0, 1.0)[rng.integers(2)]
              for _ in range(B * len(cig.edges))]
@@ -220,12 +221,11 @@ def scalar_coupling_draws(cig, B, coupling, seed) -> tuple:
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(2, 12), st.integers(1, 9), st.floats(0.01, 0.99), st.integers(0, 2**63 - 1),
-       st.booleans(), st.data())
-@example(p=2, B=1, coupling=0.4, seed=3, edgeless=False, data=None)  # B·E = 1, B = 1
-@example(p=2, B=2, coupling=0.4, seed=3, edgeless=False, data=None)  # B·E = 2
-@example(p=5, B=1, coupling=0.4, seed=3, edgeless=True, data=None)   # E = 0
-def test_coupling_draws_decode_the_scalar_loop(p, B, coupling, seed, edgeless, data):
+@given(st.integers(2, 12), st.integers(1, 9), st.integers(0, 2**63 - 1), st.booleans(), st.data())
+@example(p=2, B=1, seed=3, edgeless=False, data=None)  # B·E = 1, B = 1
+@example(p=2, B=2, seed=3, edgeless=False, data=None)  # B·E = 2
+@example(p=5, B=1, seed=3, edgeless=True, data=None)   # E = 0
+def test_coupling_draws_decode_the_scalar_loop(p, B, seed, edgeless, data):
     # Bit for bit, and from the same number of raw words: (3n + 1) // 2 for n entries.
     if edgeless:
         g = Cig(p=p)
@@ -234,8 +234,8 @@ def test_coupling_draws_decode_the_scalar_loop(p, B, coupling, seed, edgeless, d
     else:
         g = random_cig(p, data.draw(st.integers(1, p - 1)), data.draw(st.integers(0, 2**32)))
     rng = np.random.default_rng(seed)
-    drawn = _coupling_draws(g, B, coupling, rng)
-    expected, state = scalar_coupling_draws(g, B, coupling, seed)
+    drawn = _w_draws(g, B, rng)
+    expected, state = scalar_w_draws(g, B, seed)
     assert drawn.size == B * len(g.edges)
     assert drawn.tobytes() == expected.tobytes()
     assert rng.bit_generator.state["state"] == state
@@ -294,15 +294,28 @@ def test_block_model_rejects_precisions_that_are_not_exactly_symmetric():
 
 # ---------------------------------------------------------------- build_block_model
 
-def test_spectrum_map_rejects_a_stack_with_one_indefinite_block():
-    K = np.stack([np.eye(3), np.eye(3), np.diag([1.0, -0.5, 2.0])])
-    with pytest.raises(ConstructionFailure):
-        _spectrum_to_band(K, 2.0)
+@pytest.mark.parametrize("p, s_max, seed", [(3, 1, 0), (8, 2, 1), (16, 3, 2), (16, 15, 3)])
+def test_band_map_cancels_the_w_scale(p, s_max, seed):
+    # K = I + c W0 maps to ((1 - 1/beta)/dmu) W0 + (1 - (1 - 1/beta) mu_max/dmu) I,
+    # with mu the eigenvalues of W0 and dmu their spread: c and the I cancel.
+    # This is why the W scale is a constant and not a setting.
+    g, B, beta = random_cig(p, s_max, seed), 4, 2.5
+    rng = np.random.default_rng(seed)
+    W0 = np.zeros((B, p, p))
+    for i, j in g.edges:
+        W0[:, i - 1, j - 1] = W0[:, j - 1, i - 1] = (
+            rng.uniform(0.5, 1.0, B) * rng.choice([-1.0, 1.0], B) / g.max_degree)
+    mu = np.linalg.eigvalsh(W0)
+    a = (1 - 1 / beta) / (mu[:, -1] - mu[:, 0])
+    expected = a[:, None, None] * W0 + (1 - a * mu[:, -1])[:, None, None] * np.eye(p)
+    for c in (0.05, 0.4, 0.99):
+        K_new = _spectrum_to_band(np.eye(p) + c * W0, beta)[0]
+        assert np.abs(K_new - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 def test_empty_graph_gives_diagonal_precisions():
     g = Cig(p=4)
-    model = build_block_model(g, 1, 10, 2.0, 0.3, 7)
+    model = build_block_model(g, 1, 10, 2.0, 7)
     for K in model.precisions:
         assert np.allclose(K, np.diag(np.diag(K)))
     lo, hi = covariance_eig_range(model)
@@ -311,14 +324,14 @@ def test_empty_graph_gives_diagonal_precisions():
 
 def test_single_edge_precision_entry_nonzero():
     g = Cig(p=2, edges=frozenset({frozenset({1, 2})}))
-    model = build_block_model(g, 1, 8, 2.0, 0.4, 3)
+    model = build_block_model(g, 1, 8, 2.0, 3)
     assert model.precisions[0][0, 1] != 0.0
     assert partial_correlation(model, 1, 2) > 0.0
 
 
 def test_covariance_eigenvalues_land_on_band():
     g = random_cig(8, 2, 11)
-    model = build_block_model(g, 4, 16, 2.0, 0.4, 12)
+    model = build_block_model(g, 4, 16, 2.0, 12)
     rep = verify_assumptions(model, g, rho_min=0.0, s=2)
     assert rep.eig_min >= 1.0 - 1e-9
     assert rep.eig_max <= 2.0 + 1e-9
@@ -330,7 +343,7 @@ def test_covariance_eigenvalues_land_on_band():
 def test_eigenvalues_match_characteristic_polynomial_roots():
     # Independent eigenvalue oracle for p <= 3: roots of det(C - x I).
     g = Cig(p=3, edges=frozenset({frozenset({1, 2}), frozenset({2, 3})}))
-    model = build_block_model(g, 2, 8, 2.0, 0.4, 5)
+    model = build_block_model(g, 2, 8, 2.0, 5)
     for C in np.linalg.inv(model.precisions):
         c2 = -np.trace(C)
         c1 = 0.5 * (np.trace(C) ** 2 - np.trace(C @ C))
@@ -342,7 +355,7 @@ def test_eigenvalues_match_characteristic_polynomial_roots():
 
 def test_precision_support_equals_edge_set():
     g = random_cig(7, 3, 21)
-    model = build_block_model(g, 3, 8, 2.0, 0.4, 22)
+    model = build_block_model(g, 3, 8, 2.0, 22)
     for i in range(1, 8):
         for j in range(i + 1, 8):
             rho = partial_correlation(model, i, j)
@@ -351,8 +364,8 @@ def test_precision_support_equals_edge_set():
 
 def test_build_block_model_deterministic():
     g = random_cig(6, 2, 9)
-    m1 = build_block_model(g, 3, 8, 2.0, 0.4, 77)
-    m2 = build_block_model(g, 3, 8, 2.0, 0.4, 77)
+    m1 = build_block_model(g, 3, 8, 2.0, 77)
+    m2 = build_block_model(g, 3, 8, 2.0, 77)
     for K1, K2 in zip(m1.precisions, m2.precisions):
         assert np.array_equal(K1, K2)
 
@@ -360,13 +373,13 @@ def test_build_block_model_deterministic():
 def test_build_block_model_invalid_parameters():
     g = random_cig(4, 2, 0)
     with pytest.raises(InvalidParameterError):
-        build_block_model(g, 0, 8, 2.0, 0.4, 0)
+        build_block_model(g, 0, 8, 2.0, 0)
     with pytest.raises(InvalidParameterError):
-        build_block_model(g, 2, 0, 2.0, 0.4, 0)
+        build_block_model(g, 2, 0, 2.0, 0)
     with pytest.raises(InvalidParameterError):
-        build_block_model(g, 2, 8, 1.0, 0.4, 0)
-    with pytest.raises(InvalidParameterError):
-        build_block_model(g, 2, 8, 2.0, 1.5, 0)
+        build_block_model(g, 2, 8, 1.0, 0)
+    with pytest.raises(TypeError):  # the scale argument was removed; it is not skipped
+        build_block_model(g, 2, 8, 2.0, 0.4, 0)
 
 
 # ---------------------------------------------------------------- partial_correlation
@@ -385,7 +398,7 @@ def test_partial_correlation_two_block_average():
 
 def test_partial_correlation_zero_off_edge():
     g = Cig(p=3, edges=frozenset({frozenset({1, 2})}))
-    model = build_block_model(g, 2, 8, 2.0, 0.4, 1)
+    model = build_block_model(g, 2, 8, 2.0, 1)
     assert partial_correlation(model, 1, 3) == 0.0
 
 
@@ -398,7 +411,7 @@ def test_partial_correlation_rejects_diagonal():
 def test_partial_correlation_scale_invariant():
     rng = np.random.default_rng(42)
     g = random_cig(5, 2, 2)
-    model = build_block_model(g, 3, 8, 2.0, 0.4, 3)
+    model = build_block_model(g, 3, 8, 2.0, 3)
     scales = rng.uniform(0.5, 3.0, model.B)
     scaled = model_from_precisions([c * K for c, K in zip(scales, model.precisions)])
     for (i, j) in g.edges:
@@ -413,7 +426,7 @@ def test_min_edge_strength_is_bitwise_min_of_one_dimensional_block_means(B):
     # rho_min, lambda and bound_N in the experiment CSV with them.
     for seed in range(20):
         g = random_cig(8, 3, seed)
-        model = build_block_model(g, B, 8, 2.0, 0.4, seed + 50)
+        model = build_block_model(g, B, 8, 2.0, seed + 50)
         strengths = []
         for (i, j) in g.edges:
             ratio = np.array([K[i - 1, j - 1] / K[i - 1, i - 1] for K in model.precisions])
@@ -424,7 +437,7 @@ def test_min_edge_strength_is_bitwise_min_of_one_dimensional_block_means(B):
 
 def test_min_edge_strength_empty_graph_is_infinite():
     g = Cig(p=3)
-    model = build_block_model(g, 1, 4, 2.0, 0.3, 0)
+    model = build_block_model(g, 1, 4, 2.0, 0)
     assert min_edge_strength(model, g) == float("inf")
 
 
@@ -433,24 +446,22 @@ def test_min_edge_strength_empty_graph_is_infinite():
 @settings(max_examples=80, deadline=None)
 @given(
     st.integers(2, 12), st.data(), st.integers(1, 9), st.floats(1.01, 20.0),
-    st.floats(0.01, 0.99), st.integers(0, 2**63 - 1), st.integers(0, 2**63 - 1),
-    st.booleans(),
+    st.integers(0, 2**63 - 1), st.integers(0, 2**63 - 1), st.booleans(),
 )
-def test_pilot_strength_is_bitwise_the_built_models(p, data, B, beta, coupling,
-                                                     graph_seed, model_seed, edgeless):
+def test_pilot_strength_is_bitwise_the_built_models(p, data, B, beta, graph_seed, model_seed,
+                                                     edgeless):
     g = Cig(p=p) if edgeless else random_cig(p, data.draw(st.integers(1, p - 1)), graph_seed)
-    [pilot] = pilot_min_edge_strengths([g], B, beta, coupling, [model_seed])
-    built = min_edge_strength(build_block_model(g, B, 1, beta, coupling, model_seed), g)
+    [pilot] = pilot_min_edge_strengths([g], B, beta, [model_seed])
+    built = min_edge_strength(build_block_model(g, B, 1, beta, model_seed), g)
     assert np.float64(pilot).tobytes() == np.float64(built).tobytes()
     assert (pilot == float("inf")) == edgeless
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.integers(2, 10), st.integers(1, 9), st.integers(1, 5), st.floats(1.01, 20.0),
-    st.floats(0.01, 0.99), st.data(),
+    st.integers(2, 10), st.integers(1, 9), st.integers(1, 5), st.floats(1.01, 20.0), st.data(),
 )
-def test_stacked_models_are_bitwise_the_models_built_alone(p, B, n, beta, coupling, data):
+def test_stacked_models_are_bitwise_the_models_built_alone(p, B, n, beta, data):
     # B >= 8 is where a (B, E) mean along the wrong axis changes the last bits.
     cigs, seeds = [], []
     for _ in range(n):
@@ -460,38 +471,37 @@ def test_stacked_models_are_bitwise_the_models_built_alone(p, B, n, beta, coupli
             s_max = data.draw(st.integers(1, p - 1))
             cigs.append(random_cig(p, s_max, data.draw(st.integers(0, 2**63 - 1))))
         seeds.append(data.draw(st.integers(0, 2**63 - 1)))
-    precisions, roots, strengths = build_model_stack(cigs, B, beta, coupling, seeds)
+    precisions, roots, strengths = build_model_stack(cigs, B, beta, seeds)
     assert precisions.shape == roots.shape == (n, B, p, p)
     # The band map keeps the scattered symmetry of K = I + W exactly.
     assert precisions.tobytes() == precisions.swapaxes(-1, -2).copy().tobytes()
-    pilots = pilot_min_edge_strengths(cigs, B, beta, coupling, seeds)
+    pilots = pilot_min_edge_strengths(cigs, B, beta, seeds)
     for k, (cig, seed) in enumerate(zip(cigs, seeds)):
-        alone = build_block_model(cig, B, 1, beta, coupling, seed)
+        alone = build_block_model(cig, B, 1, beta, seed)
         assert precisions[k].tobytes() == alone.precisions.tobytes()
-        assert roots[k].tobytes() == build_model_stack([cig], B, beta, coupling, [seed])[1].tobytes()
+        assert roots[k].tobytes() == build_model_stack([cig], B, beta, [seed])[1].tobytes()
         rho = np.float64(min_edge_strength(alone, cig)).tobytes()
         assert np.float64(strengths[k]).tobytes() == rho
         assert np.float64(pilots[k]).tobytes() == rho
         assert (strengths[k] == float("inf")) == (not cig.edges)
 
 
-@pytest.mark.parametrize("p, B, beta, coupling", [(8, 4, 2.0, 0.4), (3, 1, 1.1, 0.95),
-                                                   (11, 9, 10.0, 0.05)])
-def test_stacked_roots_are_square_roots_of_the_covariances_built_alone(p, B, beta, coupling):
+@pytest.mark.parametrize("p, B, beta", [(8, 4, 2.0), (3, 1, 1.1), (11, 9, 10.0)])
+def test_stacked_roots_are_square_roots_of_the_covariances_built_alone(p, B, beta):
     # Four models, one edgeless, on one stack: each block's root F = K^-1/2
     # is exactly symmetric, has F F = K^-1 and F K F = I, is within rounding
     # the root the samplers form from eigh of the mapped K, and is bit for
     # bit the root of the model built alone.
     cigs = [random_cig(p, 2, 1), Cig(p=p), random_cig(p, 1, 2), random_cig(p, p - 1, 3)]
     seeds = [10, 11, 12, 13]
-    precisions, roots, _ = build_model_stack(cigs, B, beta, coupling, seeds)
+    precisions, roots, _ = build_model_stack(cigs, B, beta, seeds)
     identity = np.eye(p)
     for cig, seed, K, F in zip(cigs, seeds, precisions, roots):
         assert np.array_equal(F, F.swapaxes(1, 2))
         assert np.abs(F @ F - np.linalg.inv(K)).max() <= 1e-13 * beta
         assert np.abs(F @ K @ F - identity).max() <= 1e-13 * beta
         assert np.abs(F - inverse_square_roots(*np.linalg.eigh(K))).max() <= 1e-13 * beta
-        assert F.tobytes() == build_model_stack([cig], B, beta, coupling, [seed])[1].tobytes()
+        assert F.tobytes() == build_model_stack([cig], B, beta, [seed])[1].tobytes()
 
 
 def test_model_stack_checks_the_mapped_spectrum_and_the_roots(monkeypatch):
@@ -505,7 +515,7 @@ def test_model_stack_checks_the_mapped_spectrum_and_the_roots(monkeypatch):
 
     monkeypatch.setattr(model_module, "_spectrum_to_band", negated)
     with pytest.raises(NotPositiveDefiniteError, match="not positive definite"):
-        build_model_stack(cigs, 2, 2.0, 0.4, seeds)
+        build_model_stack(cigs, 2, 2.0, seeds)
 
     def shifted(K, beta):  # the second model's precisions no longer match its spectrum
         K_new, new_evals, vecs = original(K, beta)
@@ -514,21 +524,21 @@ def test_model_stack_checks_the_mapped_spectrum_and_the_roots(monkeypatch):
 
     monkeypatch.setattr(model_module, "_spectrum_to_band", shifted)
     with pytest.raises(ConstructionFailure, match="inversion residual"):
-        build_model_stack(cigs, 2, 2.0, 0.4, seeds)
+        build_model_stack(cigs, 2, 2.0, seeds)
 
 
 def test_model_stack_rejects_graphs_of_different_sizes():
     with pytest.raises(InvalidParameterError, match="differ in p"):
-        build_model_stack([random_cig(5, 2, 0), random_cig(6, 2, 0)], 2, 2.0, 0.4, [1, 2])
+        build_model_stack([random_cig(5, 2, 0), random_cig(6, 2, 0)], 2, 2.0, [1, 2])
 
 
 def test_pilot_rejects_what_build_block_model_rejects():
     g = random_cig(4, 2, 0)
-    for B, beta, coupling in [(0, 2.0, 0.4), (2, 1.0, 0.4), (2, 2.0, 1.5), (2, 2.0, 0.0)]:
+    for B, beta in [(0, 2.0), (2, 1.0)]:
         with pytest.raises(InvalidParameterError):
-            pilot_min_edge_strengths([g], B, beta, coupling, [0])
+            pilot_min_edge_strengths([g], B, beta, [0])
         with pytest.raises(InvalidParameterError):
-            build_block_model(g, B, 8, beta, coupling, 0)
+            build_block_model(g, B, 8, beta, 0)
 
 
 def test_pilot_rejects_non_finite_precisions(monkeypatch):
@@ -543,16 +553,16 @@ def test_pilot_rejects_non_finite_precisions(monkeypatch):
     monkeypatch.setattr(model_module, "_spectrum_to_band", spoiled)
     g = random_cig(6, 2, 1)
     with pytest.raises(InvalidParameterError, match="non-finite"):
-        pilot_min_edge_strengths([g], 2, 2.0, 0.4, [3])
+        pilot_min_edge_strengths([g], 2, 2.0, [3])
     with pytest.raises(InvalidParameterError, match="non-finite"):
-        build_block_model(g, 2, 8, 2.0, 0.4, 3)
+        build_block_model(g, 2, 8, 2.0, 3)
 
 
 # ---------------------------------------------------------------- verify_assumptions
 
 def test_verify_assumptions_all_pass():
     g = random_cig(8, 2, 31)
-    model = build_block_model(g, 2, 32, 2.0, 0.4, 32)
+    model = build_block_model(g, 2, 32, 2.0, 32)
     rho = min_edge_strength(model, g)
     rep = verify_assumptions(model, g, rho_min=rho, s=2)
     assert rep.assumptions_ok == (True, True, True)
@@ -561,14 +571,14 @@ def test_verify_assumptions_all_pass():
 
 def test_verify_assumptions_sparsity_fails_for_large_s():
     g = random_cig(6, 2, 8)
-    model = build_block_model(g, 2, 32, 2.0, 0.4, 8)
+    model = build_block_model(g, 2, 32, 2.0, 8)
     rep = verify_assumptions(model, g, rho_min=0.0, s=6)
     assert rep.assumptions_ok[1] is False
 
 
 def test_verify_assumptions_rho_fails_above_achieved():
     g = random_cig(6, 2, 8)
-    model = build_block_model(g, 2, 32, 2.0, 0.4, 8)
+    model = build_block_model(g, 2, 32, 2.0, 8)
     achieved = min_edge_strength(model, g)
     rep = verify_assumptions(model, g, rho_min=achieved * 1.01, s=2)
     assert rep.assumptions_ok[0] is False

@@ -693,7 +693,7 @@ def test_estimate_matches_brute_force(seed):
 
 def test_two_node_edge_recovered_by_both_rules():
     g = random_cig(2, 1, 1)
-    model = build_block_model(g, 2, 400, 2.0, 0.5, 2)
+    model = build_block_model(g, 2, 400, 2.0, 2)
     samples = sample_process(model, 3)
     lam = default_lambda(0.02)
     for rule in ("OR", "AND"):
@@ -705,7 +705,7 @@ def test_and_edges_subset_of_or_edges():
     rng = np.random.default_rng(20)
     for seed in range(5):
         g = random_cig(6, 2, seed)
-        model = build_block_model(g, 2, 30, 2.0, 0.4, seed + 50)
+        model = build_block_model(g, 2, 30, 2.0, seed + 50)
         samples = sample_process(model, seed + 100)
         lam = float(rng.uniform(0.001, 0.05))
         and_est = estimate_graph(samples, EstimatorConfig(s=2, lam=lam), combine="AND")
@@ -785,7 +785,7 @@ def test_every_one_node_entry_rejects_a_node_that_is_not_an_integer(node):
     # the (1, 4) strength, estimate_neighborhood a bare TypeError, and True
     # passed all three as node 1.
     g = random_cig(5, 2, 3)
-    model = build_block_model(g, 2, 8, 2.0, 0.4, 4)
+    model = build_block_model(g, 2, 8, 2.0, 4)
     samples = sample_process(model, 5)
     with pytest.raises(InvalidParameterError, match="integer node"):
         g.neighborhood(node)
@@ -797,7 +797,7 @@ def test_every_one_node_entry_rejects_a_node_that_is_not_an_integer(node):
 
 def test_every_one_node_entry_takes_a_numpy_integer_node_as_an_int():
     g = random_cig(5, 2, 3)
-    model = build_block_model(g, 2, 8, 2.0, 0.4, 4)
+    model = build_block_model(g, 2, 8, 2.0, 4)
     samples = sample_process(model, 5)
     config = EstimatorConfig(s=2, lam=0.01)
     assert g.neighborhood(np.int64(2)) == g.neighborhood(2)

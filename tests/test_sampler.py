@@ -56,6 +56,18 @@ def test_root_rejects_a_precision_that_is_not_positive_definite(K):
         roots(np.array(K))
 
 
+def test_root_rejects_blocks_singular_to_working_precision():
+    # eigh rounds the zero eigenvalue of a rank-2 3 x 3 block V V^T to a tiny
+    # positive value about half the time (102 of these 200), and a root through
+    # it is about 1e7 too large.  The p*eps floor of matrix_rank rejects them all.
+    V = np.random.default_rng(0).standard_normal((200, 3, 2))
+    K = V @ V.swapaxes(1, 2)
+    K = (K + K.swapaxes(1, 2)) / 2
+    for block in K:
+        with pytest.raises(NotPositiveDefiniteError, match="not positive definite"):
+            roots(block)
+
+
 def spd_stack(B, p=5, seed=2):
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((B, p, p))
@@ -118,11 +130,11 @@ def test_a_one_ulp_change_to_the_precisions_moves_every_draw_at_rounding_level(m
     def harness_draws():
         out = []
         for cig, seed in zip(cigs, seeds):
-            (K,), F, _ = build_model_stack([cig], B, 2.0, 0.4, [seed])
+            (K,), F, _ = build_model_stack([cig], B, 2.0, [seed])
             out.append((K, F, sample_gram_stack(F, L, [seed])))
         return out
 
-    models = [build_block_model(cig, B, L, 2.0, 0.4, seed) for cig, seed in zip(cigs, seeds)]
+    models = [build_block_model(cig, B, L, 2.0, seed) for cig, seed in zip(cigs, seeds)]
     for model, seed in zip(models, seeds):
         before = sampler_draws(model.precisions, seed)
         after = sampler_draws(one_ulp_up(model.precisions), seed)
@@ -159,7 +171,7 @@ def test_estimators_reject_one_non_finite_value(bad, b, row, col, node):
 
 def test_sample_process_deterministic():
     g = random_cig(5, 2, 4)
-    model = build_block_model(g, 3, 16, 2.0, 0.4, 5)
+    model = build_block_model(g, 3, 16, 2.0, 5)
     s1 = sample_process(model, 99)
     s2 = sample_process(model, 99)
     for X1, X2 in zip(s1.data, s2.data):
@@ -172,7 +184,7 @@ def test_sample_process_deterministic():
 def test_per_block_draws_are_the_blocks_of_the_whole_draw(p, B, L):
     # B = 1 and L < p included: block b comes from its own (seed, b) stream,
     # alone, in any order, into a reused buffer, or lazily from BlockDraws.
-    model = build_block_model(random_cig(p, 2, p), B, L, 2.0, 0.4, B + L)
+    model = build_block_model(random_cig(p, 2, p), B, L, 2.0, B + L)
     whole = sample_process(model, 31).data
     out = np.full((1, p, L), np.nan)
     for b in range(B):
@@ -188,14 +200,14 @@ def test_per_block_draws_are_the_blocks_of_the_whole_draw(p, B, L):
 
 
 def test_block_draws_reuse_one_buffer():
-    model = build_block_model(random_cig(4, 2, 1), 3, 10, 2.0, 0.4, 2)
+    model = build_block_model(random_cig(4, 2, 1), 3, 10, 2.0, 2)
     first, *rest = list(BlockDraws(model, 5))
     assert all(np.shares_memory(first, X) for X in rest)
 
 
 @pytest.mark.parametrize("blocks", [[], [3], [-1], [0, 3], [True], [1.0], [1.5]])
 def test_sample_process_rejects_blocks_outside_the_model(blocks):
-    model = build_block_model(random_cig(4, 2, 1), 3, 10, 2.0, 0.4, 2)
+    model = build_block_model(random_cig(4, 2, 1), 3, 10, 2.0, 2)
     with pytest.raises(InvalidParameterError, match="blocks"):
         sample_process(model, 5, blocks=blocks)
 
@@ -214,7 +226,7 @@ def test_sample_process_draws_each_blocks_stream_across_chunk_edges(p):
     # With K = I the root is I and the product is exact, so the output is the
     # (seed, b) stream's normals bit for bit, whichever chunk a column falls in.
     for L in _chunk_edge_lengths(p):
-        model = build_block_model(Cig(p=p), 2, L, 2.0, 0.3, 6)
+        model = build_block_model(Cig(p=p), 2, L, 2.0, 6)
         assert np.array_equal(roots(model.precisions), np.broadcast_to(np.eye(p), (2, p, p)))
         X = sample_process(model, 23).data
         for b in range(2):
@@ -229,7 +241,7 @@ def test_sample_process_is_g_times_z_across_chunk_edges(p):
     eps = np.finfo(float).eps
     for L in _chunk_edge_lengths(p):
         graph = random_cig(p, 2, L) if p > 1 else Cig(p=1)
-        model = build_block_model(graph, 2, L, 2.0, 0.4, L)
+        model = build_block_model(graph, 2, L, 2.0, L)
         X = sample_process(model, 29).data
         for b, F in enumerate(roots(model.precisions)):
             Z = _stream_normals(29, b, p, L)
@@ -249,7 +261,7 @@ def test_sample_process_allocates_no_normals_per_block():
     # 1.28 MB per block and a 256 KiB chunk buffer: beside the output, only
     # that buffer and a few small objects may be allocated.
     p, B, L = 8, 3, 20_000
-    model = build_block_model(random_cig(p, 2, 1), B, L, 2.0, 0.4, 2)
+    model = build_block_model(random_cig(p, 2, 1), B, L, 2.0, 2)
     chunk = 8 * p * _chunk_columns(p)
     out = np.empty((B, p, L))
     assert _traced_peak(lambda: sample_process(model, 5, out=out)) < chunk + 32 * 1024
@@ -259,13 +271,13 @@ def test_sample_process_allocates_no_normals_per_block():
 @pytest.mark.parametrize("out", [np.empty((2, 4, 10)), np.empty((1, 4, 10), dtype=np.float32),
                                  np.empty((1, 4, 10), order="F"), np.empty((1, 4, 20))[:, :, ::2]])
 def test_sample_process_rejects_an_out_of_another_shape_or_dtype(out):
-    model = build_block_model(random_cig(4, 2, 1), 3, 10, 2.0, 0.4, 2)
+    model = build_block_model(random_cig(4, 2, 1), 3, 10, 2.0, 2)
     with pytest.raises(InvalidParameterError, match="out"):
         sample_process(model, 5, blocks=[1], out=out)
 
 
 def test_block_draws_check_every_covariance_on_construction():
-    model = build_block_model(random_cig(4, 2, 1), 3, 10, 2.0, 0.4, 2)
+    model = build_block_model(random_cig(4, 2, 1), 3, 10, 2.0, 2)
     K = model.precisions.copy()
     K[2, 3, 3] = -1.0  # symmetric, and indefinite
     with pytest.raises(NotPositiveDefiniteError):
@@ -273,7 +285,7 @@ def test_block_draws_check_every_covariance_on_construction():
 
 
 def test_identity_covariance_unit_variance():
-    model = build_block_model(Cig(p=3), 2, 20_000, 2.0, 0.3, 6)
+    model = build_block_model(Cig(p=3), 2, 20_000, 2.0, 6)
     # Empty graph plus the exact eigenvalue band forces K_b = I here.
     assert np.allclose(model.precisions, np.eye(3))
     samples = sample_process(model, 17)
@@ -286,7 +298,7 @@ def test_identity_covariance_unit_variance():
 def test_block_covariances_match_model():
     g = random_cig(4, 2, 10)
     L = 10_000
-    model = build_block_model(g, 2, L, 2.0, 0.5, 11)
+    model = build_block_model(g, 2, L, 2.0, 11)
     samples = sample_process(model, 12)
     C = np.linalg.inv(model.precisions)
     assert not np.allclose(C[0], C[1])
@@ -297,7 +309,7 @@ def test_block_covariances_match_model():
 
 
 def test_blocks_are_uncorrelated():
-    model = build_block_model(Cig(p=3), 2, 10_000, 2.0, 0.3, 14)
+    model = build_block_model(Cig(p=3), 2, 10_000, 2.0, 14)
     samples = sample_process(model, 15)
     X, Y = samples.data
     cross = (X @ Y.T) / samples.L
@@ -307,7 +319,7 @@ def test_blocks_are_uncorrelated():
 def test_empirical_covariance_consistency():
     # L = 1e4, p = 3: Frobenius error below 0.15 with high probability.
     g = random_cig(3, 2, 20)
-    model = build_block_model(g, 1, 10_000, 2.0, 0.4, 21)
+    model = build_block_model(g, 1, 10_000, 2.0, 21)
     ok = 0
     for seed in range(10):
         samples = sample_process(model, seed)
@@ -331,7 +343,7 @@ VAR_RTOL = 0.2
 
 @pytest.mark.parametrize("L", [3, 200])
 def test_sample_grams_moments_match_wishart(L):
-    model = build_block_model(random_cig(4, 2, 30), 2, L, 2.0, 0.5, 31)
+    model = build_block_model(random_cig(4, 2, 30), 2, L, 2.0, 31)
     draws = np.stack([sample_grams(model, seed).grams for seed in range(GRAM_DRAWS)])
     for b, C in enumerate(np.linalg.inv(model.precisions)):
         W = draws[:, b]
@@ -348,7 +360,7 @@ def test_sample_grams_moments_match_wishart(L):
 
 @pytest.mark.parametrize("L", [1, 2, 5, 6, 40])
 def test_sample_grams_rank_is_min_p_l(L):
-    model = build_block_model(random_cig(6, 2, 32), 3, L, 2.0, 0.4, 33)
+    model = build_block_model(random_cig(6, 2, 32), 3, L, 2.0, 33)
     grams = sample_grams(model, 34)
     assert grams.n_samples == 3 * L
     for W in grams.grams:
@@ -364,7 +376,7 @@ def test_gram_stack_is_bitwise_the_grams_sampled_alone(p, B, n, L, data):
             for _ in range(n)]
     model_seeds = [data.draw(st.integers(0, 2**63 - 1)) for _ in range(n)]
     gram_seeds = [data.draw(st.integers(0, 2**63 - 1)) for _ in range(n)]
-    models = [build_block_model(cig, B, L, 2.0, 0.4, seed) for cig, seed in zip(cigs, model_seeds)]
+    models = [build_block_model(cig, B, L, 2.0, seed) for cig, seed in zip(cigs, model_seeds)]
     factors = roots(np.concatenate([m.precisions for m in models])).reshape(n, B, p, p)
     grams = sample_gram_stack(factors, L, gram_seeds)
     assert grams.shape == (n, B, p, p)
@@ -384,14 +396,14 @@ def test_gram_stack_is_bitwise_the_grams_sampled_alone(p, B, n, L, data):
      "b8f22f683613e17fc8b0b6718779cb13399e65332a448c59d84857aad0fc7e2c"),
 ], ids=["p8-B4-L187252", "p6-B9-L4", "p10-B3-L50"])
 def test_covariance_and_gram_streams_are_pinned(p, s, B, L, seed, root_sha, gram_sha):
-    model = build_block_model(random_cig(p, s, seed), B, L, 2.0, 0.4, seed + 1)
+    model = build_block_model(random_cig(p, s, seed), B, L, 2.0, seed + 1)
     assert hashlib.sha256(roots(model.precisions).tobytes()).hexdigest() == root_sha
     grams = sample_grams(model, seed + 2).grams
     assert hashlib.sha256(grams.tobytes()).hexdigest() == gram_sha
 
 
 def test_sample_grams_deterministic():
-    model = build_block_model(random_cig(5, 2, 4), 3, 16, 2.0, 0.4, 5)
+    model = build_block_model(random_cig(5, 2, 4), 3, 16, 2.0, 5)
     g1 = sample_grams(model, 99)
     assert np.array_equal(g1.grams, sample_grams(model, 99).grams)
     assert not np.array_equal(g1.grams[0], sample_grams(model, 100).grams[0])

@@ -25,7 +25,7 @@ from nsgms.serialize import (
 @pytest.fixture
 def model():
     g = random_cig(5, 2, 3)
-    return build_block_model(g, 2, 8, 2.0, 0.4, 4)
+    return build_block_model(g, 2, 8, 2.0, 4)
 
 
 def test_model_round_trip(tmp_path, model):
@@ -43,7 +43,7 @@ def test_model_round_trip(tmp_path, model):
 def test_a_model_through_its_file_is_the_model_in_memory(tmp_path, p, s, B, seed):
     # A model is its precisions, which the file keeps exactly, so every draw
     # from the loaded model is the draw from the model in memory.
-    model = build_block_model(random_cig(p, s, seed), B, 8, 2.0, 0.4, seed + 1)
+    model = build_block_model(random_cig(p, s, seed), B, 8, 2.0, seed + 1)
     save_model(model, tmp_path / "model.txt")
     back = load_model(tmp_path / "model.txt")
     assert (back.p, back.B, back.L, back.beta) == (model.p, model.B, model.L, model.beta)
@@ -193,7 +193,7 @@ def test_cli_sample_holds_one_block(tmp_path, binary):
     # sample_process, small objects.  B is kept small because tracemalloc
     # traces every float the text writer formats.
     p, B, L = 8, 3, 20_000
-    save_model(build_block_model(random_cig(p, 2, 1), B, L, 2.0, 0.4, 2), tmp_path / "model.txt")
+    save_model(build_block_model(random_cig(p, 2, 1), B, L, 2.0, 2), tmp_path / "model.txt")
     argv = ["sample", str(tmp_path / "model.txt"), "--seed", "3", "-o", str(tmp_path / "s")]
     code, peak = traced_peak(lambda: main(argv + ["--binary"] * binary))
     assert code == 0
