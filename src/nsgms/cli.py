@@ -67,9 +67,9 @@ def _cmd_model(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    # Every block's root K^-1/2 is formed here, before the output is opened,
-    # so a block that is not positive definite writes nothing; each block is
-    # then drawn as it is written.
+    # Every block's root K^-1/2 is formed and checked here, before the output
+    # is opened, so a block that fails writes nothing, as `model` would; each
+    # block is then drawn as it is written.
     draws = BlockDraws(load_model(args.model), args.seed)
     save_samples(draws, args.output, binary=args.binary)
     return 0

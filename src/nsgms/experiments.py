@@ -7,9 +7,10 @@ from a seed derived from (master seed, grid index, trial index), picks a
 random target node with a nonempty neighborhood, and counts an error
 when the estimated neighborhood differs from the true one.  A trial
 draws each block's Gram matrix from its Wishart law through the roots
-K^-1/2 its model build returns
-(:func:`~nsgms.sampling.sample_gram_stack`), forming no covariance and no
-p x L columns, so its time and memory do not grow with the block length.
+K^-1/2 its model build returns (:func:`~nsgms.sampling.sample_gram_stack`),
+bit for bit as :func:`~nsgms.sampling.sample_grams` draws from its model on
+its stream.  It forms no covariance and no p x L columns, so its time and
+memory do not grow with the block length.
 Everything is a pure function of the config, so reruns give identical
 results.
 
@@ -314,8 +315,8 @@ def _run_trials(config: ExperimentConfig, L: int, grid_index: int, trials):
         streams.append(stream)
         cigs.append(cig)
         nodes.append(node)
-    # Slicing drops the precisions: only the roots K^-1/2, from the build's
-    # eigh, are held while the Gram matrices are drawn.
+    # Slicing drops the precisions: only the roots K^-1/2 are held while the
+    # Gram matrices are drawn.
     roots, rhos = build_model_stack(cigs, config.B, config.beta, streams)[1:]
     grams = sample_gram_stack(roots, L, streams)
     del roots, streams

@@ -68,20 +68,21 @@ class Cig:
         return max(degree)
 
 
-def _positive_int(value, name: str, top: float = math.inf) -> int:
-    """``value`` as a plain int, if it is an integer of any type but bool in 1..``top``.
+def _positive_int(value, name: str, top: float = math.inf, least: int = 1) -> int:
+    """``value`` as a plain int, if it is an integer of any type but bool in ``least``..``top``.
 
     The one rule for a count or a node: 2.5, ``True`` and ``np.float64(2.0)``
     are rejected, and ``np.int64(2)`` is taken as 2.  :class:`Cig` applies it
     to its node count, every entry point that takes one node to the node
-    (``top`` = p), and :class:`~nsgms.model.BlockModel` to its sizes.
+    (``top`` = p), :class:`~nsgms.model.BlockModel` to its sizes, and
+    :class:`~nsgms.regression.EstimatorConfig` to its budget s (``least`` = 0).
     """
     try:
         n = operator.index(value)
     except TypeError:  # not an integer, e.g. 2.5
-        n = 0
-    if isinstance(value, bool) or not 1 <= n <= top:
-        bound = ">= 1" if top == math.inf else f"in 1..{top}"
+        n = least - 1
+    if isinstance(value, bool) or not least <= n <= top:
+        bound = f">= {least}" if top == math.inf else f"in {least}..{top}"
         raise InvalidParameterError(f"need an integer {name} {bound}, got {value!r}")
     return n
 

@@ -7,9 +7,9 @@ and every covariance matrix K^-1 has its eigenvalues inside a band
 checks on construction that p, B and L are integers >= 1, that
 1 < beta < 2^52, and that its precisions are finite and exactly
 symmetric.  Every draw from a model goes through one root per block,
-:func:`inverse_square_roots`, K^-1/2 = V diag(lambda^-1/2) V^T from the
-eigendecomposition of K; positive definiteness is checked where that root
-is formed.  No covariance is formed anywhere.
+K^-1/2 = V diag(lambda^-1/2) V^T, which one function forms and checks from
+the precisions, :func:`inverse_square_roots`, for the model build and every
+sampler alike.  No covariance is formed anywhere.
 
 Construction recipe: per block, start from K = I + W where W is symmetric
 with support on the edges and entries drawn uniformly from
@@ -34,11 +34,10 @@ and forms no roots.
 
 n models of one shape are built on one (n*B, p, p) stack
 (:func:`build_model_stack`): each model draws all its W entries from its
-own stream in one call, and then one scatter, one ``eigh``, one band map
-and one strength reduction serve them all, and each model's roots are
-formed and checked from that ``eigh``, one model at a time.  Every step
-is per block, so a stacked model is bit for bit the model built alone;
-:func:`build_block_model` is the case n = 1.
+own stream in one call, and then one scatter, one ``eigvalsh``, one band
+map and one strength reduction serve them all; roots are formed one model
+at a time.  Every step is per block, so a stacked model is bit for bit the
+model built alone; :func:`build_block_model` is the case n = 1.
 """
 
 from __future__ import annotations
@@ -57,8 +56,9 @@ INVERSION_TOL = 1e-8
 #: slack allowed on the covariance eigenvalue band [1, beta]
 EIG_BAND_TOL = 1e-9
 
-#: beta must lie below 1/eps = 2^52: the band map puts the precision floor 1/beta
-#: beside the top of the band at 1, and a smaller floor is lost to rounding there
+#: beta must lie below 1/eps = 2^52, or the band floor 1/beta is lost to rounding
+#: against 1.  Built models hold to about 1e8: from about 4e8 to 1e10, by p and
+#: seed, a block's root fails its F K F = I check (``ConstructionFailure``).
 BETA_LIMIT = 2.0**52
 
 #: scale of the W entries; the band map cancels it, so ``coupling`` inputs are ignored
@@ -79,7 +79,7 @@ class BlockModel:
     matrices is stacked on construction.  Construction checks that p, B
     and L are integers >= 1, that 1 < beta < 2^52, and that the precisions
     are finite and exactly symmetric, in that order.  Positive
-    definiteness is checked where a root is formed
+    definiteness and the roots' check apply where a root is formed
     (:func:`inverse_square_roots`): by
     :class:`~nsgms.sampling.BlockDraws`, :func:`~nsgms.sampling.sample_process`
     and :func:`~nsgms.sampling.sample_grams`, so a singular or indefinite
@@ -124,33 +124,29 @@ class ModelReport:
     assumptions_ok: tuple  # (min edge strength, sparsity, eigenvalue band)
 
 
-def _spectrum_to_band(K: np.ndarray, beta: float):
+def _spectrum_to_band(K: np.ndarray, beta: float) -> np.ndarray:
     """Affine map of each precision spectrum so covariance eigenvalues hit [1, beta].
 
-    ``K`` is a (B, p, p) stack; it is overwritten.  Returns the mapped
-    precision stack K_new together with its eigenvalues and eigenvectors,
-    all from one symmetric eigendecomposition per block;
-    :func:`build_model_stack` turns the latter two into K_new's roots
-    K_new^-1/2.  The map acts entrywise, so K_new is as exactly
-    symmetric as K.
+    ``K`` is a (B, p, p) stack; it is overwritten and returned.  The map
+    needs each block's extreme eigenvalues only, from ``eigvalsh``, and acts
+    entrywise, so the mapped stack is as exactly symmetric as K.
     """
-    evals, vecs = np.linalg.eigh(K)
+    evals = np.linalg.eigvalsh(K)
     kmin, kmax = evals[:, 0], evals[:, -1]
     # A flat spectrum (e.g. empty graph) is plainly scaled: all eigenvalues at 1.
     flat = kmax - kmin <= 1e-12 * kmax
     alpha = np.where(flat, 1.0 / kmax, (1.0 - 1.0 / beta) / np.where(flat, 1.0, kmax - kmin))
     gamma = np.where(flat, 0.0, 1.0 / alpha - kmax)
-    new_evals = alpha[:, None] * (evals + gamma[:, None])
-    # alpha*K + (alpha*gamma)*I, formed in K's own buffer with the same bits.
+    # alpha*K + (alpha*gamma)*I, formed in K's own buffer.
     K *= alpha[:, None, None]
     diag = np.arange(K.shape[-1])
     K[:, diag, diag] += (alpha * gamma)[:, None]
-    return K, new_evals, vecs
+    return K
 
 
-def inverse_square_roots(evals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """K^-1/2 = V diag(lambda^-1/2) V^T per block, from ``np.linalg.eigh(K)``
-    of a precision stack K, written over ``vecs``.
+def inverse_square_roots(K: np.ndarray) -> np.ndarray:
+    """K^-1/2 = V diag(lambda^-1/2) V^T per block of a precision stack K,
+    from its ``eigh``: the one place a root is formed and checked.
 
     The root every draw goes through: X = F Z has covariance F F^T = K^-1.
     Each eigenvector enters twice, so the root does not depend on the signs
@@ -159,15 +155,21 @@ def inverse_square_roots(evals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     formed as U U^T with U = V diag(lambda^-1/4), which is exactly
     symmetric.  A block with lambda_min <= p*eps*lambda_max, the floor of
     numpy's ``matrix_rank``, raises :class:`NotPositiveDefiniteError`: eigh
-    puts a singular block's zero eigenvalue at rounding level, of either sign.
+    puts a singular block's zero eigenvalue at rounding level, of either
+    sign.  A root with F K F off I by more than ``INVERSION_TOL * p``, as a
+    block too ill-conditioned for eigh gives, raises :class:`ConstructionFailure`.
     """
+    evals, U = np.linalg.eigh(K)
+    p = evals.shape[-1]
     # Checked first: the square root would warn and give NaN or huge roots instead.
-    floor = evals.shape[-1] * np.finfo(float).eps * evals[..., -1]
-    if not np.all(evals[..., 0] > floor):
+    if not np.all(evals[..., 0] > p * np.finfo(float).eps * evals[..., -1]):
         raise NotPositiveDefiniteError("precision matrix is not positive definite")
-    vecs /= np.sqrt(np.sqrt(evals))[..., None, :]
-    vecs[...] = vecs @ vecs.swapaxes(-1, -2)
-    return vecs
+    U /= np.sqrt(np.sqrt(evals))[..., None, :]
+    F = U @ U.swapaxes(-1, -2)
+    e = np.abs(F @ K @ F - np.eye(p)).max()
+    if not e <= INVERSION_TOL * p:  # NaN included
+        raise ConstructionFailure(f"inversion residual {e:.3e} exceeds tolerance")
+    return F
 
 
 def _w_draws(cig: Cig, B: int, seed) -> np.ndarray:
@@ -211,11 +213,9 @@ def _edge_index(model_edges, B: int):
 
 
 def _banded_precisions(cigs, B: int, beta: float, seeds):
-    """The precision half of n model builds: draw each W, map K = I + W into the band.
-
-    Returns ``_spectrum_to_band``'s (K_new, new_evals, vecs) over the
-    (n*B, p, p) stack, whose blocks k*B to k*B + B - 1 are model k's.
-    """
+    """The precision half of n model builds: draw each W, map K = I + W into the
+    band, and check the mapped (n*B, p, p) stack is finite; model k's blocks are
+    k*B to k*B + B - 1."""
     if B < 1:
         raise InvalidParameterError(f"need B >= 1, got B={B}")
     _check_beta(beta)
@@ -227,7 +227,7 @@ def _banded_precisions(cigs, B: int, beta: float, seeds):
     K = np.zeros((len(cigs) * B, p, p))
     K[blocks, rows, cols] = K[blocks, cols, rows] = draws
     K += np.eye(p)  # each row of |W| sums to <= W_SCALE < 1: PD by Gershgorin
-    return _spectrum_to_band(K, beta)
+    return _check_finite(_spectrum_to_band(K, beta), "precisions")
 
 
 def _check_beta(beta) -> None:
@@ -236,35 +236,29 @@ def _check_beta(beta) -> None:
                                     f"1/beta underflows against 1), got {beta}")
 
 
-def _check_finite(stack: np.ndarray, name: str) -> None:
+def _check_finite(stack: np.ndarray, name: str) -> np.ndarray:
     if not np.all(np.isfinite(stack)):
         raise InvalidParameterError(f"{name} contain non-finite values")
+    return stack
 
 
 def build_model_stack(cigs, B: int, beta: float, seeds):
     """Precision and root stacks, each (n, B, p, p), of n models built at
     once, and each model's minimum edge strength.
 
-    A block's root is F = K^-1/2 (:func:`inverse_square_roots`), formed
-    from the band map's ``eigh`` in that model's own eigenvector buffer.
     Model k has graph ``cigs[k]`` and draws its W entries on ``seeds[k]``
     (see :func:`_w_draws`); it is bit for bit the model
-    :func:`build_block_model` builds from that pair.  Per model, in order,
-    its roots must form (:class:`NotPositiveDefiniteError`), then F K F = I
-    must hold within ``INVERSION_TOL * p`` (:class:`ConstructionFailure`);
-    the first model that fails raises.  Last, the precisions must be
-    finite, which makes the roots finite.
+    :func:`build_block_model` builds from that pair.  The precisions must be
+    finite; then each model's roots F = K^-1/2 are formed and checked by
+    :func:`inverse_square_roots`, bit for bit as the samplers form them, and
+    the first model whose roots fail raises.
     """
     n, p = len(cigs), cigs[0].p
-    K_new, new_evals, roots = _banded_precisions(cigs, B, beta, seeds)
-    K_new, roots = K_new.reshape(n, B, p, p), roots.reshape(n, B, p, p)
-    # One model at a time, so a root's product and a residual hold B blocks, not the stack.
-    for K, evals, F in zip(K_new, new_evals.reshape(n, B, p), roots):
-        inverse_square_roots(evals, F)
-        e = np.abs(F @ K @ F - np.eye(p)).max()
-        if e > INVERSION_TOL * p:
-            raise ConstructionFailure(f"inversion residual {e:.3e} exceeds tolerance")
-    _check_finite(K_new, "precisions")
+    K_new = _banded_precisions(cigs, B, beta, seeds).reshape(n, B, p, p)
+    roots = np.empty_like(K_new)
+    # One model at a time, so a root's temporaries hold B blocks, not the stack.
+    for K, F in zip(K_new, roots):
+        F[...] = inverse_square_roots(K)
     return K_new, roots, _rho_mins(K_new, [cig.edges for cig in cigs])
 
 
@@ -278,12 +272,9 @@ def pilot_min_edge_strengths(cigs, B: int, beta: float, seeds) -> list:
     """The strengths ``build_model_stack(cigs, ...)`` returns, without the models.
 
     Draws the same streams and forms the same precision stack, bit for
-    bit, but no roots, so it skips their checks; the precisions get the
-    finiteness check.
+    bit, but no roots, so it skips their checks.
     """
-    K_new = _banded_precisions(cigs, B, beta, seeds)[0]
-    _check_finite(K_new, "precisions")
-    return _rho_mins(K_new, [cig.edges for cig in cigs])
+    return _rho_mins(_banded_precisions(cigs, B, beta, seeds), [cig.edges for cig in cigs])
 
 
 def _rho_mins(precisions: np.ndarray, model_edges) -> list:

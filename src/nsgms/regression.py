@@ -56,8 +56,7 @@ class EstimatorConfig:
     rank_tol: float = DEFAULT_RANK_TOL
 
     def __post_init__(self):
-        if self.s < 0:
-            raise InvalidParameterError(f"need s >= 0, got {self.s}")
+        object.__setattr__(self, "s", _positive_int(self.s, "s", least=0))
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise InvalidParameterError(f"need a finite lambda >= 0, got {self.lam}")
         if not (0 < self.rank_tol < 1):

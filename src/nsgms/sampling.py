@@ -15,12 +15,12 @@ so there are two samplers:
   writes them as they come, so it holds one block, not the stack.
 - :func:`sample_grams` draws W_b itself from its Wishart law, in O(p^2)
   numbers per block whatever L is; :func:`sample_gram_stack` does so for
-  n models at once, from their roots.  :func:`sample_grams` forms its
-  model's roots from ``eigh`` of the precisions; the Monte Carlo harness
-  takes them from the model build (:func:`~nsgms.model.build_model_stack`)
-  and never materialises columns.  Both are K^-1/2, a continuous function
-  of K, so a rounding-level change to a model moves every draw from it at
-  rounding level only.
+  n models at once, from their roots.  The Monte Carlo harness takes the
+  roots from the model build (:func:`~nsgms.model.build_model_stack`) and
+  never materialises columns.  Every root, here and there, is
+  :func:`~nsgms.model.inverse_square_roots` of the precisions, a continuous
+  function of K, so a rounding-level change to a model moves every draw
+  from it at rounding level only.
 
 Samples are one (B, p, L) stack (:class:`SampleBlocks`) and Gram matrices
 one (B, p, p) stack (:class:`GramBlocks`).
@@ -159,7 +159,7 @@ def sample_process(model: BlockModel, seed, blocks=None, out=None) -> SampleBloc
     elif (out.shape != shape or out.dtype != np.float64
           or not (out.flags.c_contiguous and out.flags.writeable)):
         raise InvalidParameterError(f"out must be a writable C-contiguous float64 array of shape {shape}")
-    roots = inverse_square_roots(*np.linalg.eigh(model.precisions[blocks]))
+    roots = inverse_square_roots(model.precisions[blocks])
     w = _chunk_columns(p)
     buf = np.empty((p, min(w, L)))
     for X, b, F in zip(out, blocks, roots):
@@ -190,7 +190,7 @@ class BlockDraws:
     seed: int
 
     def __post_init__(self):
-        inverse_square_roots(*np.linalg.eigh(self.model.precisions))
+        inverse_square_roots(self.model.precisions)
 
     p = property(lambda self: self.model.p)
     B = property(lambda self: self.model.B)
@@ -252,7 +252,7 @@ def sample_grams(model: BlockModel, seed) -> GramBlocks:
     The case n = 1 of :func:`sample_gram_stack`, which gives the law, on the
     roots K^-1/2 of the model's precisions.
     """
-    roots = inverse_square_roots(*np.linalg.eigh(model.precisions))
+    roots = inverse_square_roots(model.precisions)
     (grams,) = sample_gram_stack(roots[None], model.L, [seed])
     return GramBlocks(p=model.p, B=model.B, L=model.L, grams=grams)
 

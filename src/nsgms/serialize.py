@@ -9,9 +9,9 @@ A model is its precisions: a loaded model is parsed, then constructed as
 a built one is, so :class:`~nsgms.model.BlockModel` checks the header's
 beta (1 < beta < 2^52) and that the precisions are finite and exactly
 symmetric.  A file that states no valid model raises
-:class:`FormatError`.  A singular or indefinite block loads; positive
-definiteness is checked where a root K^-1/2 is formed, as for a built
-model.
+:class:`FormatError`.  A singular, indefinite or ill-conditioned block
+loads; it fails where its root K^-1/2 is formed and checked, by the check
+a built model passes.
 
 Sample files:
     nsgms-samples v1 p=<p> B=<B> L=<L>

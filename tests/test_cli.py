@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,8 @@ import pytest
 
 import nsgms
 from nsgms.cli import build_parser, main
-from nsgms.serialize import load_model, load_samples
+from nsgms.model import BlockModel
+from nsgms.serialize import load_model, load_samples, save_model
 
 CONFIG = """
 p = 6
@@ -75,8 +77,8 @@ def test_sample_then_estimate_pipeline(tmp_path, model_path):
 # samples of ``sample --seed 7`` from the ``model_path`` model.  The digests
 # hold for a given numpy, LAPACK and BLAS build.
 NODE_PINS = [
-    pytest.param(2, "3d1dba96619e5393c000e548aa3b3364d4b4202e302e62462b8b08b0c34aec60", id="s2"),
-    pytest.param(3, "0fc5d8bc523539a130a0a3b76359efee9daa6a20b586d10e5d1cf2ec114d5d40", id="s3"),
+    pytest.param(2, "ae7edf3bfefead00d1e5bf43ba70380bcd66f6e39050e784567aa236c192b8f6", id="s2"),
+    pytest.param(3, "d398fb1b3609e2c50227f4fca37df5510f6c1ba2c28aae42f0195c278c1a0338", id="s3"),
 ]
 
 
@@ -300,9 +302,9 @@ def test_lemma_coefficient_errors_exit_2(tmp_path, capsys, args, message):
 
 # sha256 of a ``lemma`` CSV, and of the ``model_path`` fixture's file with the
 # line ``model`` prints for it.  The model digest holds for a given numpy and
-# BLAS build (the precisions pass through an eigendecomposition).
+# LAPACK build (the band map reads the precisions' eigvalsh).
 LEMMA_SHA = "5627cf944e8016d926bf5ce0e0046ee1cb52353fa088792c5317d7ce045531af"
-MODEL_SHA = "07fd980c69af43013d040bf85fed58be07c4a6927f0dee45e780f17fbf73cabb"
+MODEL_SHA = "8c69fd23b54e54fe64aa1fff25abf3bbd8f5213e1c806f6404ca629d208228e0"
 
 
 def test_lemma_csv_bytes_are_pinned(tmp_path):
@@ -538,6 +540,28 @@ def test_sample_of_a_singular_or_indefinite_block_exits_3_with_one_message(tmp_p
     assert run("sample", mpath, "--seed", 1, "-o", spath) == 3
     assert capsys.readouterr().err == "numerical failure: precision matrix is not positive definite\n"
     assert not spath.exists()
+
+
+@pytest.mark.parametrize("kappa, code", [(1e14, 3), (1e6, 0)], ids=["kappa-1e14", "kappa-1e6"])
+def test_sample_of_a_model_whose_root_fails_its_check_exits_3_as_model_does(tmp_path, capsys,
+                                                                           kappa, code):
+    # I - (1 - 1/kappa) 11^T / p has eigenvalues 1 and 1/kappa.  At kappa = 1e14
+    # eigh gives it a root whose F K F is about 2e-3 off I, which the check
+    # `model` applies refuses ("inversion residual"); `sample` of such a model
+    # file drew through that root and exited 0.  Every root now passes one check.
+    failure = re.compile(r"numerical failure: inversion residual \S+ exceeds tolerance\n")
+    assert run("model", "-p", 8, "--s-max", 2, "-B", 4, "-L", 64, "--beta", 1e12, "--seed", 1,
+               "-o", tmp_path / "built.txt") == 3
+    assert failure.fullmatch(capsys.readouterr().err)
+    mpath, spath = tmp_path / "m.txt", tmp_path / "samples.out"
+    K = np.eye(8) - (1 - 1 / kappa) / 8
+    save_model(BlockModel(p=8, B=2, L=16, beta=kappa, precisions=[K, K]), mpath)
+    assert run("sample", mpath, "--seed", 1, "-o", spath) == code
+    err = capsys.readouterr().err
+    if code:
+        assert failure.fullmatch(err) and not spath.exists()
+    else:
+        assert err == "" and load_samples(spath).data.shape == (2, 8, 16)
 
 
 def test_version_flag(capsys):

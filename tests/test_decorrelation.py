@@ -175,7 +175,7 @@ def var1_record(K, N, seed):
     the series lies below an ulp.  The sum is built by doubling: after each
     step the array holds the sum over k < 2m of the one over k < m.
     """
-    root = inverse_square_roots(*np.linalg.eigh(K))
+    root = inverse_square_roots(K)
     e = root @ np.random.default_rng(seed).standard_normal((P_VAR, N + 63))
     m = 1
     while m < 64:

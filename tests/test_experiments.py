@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import nsgms.experiments as experiments
 import nsgms.model as model_module
-from nsgms import QuadraticForm, random_cig, sample_size_bound
+from nsgms import QuadraticForm, build_block_model, random_cig, sample_grams, sample_size_bound
 from nsgms.cli import main
 from nsgms.errors import (
     ConfigError,
@@ -182,10 +182,12 @@ def test_wilson_interval_valid(trials, data):
 
 def test_calibration_is_pinned_on_the_acceptance_config():
     # Recorded when each pilot came to draw its graph and W entries on its one
-    # stream (0.0174415429237954 before); a change that keeps the streams keeps it.
+    # stream (0.0174415429237954 before), and again when the band map came to
+    # read eigvalsh (0.018721847625221007 before); a change that keeps the
+    # streams and the band map keeps it.
     config = small_config(p=8, s_true=2, s_est=2, B=4, grid=(1.0,),
                           beta=2.0, eta=0.1, master_seed=20260824)
-    assert repr(calibrate_rho_min(config)) == "0.018721847625221007"
+    assert repr(calibrate_rho_min(config)) == "0.018721847625221055"
 
 
 def test_trial_memory_does_not_grow_with_block_length():
@@ -252,10 +254,10 @@ def test_chunked_trials_match_trial_by_trial_runs(monkeypatch):
 
 
 def test_a_spoiled_trial_raises_what_the_trial_by_trial_loop_raises(monkeypatch):
-    # Trial 1 of a chunk gets a negated precision block and spectrum, so it
-    # fails only at the mapped-eigenvalue check; trial 3 gets a NaN precision,
-    # which the model check catches earlier in the pipeline.  Run alone,
-    # trial 1 fails first, so that is the error a chunk must raise too.
+    # Trial 1 of a chunk gets negated precision blocks, so it fails only where
+    # its roots are formed; trial 3 gets a NaN precision, which the stack's
+    # finiteness check catches before any root is formed.  Run alone, trial 1
+    # fails first, so that is the error a chunk must raise too.
     cfg = small_config(p=8, B=4, grid=(2000,), trials=MODELS_PER_STACK, master_seed=20260824)
     assert MODELS_PER_STACK >= 4
     original = model_module._spectrum_to_band
@@ -273,13 +275,12 @@ def test_a_spoiled_trial_raises_what_the_trial_by_trial_loop_raises(monkeypatch)
     def spoiled(K, beta):
         hits = [[i for i, block in enumerate(K) if np.array_equal(block, target)]
                 for target in (negated, nan)]
-        K_new, new_evals, vecs = original(K, beta)
+        K_new = original(K, beta)
         for i in hits[0]:
             K_new[i] *= -1.0
-            new_evals[i] *= -1.0
         for i in hits[1]:
             K_new[i, 0, 0] = np.nan
-        return K_new, new_evals, vecs
+        return K_new
 
     monkeypatch.setattr(model_module, "_spectrum_to_band", spoiled)
     with pytest.raises(Exception) as chunked:
@@ -406,6 +407,30 @@ def test_grams_through_the_roots_keep_the_law_of_the_cholesky_draw():
         assert D <= critical, (k, D, critical)
 
 
+@pytest.mark.parametrize("p, B, beta, seed", [(8, 4, 2.0, 20260824), (10, 3, 2.5, 11)])
+def test_trial_grams_are_sample_grams_of_the_trial_model(monkeypatch, p, B, beta, seed):
+    # A trial's roots and sample_grams' roots are one function of the same
+    # precisions, so on the trial's own stream its Gram matrices are bit for
+    # bit those of its model built and sampled alone.  Roots taken from the
+    # band map's eigenpairs of I + W differed by up to 3.3e-15 relative.
+    cfg = small_config(p=p, B=B, beta=beta, trials=2 * MODELS_PER_STACK, master_seed=seed)
+    L, drawn = 300, []
+
+    def recording(roots, L, streams):
+        grams = sample_gram_stack(roots, L, streams)
+        drawn.extend(grams.copy())
+        return grams
+
+    monkeypatch.setattr(experiments, "sample_gram_stack", recording)
+    for chunk in (range(MODELS_PER_STACK), range(MODELS_PER_STACK, 2 * MODELS_PER_STACK)):
+        _run_trials(cfg, L, 0, chunk)
+    assert len(drawn) == cfg.trials
+    for t, W in enumerate(drawn):
+        stream, cig, _ = _draw_trial(cfg, 0, t)
+        model = build_block_model(cig, B, L, beta, stream)
+        assert W.tobytes() == sample_grams(model, stream).grams.tobytes(), t
+
+
 def test_trials_take_no_cholesky_factor_and_no_inverse(monkeypatch):
     # The harness samples from the roots of the model build; neither a
     # covariance (an inverse) nor a Cholesky factor is formed.  At s_est = 2
@@ -446,17 +471,20 @@ master_seed = {seed}
 # streams and the roots must not move the bytes.  The coupling key is ignored
 # and the W scale fixed at 0.4, so p10-s3-B3 (0.5) and L-grid (0.3) were
 # re-recorded: their rho_min, lambda and bound_N moved in the last digits.
+# All four were re-recorded when the band map came to read eigvalsh and the
+# trials' roots came from the mapped precisions: again only rho_min, lambda
+# and bound_N moved, in the last digits.
 @pytest.mark.parametrize("text, sha", [
     (ACCEPTANCE.format(grid="N_grid = 1e-4x, 0.1x, 1x, 752", trials=20, seed=20260824),
-     "34e9d200a785e9e0700797d8fe175eef10629e2ca6b0113188dda923210eba05"),
+     "3afbb5d562435906060b4c6a343a79c285a5340743ef399f9b241cd06e921ad9"),
     (ACCEPTANCE.format(grid="N_grid = 0.01x, 1x, 300", trials=7, seed=3),
-     "e5fc5b30fe98bbddd66d270317797ecd3c03775c5e947857a7a656420acf35a7"),
+     "e38dc575e4923a61f65b93f211e80713c012d17f5e776aecd4fbf8e15726fa84"),
     ("p = 10\ns_true = 2\ns_est = 3\nB = 3\nN_grid = 0.05x, 1x, 600\nbeta = 2.5\n"
      "coupling = 0.5\ntrials = 9\neta = 0.05\nmaster_seed = 11\n",
-     "b8d0f45e8424ac037ae7b9abe328ed2e9705e4ce6d1bd5d6ae0494b2926033cc"),
+     "15ef6b6df70a25a6f4802af14db92f40e9c88b4464a2f047167264a08440249b"),
     ("p = 7\ns_true = 2\ns_est = 2\nB = 9\nL_grid = 10, 40, 400\nbeta = 3.0\n"
      "coupling = 0.3\ntrials = 6\neta = 0.1\nmaster_seed = 42\nlambda_mode = 0.01\n",
-     "5d0abf8368c116ace1254fd0046990dcccff6420470ad1e33262e947df980d25"),
+     "0383d3b1ce533528ef3aed5098d385fb7f37c01f48fcddc38b50fc2c10b7566c"),
 ], ids=["acceptance", "trials-7", "p10-s3-B3", "L-grid"])
 def test_experiment_csv_bytes_are_pinned(tmp_path, text, sha):
     cpath, out = tmp_path / "sweep.cfg", tmp_path / "sweep.csv"

@@ -779,11 +779,12 @@ def test_estimate_graph_rejects_unknown_rule():
         estimate_graph(samples, EstimatorConfig(s=1, lam=0.1), combine="XOR")
 
 
-@pytest.mark.parametrize("node", [2.5, True, np.float64(2.0)])
+@pytest.mark.parametrize("node", [2.5, True, np.float64(2.0), pytest.param(2.0, id="float-2.0")])
 def test_every_one_node_entry_rejects_a_node_that_is_not_an_integer(node):
     # Cig.neighborhood(2.5) gave frozenset(), partial_correlation(model, 1.5, 4)
     # the (1, 4) strength, estimate_neighborhood a bare TypeError, and True
-    # passed all three as node 1.
+    # passed all three as node 1.  The search budget s follows the same rule:
+    # s = 2.5 and 2.0 gave a bare TypeError inside the kernel, and True ran as 1.
     g = random_cig(5, 2, 3)
     model = build_block_model(g, 2, 8, 2.0, 4)
     samples = sample_process(model, 5)
@@ -793,6 +794,8 @@ def test_every_one_node_entry_rejects_a_node_that_is_not_an_integer(node):
         partial_correlation(model, node, 4)
     with pytest.raises(InvalidParameterError, match="integer node"):
         estimate_neighborhood(samples, node, EstimatorConfig(s=2, lam=0.01))
+    with pytest.raises(InvalidParameterError, match="integer s >= 0"):
+        EstimatorConfig(s=node, lam=0.01)
 
 
 def test_every_one_node_entry_takes_a_numpy_integer_node_as_an_int():
@@ -804,6 +807,11 @@ def test_every_one_node_entry_takes_a_numpy_integer_node_as_an_int():
     assert partial_correlation(model, np.int64(2), 4) == partial_correlation(model, 2, 4)
     est = estimate_neighborhood(samples, np.int64(2), config)
     assert type(est.node) is int and est == estimate_neighborhood(samples, 2, config)
+    budget = EstimatorConfig(s=np.int64(2), lam=0.01)
+    assert type(budget.s) is int and budget == config
+    assert EstimatorConfig(s=0, lam=0.01).s == 0
+    with pytest.raises(InvalidParameterError, match="integer s >= 0"):
+        EstimatorConfig(s=-1, lam=0.01)
 
 
 # ---------------------------------------------------------------- scalar helpers

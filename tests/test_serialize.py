@@ -147,14 +147,15 @@ def test_text_load_holds_one_copy_of_the_payload(tmp_path):
 # sample_process(model, seed) on the ``model`` fixture, and of what
 # ``nsgms sample`` writes for the fixture saved with save_model: the model
 # loaded from its file is the model in memory.  The digests hold for a
-# given numpy, LAPACK and BLAS build (the samples pass through the root
-# K^-1/2, formed from LAPACK's eigh, and a matrix product, taken a chunk of
-# columns at a time).
+# given numpy, LAPACK and BLAS build (the model's precisions pass through
+# the band map's eigvalsh, and the samples through the root K^-1/2, formed
+# from LAPACK's eigh, and a matrix product, taken a chunk of columns at a
+# time).
 SAMPLE_PINS = [
-    pytest.param(9, "cf3effc3d77a40a03da9be39af381fef3c068b78c11cbdb95dc5a1e7b2eed474",
-                 "3a99b5a89f430ef54a152027c17ce99f3a66736fdac0c212cb7b0994dc3f22fd", id="seed9"),
-    pytest.param(10, "a17916fd80ae6ca431998a2b8284506e15979fb8c48e25b7a59a8639e47520b2",
-                 "83284a9158471d10e634acf05718fe5a2e73b8131eca46cfed08dca1bdfa2562", id="seed10"),
+    pytest.param(9, "b2bec1c07084db1cba6b75af905e64775b90093e9b80d62232e1acce2d5dde3c",
+                 "14f470673af93f36c6cbec516689bbcc01dc7ef50bbdaf18e192e7c2664b79dd", id="seed9"),
+    pytest.param(10, "6ccc3e36e7d4af55b954a2b4582e49cb04a6c63b965d9b6b00639294fcd8e773",
+                 "b8cc0f946d03043282276f1b5f7cad6386fe94a013d7e45f6b7c0c2920fffee8", id="seed10"),
 ]
 META_SHA = "06318cd4babf6aa373ba691a0905c348ff0bf509832a2e37105055079bc4e7b6"
 
