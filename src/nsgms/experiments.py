@@ -6,8 +6,9 @@ regenerates the whole pipeline (random graph, block model, Gram sample)
 from a seed derived from (master seed, grid index, trial index), picks a
 random target node with a nonempty neighborhood, and counts an error
 when the estimated neighborhood differs from the true one.  A trial
-draws each block's Gram matrix from its Wishart law through the roots
-K^-1/2 its model build returns (:func:`~nsgms.sampling.sample_gram_stack`),
+draws each block's Gram matrix from its Wishart law
+(:func:`~nsgms.sampling.sample_gram_stack`) through the roots K^-1/2 it
+forms from its model's precisions (:func:`~nsgms.model.inverse_square_roots`),
 bit for bit as :func:`~nsgms.sampling.sample_grams` draws from its model on
 its stream.  It forms no covariance and no p x L columns, so its time and
 memory do not grow with the block length.
@@ -19,8 +20,9 @@ A grid point's trials run in one thread, in chunks of
 stream, in the order a lone trial draws; the chunk's models and Gram
 matrices are built on one stack of chunk * B blocks
 (:func:`~nsgms.model.build_model_stack`), which gives each trial bit for
-bit what it would get alone, and each trial's one-target sweep runs on
-its own Gram stack.  Memory depends on the chunk size, not on the number
+bit what it would get alone; each model's roots then overwrite its own
+precisions, one model at a time, and each trial's one-target sweep runs
+on its own Gram stack.  Memory depends on the chunk size, not on the number
 of trials.  A chunk that raises is rerun one trial at a time, so a
 failure raises the error of the first failing trial, as a trial-by-trial
 loop would.
@@ -32,7 +34,7 @@ target node, its W entries, and then its blocks' Bartlett variates in
 the Gram build (one chi-square draw per degree of freedom over its
 blocks, and one array draw of normals).  Between the draws a chunk holds
 each stream's bit generator only.  The model build returns each model's
-minimum edge strength rho_min beside its stacks, and
+minimum edge strength rho_min beside its precisions, and
 :meth:`ExperimentConfig.lam` turns rho_min into the penalty of a trial
 and of a row.  Both CSVs go through one writer, and the experiment CSV's
 columns are :class:`ExperimentRow`'s fields, with ``lam`` written as
@@ -41,9 +43,10 @@ columns are :class:`ExperimentRow`'s fields, with ``lam`` written as
 Grid entries may be absolute sample counts (``N_grid``), absolute block
 lengths (``L_grid``), or multipliers of the theoretical sample-size
 bound written like ``1.5x``; multipliers are resolved against a pilot
-calibration of the achievable minimum edge strength.  Pilots draw their
-graphs and precisions as trials' model builds do but compute edge
-strengths only, with no roots, in chunks of the same size.
+calibration of the achievable minimum edge strength.  Pilots are built
+as trials' models are, by the same function in chunks of the same size,
+and keep the edge strengths only: nothing draws from them, so they form
+no roots.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ import numpy as np
 
 from .errors import ConfigError, InfeasibleConfigError, InvalidParameterError, TrendViolationError
 from .graph import random_cig
-from .model import build_model_stack, pilot_min_edge_strengths
+from .model import build_model_stack, inverse_square_roots
 from .regression import (
     EstimatorConfig,
     default_lambda,
@@ -98,8 +101,8 @@ class ExperimentConfig:
                 raise ConfigError(f"grid multiplier must be finite and positive, got {entry!r}x")
             if isinstance(entry, int) and entry < 1:
                 raise ConfigError(f"grid entry must be a positive count, got {entry}")
-        if not (math.isfinite(self.eta) and self.eta > 0):
-            raise ConfigError(f"need a finite eta > 0, got {self.eta!r}")
+        if not 0 < self.eta < 1:  # a failure probability; NaN fails too
+            raise ConfigError(f"need 0 < eta < 1, got {self.eta!r}")
         if not (math.isfinite(self.beta) and self.beta > 1):
             raise ConfigError(f"need a finite beta > 1, got {self.beta!r}")
         if self.s_est < self.s_true:
@@ -245,7 +248,7 @@ def _pilot_min(config: ExperimentConfig, pilots) -> float:
         rng, cig = _draw_graph(config, _CALIBRATION_KEY, k)
         streams.append(rng.bit_generator)
         cigs.append(cig)
-    return min(pilot_min_edge_strengths(cigs, config.B, config.beta, streams))
+    return min(build_model_stack(cigs, config.B, config.beta, streams)[1])
 
 
 def calibrate_rho_min(config: ExperimentConfig) -> float:
@@ -253,12 +256,11 @@ def calibrate_rho_min(config: ExperimentConfig) -> float:
 
     Used only to resolve multiplier grid entries into sample counts; rows
     always report the strengths actually achieved during their trials.
-    A pilot draws its graph and W entries as a trial does, and builds its
-    precision stack as a full model build does, but gets
-    only the strengths (:func:`~nsgms.model.pilot_min_edge_strengths`),
-    the same values ``build_model_stack`` returns: nothing draws from a
-    pilot, so its roots are not formed.  Pilots are mapped to the band in
-    chunks of :data:`MODELS_PER_STACK`, on one stack per chunk.
+    A pilot draws its graph and W entries as a trial does, and is built
+    by the same :func:`~nsgms.model.build_model_stack`, of which it keeps
+    the strengths: nothing draws from a pilot, so its roots are not formed.
+    Pilots are built in chunks of :data:`MODELS_PER_STACK`, on one stack
+    per chunk.
     """
     return min(_chunked(_CALIBRATION_PILOTS, _pilot_min, config))
 
@@ -307,7 +309,8 @@ def _run_trials(config: ExperimentConfig, L: int, grid_index: int, trials):
     trial) stream, then, on the same stream, its W entries in the chunk's
     model build and its Bartlett variates in the chunk's Gram build, as a
     lone trial does; each trial's one-target sweep runs on its own Gram
-    stack.
+    stack.  Each model's roots are written over its own precisions, so
+    one (chunk, B, p, p) stack is held, not two.
     """
     streams, cigs, nodes = [], [], []
     for t in trials:
@@ -315,11 +318,12 @@ def _run_trials(config: ExperimentConfig, L: int, grid_index: int, trials):
         streams.append(stream)
         cigs.append(cig)
         nodes.append(node)
-    # Slicing drops the precisions: only the roots K^-1/2 are held while the
-    # Gram matrices are drawn.
-    roots, rhos = build_model_stack(cigs, config.B, config.beta, streams)[1:]
-    grams = sample_gram_stack(roots, L, streams)
-    del roots, streams
+    stack, rhos = build_model_stack(cigs, config.B, config.beta, streams)
+    # Indexed, not iterated: a loop variable would keep a view of the stack alive.
+    for k in range(len(stack)):
+        stack[k] = inverse_square_roots(stack[k])
+    grams = sample_gram_stack(stack, L, streams)
+    del stack, streams
     errors = 0
     for cig, node, rho, W in zip(cigs, nodes, rhos, grams):
         est = estimate_neighborhood(GramBlocks(p=config.p, B=config.B, L=L, grams=W), node,

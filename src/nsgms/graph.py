@@ -74,7 +74,8 @@ def _positive_int(value, name: str, top: float = math.inf, least: int = 1) -> in
     The one rule for a count or a node: 2.5, ``True`` and ``np.float64(2.0)``
     are rejected, and ``np.int64(2)`` is taken as 2.  :class:`Cig` applies it
     to its node count, every entry point that takes one node to the node
-    (``top`` = p), :class:`~nsgms.model.BlockModel` to its sizes, and
+    (``top`` = p), :class:`~nsgms.model.BlockModel`, the sample and Gram
+    stacks of :mod:`nsgms.sampling` to their sizes, and
     :class:`~nsgms.regression.EstimatorConfig` to its budget s (``least`` = 0).
     """
     try:

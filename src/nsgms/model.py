@@ -8,8 +8,9 @@ checks on construction that p, B and L are integers >= 1, that
 1 < beta < 2^52, and that its precisions are finite and exactly
 symmetric.  Every draw from a model goes through one root per block,
 K^-1/2 = V diag(lambda^-1/2) V^T, which one function forms and checks from
-the precisions, :func:`inverse_square_roots`, for the model build and every
-sampler alike.  No covariance is formed anywhere.
+the precisions, :func:`inverse_square_roots`, where a draw is made: in
+every sampler and in the harness's trials.  :func:`build_block_model`
+forms them once, as a check.  No covariance is formed anywhere.
 
 Construction recipe: per block, start from K = I + W where W is symmetric
 with support on the edges and entries drawn uniformly from
@@ -26,18 +27,17 @@ Edge strength is measured by the block-averaged squared ratio of the
 off-diagonal precision entry to the diagonal one; it is reported, never
 targeted.  One reduction gives each model's minimum, rho_min (inf for an
 edgeless graph), to every caller: :func:`build_model_stack` returns it
-beside the stacks, and :func:`min_edge_strength` and
+beside the precisions, and :func:`min_edge_strength` and
 :func:`partial_correlation` apply it to one model.  It reads the precisions
-only, so :func:`pilot_min_edge_strengths` (the harness's calibration
-pilots) runs the precision half of a build, on the same random streams,
-and forms no roots.
+only, so the harness's calibration pilots, which nothing draws from, take
+it from the build and form no roots.
 
 n models of one shape are built on one (n*B, p, p) stack
 (:func:`build_model_stack`): each model draws all its W entries from its
 own stream in one call, and then one scatter, one ``eigvalsh``, one band
-map and one strength reduction serve them all; roots are formed one model
-at a time.  Every step is per block, so a stacked model is bit for bit the
-model built alone; :func:`build_block_model` is the case n = 1.
+map and one strength reduction serve them all.  Every step is per block,
+so a stacked model is bit for bit the model built alone;
+:func:`build_block_model` is the case n = 1, plus its roots' check.
 """
 
 from __future__ import annotations
@@ -80,10 +80,12 @@ class BlockModel:
     and L are integers >= 1, that 1 < beta < 2^52, and that the precisions
     are finite and exactly symmetric, in that order.  Positive
     definiteness and the roots' check apply where a root is formed
-    (:func:`inverse_square_roots`): by
-    :class:`~nsgms.sampling.BlockDraws`, :func:`~nsgms.sampling.sample_process`
-    and :func:`~nsgms.sampling.sample_grams`, so a singular or indefinite
-    model is built, and fails when it is drawn from.
+    (:func:`inverse_square_roots`): by :func:`build_block_model`, the
+    harness's trials, :class:`~nsgms.sampling.BlockDraws`,
+    :func:`~nsgms.sampling.sample_process` and
+    :func:`~nsgms.sampling.sample_grams`.  So a singular or indefinite
+    model, such as one loaded from a file, is constructed here, and fails
+    when it is drawn from.
     """
 
     p: int
@@ -212,24 +214,6 @@ def _edge_index(model_edges, B: int):
     return flat.reshape(-1, 3).T
 
 
-def _banded_precisions(cigs, B: int, beta: float, seeds):
-    """The precision half of n model builds: draw each W, map K = I + W into the
-    band, and check the mapped (n*B, p, p) stack is finite; model k's blocks are
-    k*B to k*B + B - 1."""
-    if B < 1:
-        raise InvalidParameterError(f"need B >= 1, got B={B}")
-    _check_beta(beta)
-    p = cigs[0].p
-    if any(cig.p != p for cig in cigs):
-        raise InvalidParameterError("graphs of one stack differ in p")
-    draws = np.concatenate([_w_draws(cig, B, seed) for cig, seed in zip(cigs, seeds)])
-    blocks, rows, cols = _edge_index([cig.edges for cig in cigs], B)
-    K = np.zeros((len(cigs) * B, p, p))
-    K[blocks, rows, cols] = K[blocks, cols, rows] = draws
-    K += np.eye(p)  # each row of |W| sums to <= W_SCALE < 1: PD by Gershgorin
-    return _check_finite(_spectrum_to_band(K, beta), "precisions")
-
-
 def _check_beta(beta) -> None:
     if not 1 < beta < BETA_LIMIT:
         raise InvalidParameterError(f"need 1 < beta < 2^52 (above that the band floor "
@@ -243,38 +227,40 @@ def _check_finite(stack: np.ndarray, name: str) -> np.ndarray:
 
 
 def build_model_stack(cigs, B: int, beta: float, seeds):
-    """Precision and root stacks, each (n, B, p, p), of n models built at
-    once, and each model's minimum edge strength.
+    """The (n, B, p, p) precision stack of n models built at once, and each
+    model's minimum edge strength.
 
     Model k has graph ``cigs[k]`` and draws its W entries on ``seeds[k]``
     (see :func:`_w_draws`); it is bit for bit the model
-    :func:`build_block_model` builds from that pair.  The precisions must be
-    finite; then each model's roots F = K^-1/2 are formed and checked by
-    :func:`inverse_square_roots`, bit for bit as the samplers form them, and
-    the first model whose roots fail raises.
+    :func:`build_block_model` builds from that pair.  Each K = I + W is
+    mapped into the band, and the mapped stack must be finite.  No root is
+    formed: a caller that draws forms them with :func:`inverse_square_roots`.
     """
+    if B < 1:
+        raise InvalidParameterError(f"need B >= 1, got B={B}")
+    _check_beta(beta)
     n, p = len(cigs), cigs[0].p
-    K_new = _banded_precisions(cigs, B, beta, seeds).reshape(n, B, p, p)
-    roots = np.empty_like(K_new)
-    # One model at a time, so a root's temporaries hold B blocks, not the stack.
-    for K, F in zip(K_new, roots):
-        F[...] = inverse_square_roots(K)
-    return K_new, roots, _rho_mins(K_new, [cig.edges for cig in cigs])
+    if any(cig.p != p for cig in cigs):
+        raise InvalidParameterError("graphs of one stack differ in p")
+    draws = np.concatenate([_w_draws(cig, B, seed) for cig, seed in zip(cigs, seeds)])
+    model_edges = [cig.edges for cig in cigs]
+    blocks, rows, cols = _edge_index(model_edges, B)
+    K = np.zeros((n * B, p, p))
+    K[blocks, rows, cols] = K[blocks, cols, rows] = draws
+    K += np.eye(p)  # each row of |W| sums to <= W_SCALE < 1: PD by Gershgorin
+    K = _check_finite(_spectrum_to_band(K, beta), "precisions").reshape(n, B, p, p)
+    return K, _rho_mins(K, model_edges)
 
 
 def build_block_model(cig: Cig, B: int, L: int, beta: float, seed) -> BlockModel:
-    """Build a B-block model whose precision support equals the graph's edges."""
-    (precisions,), _, _ = build_model_stack([cig], B, beta, [seed])
-    return BlockModel(p=cig.p, B=B, L=L, beta=float(beta), precisions=precisions)
+    """Build a B-block model whose precision support equals the graph's edges.
 
-
-def pilot_min_edge_strengths(cigs, B: int, beta: float, seeds) -> list:
-    """The strengths ``build_model_stack(cigs, ...)`` returns, without the models.
-
-    Draws the same streams and forms the same precision stack, bit for
-    bit, but no roots, so it skips their checks.
+    Its roots are formed and checked once (:func:`inverse_square_roots`), so
+    a model that no sampler could draw from fails here.
     """
-    return _rho_mins(_banded_precisions(cigs, B, beta, seeds), [cig.edges for cig in cigs])
+    (precisions,), _ = build_model_stack([cig], B, beta, [seed])
+    inverse_square_roots(precisions)
+    return BlockModel(p=cig.p, B=B, L=L, beta=float(beta), precisions=precisions)
 
 
 def _rho_mins(precisions: np.ndarray, model_edges) -> list:

@@ -215,14 +215,14 @@ def sample_size_bound(beta: float, rho_min: float, p: int, s: int, eta: float) -
     config, from about 1e-2x of the bound upward).
     """
     for name, v in (("beta", beta), ("rho_min", rho_min), ("p", p), ("s", s), ("eta", eta)):
-        if v <= 0:
-            raise InvalidParameterError(f"need {name} > 0, got {v}")
+        if not (math.isfinite(v) and v > 0):  # NaN and inf included
+            raise InvalidParameterError(f"need a finite {name} > 0, got {v}")
     return 864.0 * (beta / rho_min) * math.log(6.0 * p * s * s / eta)
 
 
 def rho_condition_holds(rho_min: float, beta: float, L: int) -> bool:
     """Whether the minimum edge strength clears 24*beta/L, as the bound requires."""
     for name, v in (("rho_min", rho_min), ("beta", beta), ("L", L)):
-        if v <= 0:
-            raise InvalidParameterError(f"need {name} > 0, got {v}")
+        if not (math.isfinite(v) and v > 0):  # NaN and inf included
+            raise InvalidParameterError(f"need a finite {name} > 0, got {v}")
     return rho_min >= 24.0 * beta / L

@@ -15,15 +15,16 @@ so there are two samplers:
   writes them as they come, so it holds one block, not the stack.
 - :func:`sample_grams` draws W_b itself from its Wishart law, in O(p^2)
   numbers per block whatever L is; :func:`sample_gram_stack` does so for
-  n models at once, from their roots.  The Monte Carlo harness takes the
-  roots from the model build (:func:`~nsgms.model.build_model_stack`) and
-  never materialises columns.  Every root, here and there, is
-  :func:`~nsgms.model.inverse_square_roots` of the precisions, a continuous
-  function of K, so a rounding-level change to a model moves every draw
-  from it at rounding level only.
+  n models at once, from their roots.  The Monte Carlo harness forms each
+  model's roots from the precisions the model build returns
+  (:func:`~nsgms.model.build_model_stack`) and never materialises columns.
+  Every root, here and there, is :func:`~nsgms.model.inverse_square_roots`
+  of the precisions, a continuous function of K, so a rounding-level
+  change to a model moves every draw from it at rounding level only.
 
 Samples are one (B, p, L) stack (:class:`SampleBlocks`) and Gram matrices
-one (B, p, p) stack (:class:`GramBlocks`).
+one (B, p, p) stack (:class:`GramBlocks`); both take p, B and L as
+integers >= 1, as :class:`~nsgms.model.BlockModel` does.
 
 :func:`sample_process` gives every block its own PRNG stream keyed by
 (seed, block index), so blocks can be drawn in any order, alone or
@@ -50,6 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
+from .graph import _positive_int
 from .model import BlockModel, inverse_square_roots
 
 #: bytes of one chunk of columns that :func:`sample_process` multiplies by F
@@ -73,6 +75,8 @@ class SampleBlocks:
     data: np.ndarray
 
     def __post_init__(self):
+        for name in ("p", "B", "L"):
+            object.__setattr__(self, name, _positive_int(getattr(self, name), name))
         shape = (self.B, self.p, self.L)
         try:
             data = np.asarray(self.data, dtype=float)
@@ -102,6 +106,8 @@ class GramBlocks:
     grams: np.ndarray
 
     def __post_init__(self):
+        for name in ("p", "B", "L"):
+            object.__setattr__(self, name, _positive_int(getattr(self, name), name))
         grams = np.ascontiguousarray(self.grams, dtype=float)
         if grams.shape != (self.B, self.p, self.p):
             raise InvalidParameterError(
@@ -206,8 +212,9 @@ def sample_gram_stack(factors: np.ndarray, L: int, seeds) -> np.ndarray:
     """Draw the Gram matrices of n models' blocks at once, without their columns.
 
     ``factors`` is the (n, B, p, p) stack of the blocks' roots, any F with
-    F F^T = C the block's covariance; every caller passes K^-1/2, the model
-    build's or :func:`sample_grams`'.  Model k draws on ``seeds[k]``,
+    F F^T = C the block's covariance; every caller passes K^-1/2, formed by
+    :func:`~nsgms.model.inverse_square_roots`, the harness's trials and
+    :func:`sample_grams` alike.  Model k draws on ``seeds[k]``,
     anything ``np.random.default_rng`` takes (a Generator or bit generator
     is drawn from in place); returns the (n, B, p, p) stack of W_b =
     X_b X_b^T.  Each model's is bit for bit what it draws alone on the

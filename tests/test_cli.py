@@ -344,7 +344,7 @@ def test_config_errors_exit_2(tmp_path):
 
 
 @pytest.mark.parametrize("line", ["N_grid = nanx", "N_grid = infx", "N_grid = 1e400x",
-                                  "N_grid = 0x", "N_grid = -1x", "eta = nan"])
+                                  "N_grid = 0x", "N_grid = -1x", "eta = nan", "eta = 1000"])
 def test_bad_multipliers_and_eta_exit_2(tmp_path, capsys, line):
     key = line.split(" = ")[0]
     text = "".join(f"{line}\n" if row.startswith(key) else f"{row}\n"

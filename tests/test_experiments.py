@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import nsgms.experiments as experiments
 import nsgms.model as model_module
+import nsgms.sampling as sampling_module
 from nsgms import QuadraticForm, build_block_model, random_cig, sample_grams, sample_size_bound
 from nsgms.cli import main
 from nsgms.errors import (
@@ -39,7 +40,7 @@ from nsgms.experiments import (
     run_phase_transition,
     wilson_interval,
 )
-from nsgms.model import W_SCALE, _w_draws, build_model_stack
+from nsgms.model import W_SCALE, _w_draws, build_model_stack, inverse_square_roots
 from nsgms.sampling import sample_gram_stack
 
 BASE_CONFIG = """
@@ -135,7 +136,7 @@ def test_parse_config_rejects_bad_grid_entries(entry):
         parse_config(BASE_CONFIG.replace("200, 400", f"200, {entry}"))
 
 
-@pytest.mark.parametrize("eta", ["nan", "inf", "-inf", "0", "-0.1"])
+@pytest.mark.parametrize("eta", ["nan", "inf", "-inf", "0", "-0.1", "1", "1000"])
 def test_parse_config_rejects_bad_eta(eta):
     with pytest.raises(ConfigError, match="eta"):
         parse_config(BASE_CONFIG.replace("eta = 0.1", f"eta = {eta}"))
@@ -327,7 +328,7 @@ def old_layout_trial(cfg, L, t):
          for _ in range(cfg.B * len(cig.edges))]
     # A build on a fresh generator draws the same W, bit for bit
     # (test_graph_model.py::test_coupling_draws_decode_the_scalar_loop).
-    rho = build_model_stack([cig], cfg.B, cfg.beta, [model_seed])[2][0]
+    rho = build_model_stack([cig], cfg.B, cfg.beta, [model_seed])[1][0]
     chi = []
     for b in range(cfg.B):
         block = np.random.default_rng(np.random.SeedSequence(entropy=gram_seed,
@@ -344,7 +345,7 @@ def new_layout_trial(cfg, L, t):
     """
     stream, cig, _ = _draw_trial(cfg, 0, t)
     W = _w_draws(cig, cfg.B, copy.deepcopy(stream))
-    rho = build_model_stack([cig], cfg.B, cfg.beta, [stream])[2][0]
+    rho = build_model_stack([cig], cfg.B, cfg.beta, [stream])[1][0]
     identity = np.broadcast_to(np.eye(cfg.p), (1, cfg.B, cfg.p, cfg.p))
     A = np.linalg.cholesky(sample_gram_stack(identity, L, [stream])[0])
     return cig, W, rho, np.diagonal(A, axis1=-2, axis2=-1) ** 2
@@ -379,15 +380,15 @@ def test_one_stream_per_trial_keeps_the_law_of_every_draw():
 
 def normalised_gram_entries(cfg, L, trials, through_cholesky):
     """W_ij / sqrt(C_ii C_jj) at a few fixed (block, i, j) of each trial's Grams,
-    drawn as ``_run_trials`` draws them but through the build's root F or
+    drawn as ``_run_trials`` draws them but through the trial's root F or
     through the Cholesky factor of the model's covariance C = K^-1 = F F^T."""
     picks = [(0, 0, 0), (0, 1, 0), (0, 7, 3), (cfg.B - 1, 5, 2)]
     out = []
     for t in trials:
         stream, cig, _ = _draw_trial(cfg, 0, t)
-        (K,), roots, _ = build_model_stack([cig], cfg.B, cfg.beta, [stream])
+        (K,), _ = build_model_stack([cig], cfg.B, cfg.beta, [stream])
         C = np.linalg.inv(K)
-        factors = np.linalg.cholesky(C)[None] if through_cholesky else roots
+        factors = (np.linalg.cholesky(C) if through_cholesky else inverse_square_roots(K))[None]
         (W,) = sample_gram_stack(factors, L, [stream])
         out.append([W[b, i, j] / math.sqrt(C[b, i, i] * C[b, j, j]) for b, i, j in picks])
     return np.array(out)
@@ -432,7 +433,7 @@ def test_trial_grams_are_sample_grams_of_the_trial_model(monkeypatch, p, B, beta
 
 
 def test_trials_take_no_cholesky_factor_and_no_inverse(monkeypatch):
-    # The harness samples from the roots of the model build; neither a
+    # The harness samples from the roots of its models' precisions; neither a
     # covariance (an inverse) nor a Cholesky factor is formed.  At s_est = 2
     # the sweep forms neither either (its root bounds start at s = 3).
     calls = []
@@ -448,6 +449,26 @@ def test_trials_take_no_cholesky_factor_and_no_inverse(monkeypatch):
     monkeypatch.setattr(np.linalg, "inv", spy("inv"))
     errors, rho = _run_trials(cfg, 500, 0, range(MODELS_PER_STACK))
     assert calls == [] and 0 <= errors <= MODELS_PER_STACK and rho > 0
+
+
+def test_roots_are_formed_only_where_trials_draw(monkeypatch):
+    # Calibration pilots and the stacked build form no root K^-1/2; a chunk of
+    # n trials forms n, one per model on its (B, p, p) precisions.
+    shapes = []
+
+    def recording(K, original=model_module.inverse_square_roots):
+        shapes.append(K.shape)
+        return original(K)
+
+    for module in (model_module, experiments, sampling_module):
+        monkeypatch.setattr(module, "inverse_square_roots", recording)
+    cfg = small_config(p=8, B=4, grid=(1.0,), trials=MODELS_PER_STACK, master_seed=20260824)
+    calibrate_rho_min(cfg)
+    build_model_stack([random_cig(8, 2, k) for k in range(3)], cfg.B, cfg.beta, [0, 1, 2])
+    assert shapes == []
+    n = MODELS_PER_STACK - 1
+    _run_trials(cfg, 500, 0, range(n))
+    assert shapes == [(cfg.B, cfg.p, cfg.p)] * n
 
 
 ACCEPTANCE = """\

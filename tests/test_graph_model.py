@@ -19,7 +19,7 @@ from nsgms import (
     verify_assumptions,
 )
 from nsgms.errors import ConstructionFailure, InvalidParameterError, NotPositiveDefiniteError
-from nsgms.experiments import _trial_candidates
+from nsgms.experiments import ExperimentConfig, _run_trials, _trial_candidates
 from nsgms.model import (
     W_SCALE,
     _spectrum_to_band,
@@ -27,7 +27,6 @@ from nsgms.model import (
     build_model_stack,
     covariance_eig_range,
     inverse_square_roots,
-    pilot_min_edge_strengths,
 )
 
 
@@ -441,7 +440,7 @@ def test_min_edge_strength_empty_graph_is_infinite():
     assert min_edge_strength(model, g) == float("inf")
 
 
-# ---------------------------------------------------------------- pilot_min_edge_strengths
+# ---------------------------------------------------------------- build_model_stack
 
 @settings(max_examples=80, deadline=None)
 @given(
@@ -451,7 +450,8 @@ def test_min_edge_strength_empty_graph_is_infinite():
 def test_pilot_strength_is_bitwise_the_built_models(p, data, B, beta, graph_seed, model_seed,
                                                      edgeless):
     g = Cig(p=p) if edgeless else random_cig(p, data.draw(st.integers(1, p - 1)), graph_seed)
-    [pilot] = pilot_min_edge_strengths([g], B, beta, [model_seed])
+    # A calibration pilot keeps only the strengths of its stacked build.
+    [pilot] = build_model_stack([g], B, beta, [model_seed])[1]
     built = min_edge_strength(build_block_model(g, B, 1, beta, model_seed), g)
     assert np.float64(pilot).tobytes() == np.float64(built).tobytes()
     assert (pilot == float("inf")) == edgeless
@@ -471,60 +471,64 @@ def test_stacked_models_are_bitwise_the_models_built_alone(p, B, n, beta, data):
             s_max = data.draw(st.integers(1, p - 1))
             cigs.append(random_cig(p, s_max, data.draw(st.integers(0, 2**63 - 1))))
         seeds.append(data.draw(st.integers(0, 2**63 - 1)))
-    precisions, roots, strengths = build_model_stack(cigs, B, beta, seeds)
-    assert precisions.shape == roots.shape == (n, B, p, p)
+    precisions, strengths = build_model_stack(cigs, B, beta, seeds)
+    assert precisions.shape == (n, B, p, p)
     # The band map keeps the scattered symmetry of K = I + W exactly.
     assert precisions.tobytes() == precisions.swapaxes(-1, -2).copy().tobytes()
-    pilots = pilot_min_edge_strengths(cigs, B, beta, seeds)
     for k, (cig, seed) in enumerate(zip(cigs, seeds)):
         alone = build_block_model(cig, B, 1, beta, seed)
         assert precisions[k].tobytes() == alone.precisions.tobytes()
-        assert roots[k].tobytes() == build_model_stack([cig], B, beta, [seed])[1].tobytes()
         rho = np.float64(min_edge_strength(alone, cig)).tobytes()
         assert np.float64(strengths[k]).tobytes() == rho
-        assert np.float64(pilots[k]).tobytes() == rho
         assert (strengths[k] == float("inf")) == (not cig.edges)
 
 
 @pytest.mark.parametrize("p, B, beta", [(8, 4, 2.0), (3, 1, 1.1), (11, 9, 10.0)])
 def test_stacked_roots_are_square_roots_of_the_covariances_built_alone(p, B, beta):
-    # Four models, one edgeless, on one stack: each block's root F = K^-1/2
-    # is exactly symmetric, has F F = K^-1 and F K F = I, is bit for bit the
-    # root the samplers form from the mapped K, and is bit for bit the root
-    # of the model built alone.
+    # Four models, one edgeless, on one stack: each block's root F = K^-1/2,
+    # formed from the model's stacked precisions as a trial forms it, is
+    # exactly symmetric, has F F = K^-1 and F K F = I, and is bit for bit the
+    # root the samplers form from the model built alone.
     cigs = [random_cig(p, 2, 1), Cig(p=p), random_cig(p, 1, 2), random_cig(p, p - 1, 3)]
     seeds = [10, 11, 12, 13]
-    precisions, roots, _ = build_model_stack(cigs, B, beta, seeds)
+    precisions, _ = build_model_stack(cigs, B, beta, seeds)
     identity = np.eye(p)
-    for cig, seed, K, F in zip(cigs, seeds, precisions, roots):
+    for cig, seed, K in zip(cigs, seeds, precisions):
+        F = inverse_square_roots(K)
         assert np.array_equal(F, F.swapaxes(1, 2))
         assert np.abs(F @ F - np.linalg.inv(K)).max() <= 1e-13 * beta
         assert np.abs(F @ K @ F - identity).max() <= 1e-13 * beta
-        assert np.array_equal(F, inverse_square_roots(K))
-        assert F.tobytes() == build_model_stack([cig], B, beta, [seed])[1].tobytes()
+        alone = build_block_model(cig, B, 1, beta, seed)
+        assert F.tobytes() == inverse_square_roots(alone.precisions).tobytes()
 
 
-def test_model_stack_checks_the_mapped_spectrum_and_the_roots(monkeypatch):
+def test_block_model_and_trials_check_the_mapped_spectrum_and_the_roots(monkeypatch):
+    # The stacked build forms no roots; a lone model build and a chunk of
+    # trials form them, and fail where the last model's last block does.
     original = model_module._spectrum_to_band
-    cigs, seeds = [random_cig(6, 2, 1), random_cig(6, 2, 2)], [3, 4]
+    config = ExperimentConfig(p=6, s_true=2, s_est=2, B=2, grid=(200,), grid_kind="N",
+                              beta=2.0, lambda_mode="default", trials=4, eta=0.1,
+                              master_seed=5)
+    builds = (lambda: build_block_model(random_cig(6, 2, 1), 2, 8, 2.0, 3),
+              lambda: _run_trials(config, 100, 0, range(config.trials)))
 
-    def negated(K, beta):  # the second model's precisions turn negative definite
+    def negated(K, beta):  # the last block turns negative definite
         K_new = original(K, beta)
-        K_new[2:] *= -1.0
+        K_new[-1] *= -1.0
         return K_new
 
-    monkeypatch.setattr(model_module, "_spectrum_to_band", negated)
-    with pytest.raises(NotPositiveDefiniteError, match="not positive definite"):
-        build_model_stack(cigs, 2, 2.0, seeds)
-
-    def ill_conditioned(K, beta):  # the second model's blocks get kappa = 1e14
+    def ill_conditioned(K, beta):  # the last block gets kappa = 1e14
         K_new = original(K, beta)
-        K_new[2:] = np.eye(6) - (1 - 1e-14) / 6  # eigenvalues 1 and 1e-14
+        K_new[-1] = np.eye(6) - (1 - 1e-14) / 6  # eigenvalues 1 and 1e-14
         return K_new
 
-    monkeypatch.setattr(model_module, "_spectrum_to_band", ill_conditioned)
-    with pytest.raises(ConstructionFailure, match="inversion residual"):
-        build_model_stack(cigs, 2, 2.0, seeds)
+    for spoil, error, message in ((negated, NotPositiveDefiniteError, "not positive definite"),
+                                  (ill_conditioned, ConstructionFailure, "inversion residual")):
+        monkeypatch.setattr(model_module, "_spectrum_to_band", spoil)
+        build_model_stack([random_cig(6, 2, 1), random_cig(6, 2, 2)], 2, 2.0, [3, 4])
+        for build in builds:
+            with pytest.raises(error, match=message):
+                build()
 
 
 def test_model_stack_rejects_graphs_of_different_sizes():
@@ -536,7 +540,7 @@ def test_pilot_rejects_what_build_block_model_rejects():
     g = random_cig(4, 2, 0)
     for B, beta in [(0, 2.0), (2, 1.0)]:
         with pytest.raises(InvalidParameterError):
-            pilot_min_edge_strengths([g], B, beta, [0])
+            build_model_stack([g], B, beta, [0])
         with pytest.raises(InvalidParameterError):
             build_block_model(g, B, 8, beta, 0)
 
@@ -553,7 +557,7 @@ def test_pilot_rejects_non_finite_precisions(monkeypatch):
     monkeypatch.setattr(model_module, "_spectrum_to_band", spoiled)
     g = random_cig(6, 2, 1)
     with pytest.raises(InvalidParameterError, match="non-finite"):
-        pilot_min_edge_strengths([g], 2, 2.0, [3])
+        build_model_stack([g], 2, 2.0, [3])
     with pytest.raises(InvalidParameterError, match="non-finite"):
         build_block_model(g, 2, 8, 2.0, 3)
 

@@ -854,6 +854,21 @@ def test_rho_condition_values():
     assert rho_condition_holds(0.5, 2.0, 10**9) is True
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("at", range(5))
+def test_bound_and_rho_condition_reject_non_finite_arguments(bad, at):
+    # sample_size_bound gave NaN for a NaN argument and a bare ValueError for eta = inf.
+    args = [2.0, 0.5, 8, 2, 0.1]
+    args[at] = bad
+    with pytest.raises(InvalidParameterError, match="need a finite"):
+        sample_size_bound(*args)
+    if at < 3:
+        args = [0.5, 2.0, 64]
+        args[at] = bad
+        with pytest.raises(InvalidParameterError, match="need a finite"):
+            rho_condition_holds(*args)
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     st.floats(1.01, 100.0), st.floats(1e-6, 10.0),

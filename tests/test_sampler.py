@@ -130,7 +130,8 @@ def test_a_one_ulp_change_to_the_precisions_moves_every_draw_at_rounding_level(m
     def harness_draws():
         out = []
         for cig, seed in zip(cigs, seeds):
-            (K,), F, _ = build_model_stack([cig], B, 2.0, [seed])
+            (K,), _ = build_model_stack([cig], B, 2.0, [seed])
+            F = roots(K)[None]  # as a trial forms them, from the mapped precisions
             out.append((K, F, sample_gram_stack(F, L, [seed])))
         return out
 
@@ -140,9 +141,9 @@ def test_a_one_ulp_change_to_the_precisions_moves_every_draw_at_rounding_level(m
         after = sampler_draws(one_ulp_up(model.precisions), seed)
         for a, b in zip(before, after):
             assert relative_change(a, b) <= 1e-12
-    # The harness forms its roots inside the build, from the mapped precisions,
-    # so the change goes in before the map, which carries it to the mapped
-    # precisions at rounding level.
+    # The harness builds its precisions on its own stack, so the change goes in
+    # before the band map, which carries it to the mapped precisions at
+    # rounding level.
     before = harness_draws()
     spectrum_to_band = model_module._spectrum_to_band
     monkeypatch.setattr(model_module, "_spectrum_to_band",
@@ -210,6 +211,23 @@ def test_sample_process_rejects_blocks_outside_the_model(blocks):
     model = build_block_model(random_cig(4, 2, 1), 3, 10, 2.0, 2)
     with pytest.raises(InvalidParameterError, match="blocks"):
         sample_process(model, 5, blocks=blocks)
+
+
+@pytest.mark.parametrize("stack", [SampleBlocks, GramBlocks])
+@pytest.mark.parametrize("sizes", [(3, 2, 2.5), (3, 2, 4.0), (3.0, 2, 4), (3, 2.0, 4),
+                                   (3, True, 4), (3, 2, 0), (0, 2, 4)])
+def test_sample_and_gram_stacks_reject_a_size_that_is_not_a_positive_integer(stack, sizes):
+    # GramBlocks(L=2.5) used to be accepted and scored with N = 5.0.
+    p, B, L = sizes
+    data = np.zeros((2, 3, 4) if stack is SampleBlocks else (2, 3, 3))
+    with pytest.raises(InvalidParameterError, match="integer [pBL] >= 1"):
+        stack(p, B, L, data)
+
+
+def test_sample_and_gram_stacks_take_numpy_integer_sizes_as_ints():
+    for stack, data in ((SampleBlocks, np.zeros((2, 3, 4))), (GramBlocks, np.zeros((2, 3, 3)))):
+        blocks = stack(np.int64(3), np.int32(2), np.uint8(4), data)
+        assert [type(v) for v in (blocks.p, blocks.B, blocks.L)] == [int] * 3
 
 
 def _stream_normals(seed, b, p, L):
