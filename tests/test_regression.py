@@ -505,14 +505,14 @@ def integer_grams(seed, p, B, L):
     return X @ X.transpose(0, 2, 1)
 
 
-def planted_integer_grams():
-    """p = 20, each row plus or minus a few others: the s = 3 bounds prune."""
-    rng = np.random.default_rng(32)
-    M = np.eye(20)
-    for i, j in rng.integers(0, 20, size=(20, 2)):
+def planted_integer_grams(p=20, seed=32):
+    """B = 4, each row plus or minus a few others: the s = 3 bounds prune."""
+    rng = np.random.default_rng(seed)
+    M = np.eye(p)
+    for i, j in rng.integers(0, p, size=(p, 2)):
         if i != j:
             M[i, j] = rng.choice((-1.0, 1.0))
-    X = M @ rng.integers(-3, 4, size=(4, 20, 400)).astype(float)
+    X = M @ rng.integers(-3, 4, size=(4, p, 400)).astype(float)
     return X @ X.transpose(0, 2, 1)
 
 
@@ -538,7 +538,8 @@ def eight_block_grams():
 
 # sha256 of repr(selected) + objective bytes of subset_objectives, recorded
 # before the sweep's objective, drop rule and tail were each written once
-# ("one target, B=8" when every objective came to add its blocks in turn):
+# ("one target, B=8" when every objective came to add its blocks in turn;
+# the last three before the tail added its blocks a group at a time):
 # (grams, s, lam, target, sha).
 SWEEP_PINS = {
     "harness one target": (lambda: integer_grams(40, 8, 4, 32), 2, 0.05, 3,
@@ -559,6 +560,14 @@ SWEEP_PINS = {
               "1dc33300393a0908658fab5a9a835958fad446dc6ddc091a9cb6f4b67b7c445b"),
     "B=1": (lambda: integer_grams(46, 7, 1, 15), 3, 0.02, None,
             "25344f5513c9d56ac8f5032561a8768511cbd8b6f75808373d8e62295a90d02c"),
+    "planted p=40, chunked and pruned": (
+        lambda: planted_integer_grams(40, 47), 3, 0.1, None,
+        "f9ce8d8b4bd2d686cb751e2ec2f747f3f3bc1c45d2315ad506a047acc8c701d8"),
+    "p=24, B=8, grouped blocks": (
+        lambda: integer_grams(48, 24, 8, 40), 3, 0.07, None,
+        "94a99c6c911ea1908b24d9d0c565d0052cd8d4abae304fd65c3ea3e0559652fd"),
+    "one target, p=40": (lambda: integer_grams(49, 40, 4, 60), 3, 0.05, 17,
+                         "09e9f80315b66afcb035c511e9f7f920c340ddfbd3755dac5f00cd2e0aed14ca"),
 }
 
 
