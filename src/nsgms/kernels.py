@@ -13,10 +13,15 @@ Stat. 1979):
   stack is shared by all its supersets, as in leaps-and-bounds (Furnival &
   Wilson, Technometrics 1974).  A child costs one rank-1 update of the
   (B, p, p) stack.
-- The last two levels are batched over all children of a parent.  They
+- Each level's children are scored together from their swept diagonals,
+  and the last two levels are batched over all children of a parent: they
   need only the swept diagonal and the target columns, never a stack per
-  set.  Children are taken in chunks that write into one scratch buffer,
-  so memory stays O(s * B * p^2) plus ``TAIL_ENTRIES`` floats.
+  set.  The grandchildren are taken in chunks of children, and a chunk's
+  per-block terms a group of blocks at a time, each group added into one
+  objective slab.  The scratch buffer holds one group plus that slab, so
+  memory stays O(s * B * p^2) plus at most ``TAIL_ENTRIES`` floats, and
+  the slab is laid out target-major, so the argmin over each target's
+  candidates reads it in place.
 - From s = 3 on, first-level roots are bounded (the "bounds" half of
   leaps-and-bounds, in the branch-and-bound form of Gatu &
   Kontoghiorghes, JCGS 2006), below.
@@ -30,8 +35,9 @@ Each rule is written once.  ``_pivot`` drops the pivot of node j in block
 b when G_b[j, j] <= 0 or its swept value is at most rank_tol^2 * G_b[j, j],
 as a column-dropping Cholesky factor of G_b[T, T] in index order does: a
 row whose relative residual norm given the earlier pivots is at most
-``rank_tol`` adds nothing to that block.  ``_Sweep._objective`` scores
-every set: each block's residual is clamped at 0, and the objective is
+``rank_tol`` adds nothing to that block.  ``_block_sum`` and
+``_Sweep._objective`` score every set: each block's residual is clamped at
+0 and added in block order, one block at a time, and the objective is
 their sum over N plus lam * |T|, plus inf if the set holds its target.
 
 Bounds: every set of two or more nodes under the root j lies inside
@@ -84,10 +90,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Cap, in float64 entries, on a batched tail's (B, children, grandchildren,
-# targets) term, written into one scratch buffer: the children of one parent
-# are taken in chunks below it, at least one child per chunk.
+# Cap, in float64 entries, on a batched tail's (B, targets, children,
+# grandchildren) term: the children of one parent are taken in chunks below
+# it, at least one child per chunk.  The term is never held whole.  Its
+# blocks are formed a group at a time, as many as fit GROUP_ENTRIES (at
+# least one), and added into one (targets, children, grandchildren)
+# objective slab, so the scratch buffer holds one group plus that slab.
+# When all B blocks fit one group, their sum is kept in block 0's slot.
 TAIL_ENTRIES = 1 << 16
+GROUP_ENTRIES = TAIL_ENTRIES // 4
 # A block whose reverse pivot of node k is at or below this share of G_kk
 # adds nothing to the root bounds of k and every earlier root.
 UNSAFE_PIVOT = 1e-4
@@ -167,11 +178,27 @@ def _pivot(a, floor):
     return np.where(a > floor, a, np.inf)
 
 
+def _block_sum(r, total=None, out=None):
+    """sum_b max(r_b, 0): r clamped into ``out``, its blocks added in turn into ``total``.
+
+    With ``total`` None they are added into block 0.  Every objective adds
+    its blocks in this one order, so one-target and whole-graph calls, and
+    a tail's groups of blocks, add them alike.
+    """
+    r = np.maximum(r, 0.0, out=out)
+    b = total is None
+    if b:
+        total = r[0]
+    for b in range(b, len(r)):
+        total += r[b]
+    return total
+
+
 class _Targets(NamedTuple):
     """The targets a subtree scores.
 
     ``nodes`` are their columns of the stack, ``rows`` their rows of
-    ``best`` (None for every target) and ``own`` the per-(node, target)
+    ``best`` (None for every target) and ``own`` the per-(target, node)
     penalty that bars each target from its own sets.
     """
 
@@ -184,7 +211,9 @@ class _Sweep:
     """Depth-first sweep recording the best set per (size, target).
 
     Every node is a candidate, in index order; the targets are the node
-    range ``targets``, and each is barred from its own sets.
+    range ``targets``, and each is barred from its own sets.  Objectives
+    are laid out target-major, (targets, candidates), so that the argmin
+    over each target's candidates reads them in place.
     """
 
     def __init__(self, grams, targets, n_total, lam, rank_tol, sizes):
@@ -193,13 +222,13 @@ class _Sweep:
         nt = targets.stop - targets.start
         self.cols = np.arange(nt)
         nodes = np.arange(p)
-        own = np.where(nodes[:, None] == nodes[targets], np.inf, 0.0)
+        own = np.where(nodes[targets, None] == nodes, np.inf, 0.0)
         diag = grams.diagonal(axis1=1, axis2=2)
         # A swept pivot at or below its floor drops; G_jj <= 0 always drops.
         self.floor = np.where(diag > 0, rank_tol * rank_tol * diag, np.inf)
         self.best = np.full((s + 1, nt), np.inf)
         self.chosen = np.zeros((s + 1, nt, max(s, 1)), dtype=np.intp)
-        self._keep(self._objective(diag[:, None, targets], 0), 0, None)
+        self._keep(self._objective(_block_sum(diag[:, targets, None]), 0), 0, None)
         # cut[j, k]: target k skips root j's subtree once its best over the
         # scanned sizes is below cut[j, k], the root bound plus the least
         # penalty of a set of 2..s nodes, less the slack.
@@ -213,31 +242,23 @@ class _Sweep:
         if s > 0:
             self._descend(grams, (), 0, np.zeros(nt), _Targets(targets, None, own))
 
-    def _objective(self, r, t, *penalties, out=None):
-        """(1/N) sum_b max(r_b, 0) + lam * t + the 0/inf penalties, over axis 0.
-
-        The blocks, clamped (in place with ``out=r``), are added into block 0
-        in turn, so one-target and whole-graph calls add them alike.
-        """
-        r = np.maximum(r, 0.0, out=out)
-        obj = r[0]
-        for b in range(1, len(r)):
-            obj += r[b]
-        obj /= self.n_total
-        obj += self.lam * t
+    def _objective(self, total, t, *penalties):
+        """(1/N) ``total`` + lam * t + the 0/inf penalties, in place."""
+        total /= self.n_total
+        total += self.lam * t
         for penalty in penalties:
-            obj += penalty
-        return obj
+            total += penalty
+        return total
 
     def _keep(self, obj, t, rows):
         """Fold candidates of size t into the best kept so far.
 
-        ``obj`` is (candidates in lexicographic order, targets), for the
+        ``obj`` is (targets, candidates in lexicographic order), for the
         ``rows`` of ``best`` (None: all).  Returns the candidates of the
         first strict minima that beat the best so far, and the rows they win.
         """
-        first = obj.argmin(axis=0)
-        value = obj[first, self.cols[:len(first)]]
+        first = obj.argmin(axis=1)
+        value = obj[self.cols[:len(first)], first]
         won = (value < (self.best[t] if rows is None else self.best[t, rows])).nonzero()[0]
         first, value = first[won], value[won]
         if rows is not None:
@@ -245,11 +266,21 @@ class _Sweep:
         self.best[t, won] = value
         return first, won
 
+    def _keep_children(self, obj, T, start, rows):
+        """Keep the sets T + {j}, j from ``start`` on, scored by ``obj``."""
+        t = len(T) + 1
+        first, won = self._keep(obj, t, rows)
+        if T:
+            self.chosen[t, won, :t - 1] = T
+        self.chosen[t, won, t - 1] = start + first
+
     def _descend(self, A, T, start, barred, view):
         """Score the supersets of T that add candidates from ``start`` on.
 
         A is the stack swept by T, ``barred`` the per-target penalty of the
-        nodes in T, and ``view`` the targets scored.
+        nodes in T, and ``view`` the targets scored.  The children T + {j}
+        are scored together from their swept diagonals at the targets,
+        col * (col / den), as each child's rank-1 update forms them.
         """
         if start == self.p:
             return
@@ -257,22 +288,23 @@ class _Sweep:
             self._tail(A, T, start, barred, view)
             return
         t = len(T) + 1
+        diag = A.diagonal(axis1=1, axis2=2)
+        den = _pivot(diag[:, start:], self.floor[:, start:])
+        col = A[:, view.nodes, start:]
+        penalty = barred[:, None] + view.own[:, start:]
+        r = diag[:, view.nodes, None] - col * (col / den[:, None])
+        self._keep_children(self._objective(_block_sum(r, out=r), t, penalty), T, start, view.rows)
+        del col, r  # not held through the subtrees
         for j in range(start, self.p):
-            den = _pivot(A[:, j, j], self.floor[:, j])
             col = A[:, :, j]
-            child = A - col[:, :, None] * (col / den[:, None])[:, None, :]
-            child_barred = barred + view.own[j]
-            diag = child.diagonal(axis1=1, axis2=2)
-            _, won = self._keep(self._objective(diag[:, None, view.nodes], t, child_barred),
-                                t, view.rows)
-            self.chosen[t, won, :t] = T + (j,)
-            sub = view
+            child = A - col[:, :, None] * (col / den[:, j - start, None])[:, None, :]
+            child_barred, sub = penalty[:, j - start], view
             if t == 1 and self.cut is not None:
                 alive = (self.cut[j] <= self.best.take(self.sizes, axis=0).min(axis=0)).nonzero()[0]
                 if not len(alive):
                     continue
                 if len(alive) < len(barred):
-                    sub = _Targets(alive + view.nodes.start, alive, view.own.take(alive, axis=1))
+                    sub = _Targets(alive + view.nodes.start, alive, view.own.take(alive, axis=0))
                     child_barred = child_barred[alive]
             self._descend(child, T + (j,), j + 1, child_barred, sub)
 
@@ -280,44 +312,58 @@ class _Sweep:
         """Score T + {j} and, below size s, T + {j, k}, for candidates j < k from ``start``.
 
         Only the target entries and the pivots' diagonal of each child's
-        swept stack are formed.
+        swept stack are formed.  The children T + {j} are scored at once;
+        their children in chunks of j, each chunk's (targets, j, k) objective
+        summed in one slab a group of blocks at a time.
         """
         B, t, p = A.shape[0], len(T) + 1, self.p
         nodes, rows, own = view
         nt = len(barred)
         diag = A.diagonal(axis1=1, axis2=2)
-        if rows is None:
-            A_t, base = A[:, :, nodes], diag[:, None, nodes]
-        else:  # one gather, C-ordered: indexing would put the target axis outermost
-            A_t, base = A.take(nodes, axis=2), diag.take(nodes, axis=1)[:, None, :]
+        # [b, i, j]: row j's entry in the column of target i; one gather
+        # where rows pick the targets.
+        A_t = A.transpose(0, 2, 1)
+        A_t = A_t[:, nodes] if rows is None else A_t.take(nodes, axis=1)
+        den = _pivot(diag[:, start:], self.floor[:, start:])
+        c_ij = A_t[:, :, start:]
+        r1 = diag[:, nodes, None] - c_ij * c_ij / den[:, None]
+        self._keep_children(self._objective(_block_sum(r1), t, barred[:, None] + own[:, start:]),
+                            T, start, rows)
+        if t == self.s or start + 1 == p:
+            return
         step = max(1, TAIL_ENTRIES // (B * (p - start) * nt))
-        if t < self.s:  # two levels: one buffer, sized to the first chunk, the largest
-            scratch = np.empty(B * min(step, p - start) * (p - start - 1) * nt)
-        for lo in range(start, p, step):
+        # A chunk's (targets, j, k) slab is largest for the first chunk.  The
+        # first group's block 0 holds the sum; later groups go behind it.
+        slab = nt * min(step, p - start) * (p - start - 1)
+        group = min(B, max(1, GROUP_ENTRIES // slab))
+        scratch = np.empty(min(B, group + 1) * slab)
+        for lo in range(start, p - 1, step):
             hi = min(lo + step, p)
-            den_j = _pivot(diag[:, lo:hi], self.floor[:, lo:hi])[:, :, None]
-            c_ji = A_t[:, lo:hi]
-            r1 = base - c_ji * c_ji / den_j
-            first, won = self._keep(self._objective(r1, t, barred, own[lo:hi]), t, rows)
-            self.chosen[t, won, :t - 1] = T
-            self.chosen[t, won, t - 1] = lo + first
-            if t == self.s or lo + 1 == p:
-                continue
-            nj, nk = hi - lo, p - lo - 1
+            nj, nk, js = hi - lo, p - lo - 1, slice(lo - start, hi - start)
             c_jk = A[:, lo:hi, lo + 1:p]
-            u = c_jk / den_j
+            u = c_jk / den[:, js, None]
             den_k = _pivot(diag[:, None, lo + 1:p] - u * c_jk, self.floor[:, None, lo + 1:p])
-            r2 = np.multiply(u[..., None], c_ji[:, :, None, :],
-                             out=scratch[:B * nj * nk * nt].reshape(B, nj, nk, nt))
-            np.subtract(A_t[:, None, lo + 1:p], r2, out=r2)
-            r2 *= r2
-            r2 /= den_k[..., None]
-            np.subtract(r1[:, :, None, :], r2, out=r2)
-            obj = self._objective(r2, t + 1, barred + own[lo + 1:p], own[lo:hi, None, :], out=r2)
+            size, obj = nt * nj * nk, None
+            for b0 in range(0, B, group):
+                bs = slice(b0, min(b0 + group, B))
+                at = size if b0 else 0
+                r2 = scratch[at:at + (bs.stop - b0) * size].reshape(-1, nt, nj, nk)
+                # u * c_ij as two calls: numpy then buffers one broadcast
+                # operand at a time, not both.
+                np.copyto(r2, u[bs, None])
+                r2 *= c_ij[bs, :, js, None]
+                np.subtract(A_t[bs, :, None, lo + 1:p], r2, out=r2)
+                r2 *= r2
+                r2 /= den_k[bs, None]
+                np.subtract(r1[bs, :, js, None], r2, out=r2)
+                obj = _block_sum(r2, obj, out=r2)
+            obj = self._objective(obj, t + 1, barred[:, None, None] + own[:, None, lo + 1:p],
+                                  own[:, lo:hi, None])
             # Grandchild slot kk is candidate lo + 1 + kk: it must follow j = lo + jj.
-            np.copyto(obj, np.inf, where=self.before[:nj, :nk, None])
-            first, won = self._keep(obj.reshape(-1, nt), t + 1, rows)
+            np.copyto(obj, np.inf, where=self.before[:nj, :nk])
+            first, won = self._keep(obj.reshape(nt, -1), t + 1, rows)
             jj, kk = np.divmod(first, nk)
-            self.chosen[t + 1, won, :t - 1] = T
+            if T:
+                self.chosen[t + 1, won, :t - 1] = T
             self.chosen[t + 1, won, t - 1] = lo + jj
             self.chosen[t + 1, won, t] = lo + 1 + kk

@@ -217,6 +217,8 @@ def sample_size_bound(beta: float, rho_min: float, p: int, s: int, eta: float) -
     for name, v in (("beta", beta), ("rho_min", rho_min), ("p", p), ("s", s), ("eta", eta)):
         if not (math.isfinite(v) and v > 0):  # NaN and inf included
             raise InvalidParameterError(f"need a finite {name} > 0, got {v}")
+    if eta >= 1:  # a failure probability; from eta = 6 p s^2 on the bound is <= 0
+        raise InvalidParameterError(f"need 0 < eta < 1, got {eta}")
     return 864.0 * (beta / rho_min) * math.log(6.0 * p * s * s / eta)
 
 

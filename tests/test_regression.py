@@ -481,17 +481,21 @@ def traced_peak(call):
 
 def test_sweep_memory_is_one_tail_buffer_plus_stacks():
     rng = np.random.default_rng(33)
-    B, p = 4, 40
-    X = rng.standard_normal((B, p, 4 * p))
-    grams = X @ X.transpose(0, 2, 1)
-    peak = traced_peak(lambda: subset_objectives(grams, range(4), B * 4 * p, 0.05,
-                                                 DEFAULT_RANK_TOL))
-    # One scratch buffer of TAIL_ENTRIES floats, plus (B, p, p) stacks and
-    # per-chunk terms a share 1/B or 1/targets of it; three buffers of that
-    # size, as the tail once held at a time, do not fit.
-    assert peak <= 8 * kernels.TAIL_ENTRIES + 10 * 8 * B * p * p
-    # The harness's one-target s = 2 sweep (p = 8, B = 4) stays at or below
-    # the 16,032 bytes it peaked at before the scratch buffer.
+    # A tail's scratch holds one group of blocks' terms, up to GROUP_ENTRIES
+    # floats, and the chunk's objective slab, a share 1/B of TAIL_ENTRIES at
+    # most; beside it lie (B, p, p) stacks and numpy's ufunc iteration
+    # buffer of 8192 floats.  All B blocks' terms held at once, plus
+    # argmin's copy of their sum, peaked at 849,990 bytes at p = 40 and
+    # 434,440 at p = 16, B = 8 (588,446 and 272,568 now).
+    for B, p, s, bound in ((4, 40, 3, 650_000), (8, 16, 2, 320_000)):
+        X = rng.standard_normal((B, p, 4 * p))
+        grams = X @ X.transpose(0, 2, 1)
+        peak = traced_peak(lambda: subset_objectives(grams, range(s + 1), B * 4 * p, 0.05,
+                                                     DEFAULT_RANK_TOL))
+        assert peak <= bound
+    # The harness's one-target s = 2 sweep (p = 8, B = 4) forms all blocks
+    # at once, and stays at or below the 16,032 bytes it peaked at before
+    # the scratch buffer.
     X = rng.standard_normal((4, 8, 32))
     grams = X @ X.transpose(0, 2, 1)
     peak = traced_peak(lambda: subset_objectives(grams, range(3), 128, 0.05,
@@ -843,7 +847,10 @@ def test_non_finite_or_negative_penalties_are_rejected(bad):
 
 
 def test_sample_size_bound_values():
-    assert sample_size_bound(1.0, 1.0, 1, 1, 6.0) == 0.0
+    # eta = 6 p s^2 gave a bound of 0, and a larger eta a negative one.
+    for eta in (1.0, 6.0, 7.0):
+        with pytest.raises(InvalidParameterError, match="need 0 < eta < 1"):
+            sample_size_bound(1.0, 1.0, 1, 1, eta)
     expected = 3456.0 * math.log(34560.0)
     assert sample_size_bound(2.0, 0.5, 64, 3, 0.1) == pytest.approx(expected)
     assert sample_size_bound(2.0, 0.5, 64, 3, 0.1) == pytest.approx(36116.9, rel=1e-4)
