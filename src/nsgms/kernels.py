@@ -186,10 +186,10 @@ def _block_sum(r, total=None, out=None):
     a tail's groups of blocks, add them alike.
     """
     r = np.maximum(r, 0.0, out=out)
-    b = total is None
-    if b:
-        total = r[0]
-    for b in range(b, len(r)):
+    first = 0
+    if total is None:
+        total, first = r[0], 1
+    for b in range(first, len(r)):
         total += r[b]
     return total
 
@@ -348,8 +348,8 @@ class _Sweep:
                 bs = slice(b0, min(b0 + group, B))
                 at = size if b0 else 0
                 r2 = scratch[at:at + (bs.stop - b0) * size].reshape(-1, nt, nj, nk)
-                # u * c_ij as two calls: numpy then buffers one broadcast
-                # operand at a time, not both.
+                # u * c_ij in two calls of one broadcast operand each: numpy
+                # gives each such operand of a call a 64 KiB buffer.
                 np.copyto(r2, u[bs, None])
                 r2 *= c_ij[bs, :, js, None]
                 np.subtract(A_t[bs, :, None, lo + 1:p], r2, out=r2)
