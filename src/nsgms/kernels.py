@@ -16,10 +16,11 @@ Stat. 1979):
 - Each level's children are scored together from their swept diagonals,
   and the last two levels are batched over all children of a parent: they
   need only the swept diagonal and the target columns, never a stack per
-  set.  The grandchildren are taken in chunks of children, and a chunk's
-  per-block terms a group of blocks at a time, each group added into one
-  objective slab.  The scratch buffer holds one group plus that slab, so
-  memory stays O(s * B * p^2) plus at most ``TAIL_ENTRIES`` floats, and
+  set.  The children are taken in batches, one for a tail of small p, and
+  each batch's grandchildren in chunks of children, a chunk's per-block
+  terms a group of blocks at a time, each group added into one objective
+  slab.  The scratch buffer holds one group plus that slab, so memory
+  stays O(s * B * p^2) plus a few times ``TAIL_ENTRIES`` floats, and
   the slab is laid out target-major, so the argmin over each target's
   candidates reads it in place.
 - From s = 3 on, first-level roots are bounded (the "bounds" half of
@@ -92,11 +93,13 @@ import numpy as np
 
 # Cap, in float64 entries, on a batched tail's (B, targets, children,
 # grandchildren) term: the children of one parent are taken in chunks below
-# it, at least one child per chunk.  The term is never held whole.  Its
+# it, at least one child per chunk.  The term is never held whole: its
 # blocks are formed a group at a time, as many as fit GROUP_ENTRIES (at
 # least one), and added into one (targets, children, grandchildren)
 # objective slab, so the scratch buffer holds one group plus that slab.
 # When all B blocks fit one group, their sum is kept in block 0's slot.
+# The children's own (B, targets, children) terms are formed in batches of
+# at most GROUP_ENTRIES floats (at least one child); chunks end with a batch.
 TAIL_ENTRIES = 1 << 16
 GROUP_ENTRIES = TAIL_ENTRIES // 4
 # A block whose reverse pivot of node k is at or below this share of G_kk
@@ -296,8 +299,6 @@ class _Sweep:
         self._keep_children(self._objective(_block_sum(r, out=r), t, penalty), T, start, view.rows)
         del col, r  # not held through the subtrees
         for j in range(start, self.p):
-            col = A[:, :, j]
-            child = A - col[:, :, None] * (col / den[:, j - start, None])[:, None, :]
             child_barred, sub = penalty[:, j - start], view
             if t == 1 and self.cut is not None:
                 alive = (self.cut[j] <= self.best.take(self.sizes, axis=0).min(axis=0)).nonzero()[0]
@@ -306,15 +307,19 @@ class _Sweep:
                 if len(alive) < len(barred):
                     sub = _Targets(alive + view.nodes.start, alive, view.own.take(alive, axis=0))
                     child_barred = child_barred[alive]
+            col = A[:, :, j]
+            child = A - col[:, :, None] * (col / den[:, j - start, None])[:, None, :]
             self._descend(child, T + (j,), j + 1, child_barred, sub)
 
     def _tail(self, A, T, start, barred, view):
         """Score T + {j} and, below size s, T + {j, k}, for candidates j < k from ``start``.
 
         Only the target entries and the pivots' diagonal of each child's
-        swept stack are formed.  The children T + {j} are scored at once;
-        their children in chunks of j, each chunk's (targets, j, k) objective
-        summed in one slab a group of blocks at a time.
+        swept stack are formed.  The children T + {j} are scored in batches
+        of up to ``GROUP_ENTRIES`` (B, targets, j) terms, one batch for a
+        tail of small p; their children in chunks of j within a batch, each
+        chunk's (targets, j, k) objective summed in one slab a group of
+        blocks at a time.
         """
         B, t, p = A.shape[0], len(T) + 1, self.p
         nodes, rows, own = view
@@ -325,45 +330,55 @@ class _Sweep:
         A_t = A.transpose(0, 2, 1)
         A_t = A_t[:, nodes] if rows is None else A_t.take(nodes, axis=1)
         den = _pivot(diag[:, start:], self.floor[:, start:])
-        c_ij = A_t[:, :, start:]
-        r1 = diag[:, nodes, None] - c_ij * c_ij / den[:, None]
-        self._keep_children(self._objective(_block_sum(r1), t, barred[:, None] + own[:, start:]),
-                            T, start, rows)
-        if t == self.s or start + 1 == p:
-            return
+        # The scratch buffer takes each batch's clamped (B, targets, j)
+        # terms, then each chunk's groups.  Grandchildren take j below ``last``.
+        width = max(1, GROUP_ENTRIES // (B * nt))
+        last = p - 1 if t < self.s else start
         step = max(1, TAIL_ENTRIES // (B * (p - start) * nt))
-        # A chunk's (targets, j, k) slab is largest for the first chunk.  The
-        # first group's block 0 holds the sum; later groups go behind it.
-        slab = nt * min(step, p - start) * (p - start - 1)
-        group = min(B, max(1, GROUP_ENTRIES // slab))
-        scratch = np.empty(min(B, group + 1) * slab)
-        for lo in range(start, p - 1, step):
-            hi = min(lo + step, p)
-            nj, nk, js = hi - lo, p - lo - 1, slice(lo - start, hi - start)
-            c_jk = A[:, lo:hi, lo + 1:p]
-            u = c_jk / den[:, js, None]
-            den_k = _pivot(diag[:, None, lo + 1:p] - u * c_jk, self.floor[:, None, lo + 1:p])
-            size, obj = nt * nj * nk, None
-            for b0 in range(0, B, group):
-                bs = slice(b0, min(b0 + group, B))
-                at = size if b0 else 0
-                r2 = scratch[at:at + (bs.stop - b0) * size].reshape(-1, nt, nj, nk)
-                # u * c_ij in two calls of one broadcast operand each: numpy
-                # gives each such operand of a call a 64 KiB buffer.
-                np.copyto(r2, u[bs, None])
-                r2 *= c_ij[bs, :, js, None]
-                np.subtract(A_t[bs, :, None, lo + 1:p], r2, out=r2)
-                r2 *= r2
-                r2 /= den_k[bs, None]
-                np.subtract(r1[bs, :, js, None], r2, out=r2)
-                obj = _block_sum(r2, obj, out=r2)
-            obj = self._objective(obj, t + 1, barred[:, None, None] + own[:, None, lo + 1:p],
-                                  own[:, lo:hi, None])
-            # Grandchild slot kk is candidate lo + 1 + kk: it must follow j = lo + jj.
-            np.copyto(obj, np.inf, where=self.before[:nj, :nk])
-            first, won = self._keep(obj.reshape(nt, -1), t + 1, rows)
-            jj, kk = np.divmod(first, nk)
-            if T:
-                self.chosen[t + 1, won, :t - 1] = T
-            self.chosen[t + 1, won, t - 1] = lo + jj
-            self.chosen[t + 1, won, t] = lo + 1 + kk
+        entries = B * nt * min(width, p - start)
+        if last > start:
+            # A chunk's (targets, j, k) slab is largest for the first chunk.
+            # The first group's block 0 holds the sum; later groups go behind it.
+            slab = nt * min(step, p - start) * (p - start - 1)
+            group = min(B, max(1, GROUP_ENTRIES // slab))
+            entries = max(entries, min(B, group + 1) * slab)
+        scratch = np.empty(entries)
+        for top in range(start, p, width):
+            end = min(top + width, p)
+            c_ij = A_t[:, :, top:end]
+            r1 = c_ij * c_ij
+            r1 /= den[:, None, top - start:end - start]
+            np.subtract(diag[:, nodes, None], r1, out=r1)
+            total = _block_sum(r1, out=scratch[:r1.size].reshape(r1.shape))
+            self._keep_children(self._objective(total, t, barred[:, None] + own[:, top:end]),
+                                T, top, rows)
+            for lo in range(top, min(end, last), step):
+                hi = min(lo + step, end)
+                nj, nk = hi - lo, p - lo - 1
+                c_jk = A[:, lo:hi, lo + 1:p]
+                u = c_jk / den[:, lo - start:hi - start, None]
+                den_k = _pivot(diag[:, None, lo + 1:p] - u * c_jk, self.floor[:, None, lo + 1:p])
+                size, obj = nt * nj * nk, None
+                for b0 in range(0, B, group):
+                    bs = slice(b0, min(b0 + group, B))
+                    at = size if b0 else 0
+                    r2 = scratch[at:at + (bs.stop - b0) * size].reshape(-1, nt, nj, nk)
+                    # u * c_ij in two calls of one broadcast operand each: numpy
+                    # gives each such operand of a call a 64 KiB buffer.
+                    np.copyto(r2, u[bs, None])
+                    r2 *= A_t[bs, :, lo:hi, None]
+                    np.subtract(A_t[bs, :, None, lo + 1:p], r2, out=r2)
+                    r2 *= r2
+                    r2 /= den_k[bs, None]
+                    np.subtract(r1[bs, :, lo - top:hi - top, None], r2, out=r2)
+                    obj = _block_sum(r2, obj, out=r2)
+                obj = self._objective(obj, t + 1, barred[:, None, None] + own[:, None, lo + 1:p],
+                                      own[:, lo:hi, None])
+                # Grandchild slot kk is candidate lo + 1 + kk: it must follow j = lo + jj.
+                np.copyto(obj, np.inf, where=self.before[:nj, :nk])
+                first, won = self._keep(obj.reshape(nt, -1), t + 1, rows)
+                jj, kk = np.divmod(first, nk)
+                if T:
+                    self.chosen[t + 1, won, :t - 1] = T
+                self.chosen[t + 1, won, t - 1] = lo + jj
+                self.chosen[t + 1, won, t] = lo + 1 + kk

@@ -46,7 +46,7 @@ contain non-finite values" for such input.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -136,7 +136,7 @@ def _is_block(b, B: int) -> bool:
         return False
 
 
-def sample_process(model: BlockModel, seed, blocks=None, out=None, *, _roots=None) -> SampleBlocks:
+def sample_process(model: BlockModel, seed, blocks=None, out=None) -> SampleBlocks:
     """Draw L i.i.d. columns for the listed blocks (default all B), block b with covariance K_b^-1.
 
     ``blocks`` lists integer block indices in 0..B-1, bool excluded.  Block
@@ -144,8 +144,7 @@ def sample_process(model: BlockModel, seed, blocks=None, out=None, *, _roots=Non
     same whichever other blocks are drawn with it; the result stacks the
     listed blocks in the order given.  ``out``, a writable C-contiguous
     (n, p, L) float64 array for n listed blocks, receives the draw in place
-    of a new stack.  ``_roots`` is for :class:`BlockDraws`, which passes
-    the listed blocks' roots it formed on construction.
+    of a new stack.
 
     Each block's normals Z are drawn into its output, in the order of
     ``standard_normal((p, L))``, and replaced by F @ Z one chunk of about
@@ -166,7 +165,7 @@ def sample_process(model: BlockModel, seed, blocks=None, out=None, *, _roots=Non
     elif (out.shape != shape or out.dtype != np.float64
           or not (out.flags.c_contiguous and out.flags.writeable)):
         raise InvalidParameterError(f"out must be a writable C-contiguous float64 array of shape {shape}")
-    roots = inverse_square_roots(model.precisions[blocks]) if _roots is None else _roots
+    roots = inverse_square_roots(model.precisions[blocks])
     w = _chunk_columns(p)
     buf = np.empty((p, min(w, L)))
     for X, b, F in zip(out, blocks, roots):
@@ -189,17 +188,15 @@ class BlockDraws:
     writer of the blocks thus holds one block (the buffer, and the small
     chunk :func:`sample_process` multiplies through) instead of the
     (B, p, L) stack, and allocates no block-sized array after the first
-    block.  Every block's root is formed once, on construction, and kept
-    for its draw, so a model that is not positive definite fails before
-    anything is drawn or written.
+    block.  Every block's root is formed on construction, so a model that
+    is not positive definite fails before anything is drawn or written.
     """
 
     model: BlockModel
     seed: int
-    _roots: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_roots", inverse_square_roots(self.model.precisions))
+        inverse_square_roots(self.model.precisions)
 
     p = property(lambda self: self.model.p)
     B = property(lambda self: self.model.B)
@@ -208,8 +205,7 @@ class BlockDraws:
     def __iter__(self):
         out = np.empty((1, self.p, self.L))
         for b in range(self.B):
-            yield sample_process(self.model, self.seed, blocks=[b], out=out,
-                                 _roots=self._roots[b:b + 1]).data[0]
+            yield sample_process(self.model, self.seed, blocks=[b], out=out).data[0]
 
 
 def sample_gram_stack(factors: np.ndarray, L: int, seeds) -> np.ndarray:

@@ -486,7 +486,7 @@ def test_sweep_memory_is_one_tail_buffer_plus_stacks():
     # most; beside it lie (B, p, p) stacks and numpy's ufunc iteration
     # buffer of 8192 floats.  All B blocks' terms held at once, plus
     # argmin's copy of their sum, peaked at 849,990 bytes at p = 40 and
-    # 434,440 at p = 16, B = 8 (588,446 and 272,568 now).
+    # 434,440 at p = 16, B = 8 (588,566 and 272,704 now).
     for B, p, s, bound in ((4, 40, 3, 650_000), (8, 16, 2, 320_000)):
         X = rng.standard_normal((B, p, 4 * p))
         grams = X @ X.transpose(0, 2, 1)
@@ -501,6 +501,14 @@ def test_sweep_memory_is_one_tail_buffer_plus_stacks():
     peak = traced_peak(lambda: subset_objectives(grams, range(3), 128, 0.05,
                                                  DEFAULT_RANK_TOL, target=3))
     assert peak <= 16032
+    # At p = 100, B = 8 the one s = 2 tail takes its children in batches of
+    # GROUP_ENTRIES floats.  It peaked at 909,432 bytes with each child's
+    # (B, 99, 100) grandchild term at once, and at 1,605,640 with every
+    # child's (B, 100) terms formed, and a clamped copy, at once (670,416 now).
+    X = np.random.default_rng(34).standard_normal((8, 100, 400))
+    grams = X @ X.transpose(0, 2, 1)
+    peak = traced_peak(lambda: subset_objectives(grams, range(3), 3200, 0.05, DEFAULT_RANK_TOL))
+    assert peak <= 760_000
 
 
 def integer_grams(seed, p, B, L):
@@ -543,7 +551,8 @@ def eight_block_grams():
 # sha256 of repr(selected) + objective bytes of subset_objectives, recorded
 # before the sweep's objective, drop rule and tail were each written once
 # ("one target, B=8" when every objective came to add its blocks in turn;
-# the last three before the tail added its blocks a group at a time):
+# the last three before the tail added its blocks a group at a time, the
+# two B=8 batched ones before it scored its children in batches):
 # (grams, s, lam, target, sha).
 SWEEP_PINS = {
     "harness one target": (lambda: integer_grams(40, 8, 4, 32), 2, 0.05, 3,
@@ -572,6 +581,12 @@ SWEEP_PINS = {
         "94a99c6c911ea1908b24d9d0c565d0052cd8d4abae304fd65c3ea3e0559652fd"),
     "one target, p=40": (lambda: integer_grams(49, 40, 4, 60), 3, 0.05, 17,
                          "09e9f80315b66afcb035c511e9f7f920c340ddfbd3755dac5f00cd2e0aed14ca"),
+    "whole graph s=2, p=46, B=8, batched children": (
+        lambda: integer_grams(50, 46, 8, 60), 2, 0.03, None,
+        "dd8161e91ab66791b83c7bfad707f742294ced0dbc4e82e4aff65dccbffe314d"),
+    "p=48, B=8, batched children": (
+        lambda: integer_grams(51, 48, 8, 60), 3, 0.04, None,
+        "ac83ed6bebc33ab2ebd251d58f9fbc543f04b1aaac61e6f736413dd9b562f211"),
 }
 
 

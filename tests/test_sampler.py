@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nsgms.model as model_module
-import nsgms.sampling as sampling_module
 from nsgms import (
     BlockModel,
     Cig,
@@ -205,22 +204,6 @@ def test_block_draws_reuse_one_buffer():
     model = build_block_model(random_cig(4, 2, 1), 3, 10, 2.0, 2)
     first, *rest = list(BlockDraws(model, 5))
     assert all(np.shares_memory(first, X) for X in rest)
-
-
-def test_block_draws_form_the_roots_once(monkeypatch):
-    # Each block's root was formed twice: on construction, and again per block.
-    model = build_block_model(random_cig(8, 2, 1), 4, 10, 2.0, 2)
-    shapes = []
-
-    def spy(K):
-        shapes.append(K.shape)
-        return inverse_square_roots(K)
-
-    monkeypatch.setattr(sampling_module, "inverse_square_roots", spy)
-    lazy = [X.copy() for X in BlockDraws(model, 5)]
-    assert shapes == [(4, 8, 8)]
-    monkeypatch.undo()
-    assert all(np.array_equal(X, Y) for X, Y in zip(lazy, sample_process(model, 5).data))
 
 
 @pytest.mark.parametrize("blocks", [[], [3], [-1], [0, 3], [True], [1.0], [1.5]])
