@@ -20,7 +20,7 @@ Stat. 1979):
   each batch's grandchildren in chunks of children, a chunk's per-block
   terms a group of blocks at a time, each group added into one objective
   slab.  The scratch buffer holds one group plus that slab, so memory
-  stays O(s * B * p^2) plus a few times ``TAIL_ENTRIES`` floats, and
+  stays O(s * B * p^2) plus about ``TAIL_ENTRIES`` floats, and
   the slab is laid out target-major, so the argmin over each target's
   candidates reads it in place.
 - From s = 3 on, first-level roots are bounded (the "bounds" half of
