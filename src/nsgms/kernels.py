@@ -20,8 +20,11 @@ Stat. 1979):
   each batch's grandchildren in chunks of children, a chunk's per-block
   terms a group of blocks at a time, each group added into one objective
   slab.  The scratch buffer holds one group plus that slab, so memory
-  stays O(s * B * p^2) plus about ``TAIL_ENTRIES`` floats, and
-  the slab is laid out target-major, so the argmin over each target's
+  stays O(s * B * p^2) plus about ``TAIL_ENTRIES`` floats, plus numpy's
+  iteration buffers of ``UFUNC_BUFFER`` floats, one per broadcast operand
+  of a call.  The sweep sets them small: numpy's default, 64 KiB each, is
+  a large share of a small sweep's peak.  Each pivot is formed in one array.
+  The slab is laid out target-major, so the argmin over each target's
   candidates reads it in place.
 - From s = 3 on, first-level roots are bounded (the "bounds" half of
   leaps-and-bounds, in the branch-and-bound form of Gatu &
@@ -102,6 +105,12 @@ import numpy as np
 # at most GROUP_ENTRIES floats (at least one child); chunks end with a batch.
 TAIL_ENTRIES = 1 << 16
 GROUP_ENTRIES = TAIL_ENTRIES // 4
+# Entries of numpy's ufunc iteration buffer during a sweep.  numpy gives each
+# operand of a call that it must buffer, such as a broadcast one, a buffer of
+# ``np.getbufsize()`` entries, 8,192 floats (64 KiB) by default; at 1,024
+# floats (8 KiB) each fits L1.  ``subset_objectives`` sets it for one sweep
+# and restores the caller's value after.
+UFUNC_BUFFER = 1 << 10
 # A block whose reverse pivot of node k is at or below this share of G_kk
 # adds nothing to the root bounds of k and every earlier root.
 UNSAFE_PIVOT = 1e-4
@@ -129,7 +138,12 @@ def subset_objectives(grams: np.ndarray, sizes, n_total: int, lam: float,
     if not sizes or sizes != sorted(set(sizes)) or sizes[0] < 0 or sizes[-1] >= p:
         raise ValueError(f"sizes must increase within 0..{p - 1}, got {sizes}")
     targets = slice(0, p) if target is None else slice(target, target + 1)
-    sweep = _Sweep(grams, targets, n_total, lam, rank_tol, sizes)
+    # Restored by hand: ``np.errstate`` restores the buffer size only on numpy >= 2.
+    bufsize = np.setbufsize(UFUNC_BUFFER)
+    try:
+        sweep = _Sweep(grams, targets, n_total, lam, rank_tol, sizes)
+    finally:
+        np.setbufsize(bufsize)
     # Sizes smallest first with strict ``<``: the first minimum over sizes.
     by_size = sweep.best[sizes]
     first = by_size.argmin(axis=0)
@@ -176,9 +190,18 @@ def _root_bounds(grams, n_total):
     return bounds
 
 
-def _pivot(a, floor):
-    """Swept pivots ``a``, inf where one drops (a <= floor): it then projects nothing out."""
-    return np.where(a > floor, a, np.inf)
+def _pivot(diag, floor, u=None, c=None):
+    """Swept pivots diag - u * c (``diag`` alone without ``u``), in one new array.
+
+    A pivot is inf where it drops (<= floor): it then projects nothing out.
+    """
+    if u is None:
+        a = diag.copy()
+    else:
+        a = np.multiply(u, c)
+        np.subtract(diag, a, out=a)
+    np.copyto(a, np.inf, where=~(a > floor))
+    return a
 
 
 def _block_sum(r, total=None, out=None):
@@ -357,14 +380,15 @@ class _Sweep:
                 nj, nk = hi - lo, p - lo - 1
                 c_jk = A[:, lo:hi, lo + 1:p]
                 u = c_jk / den[:, lo - start:hi - start, None]
-                den_k = _pivot(diag[:, None, lo + 1:p] - u * c_jk, self.floor[:, None, lo + 1:p])
+                den_k = _pivot(diag[:, None, lo + 1:p], self.floor[:, None, lo + 1:p], u, c_jk)
                 size, obj = nt * nj * nk, None
                 for b0 in range(0, B, group):
                     bs = slice(b0, min(b0 + group, B))
                     at = size if b0 else 0
                     r2 = scratch[at:at + (bs.stop - b0) * size].reshape(-1, nt, nj, nk)
-                    # u * c_ij in two calls of one broadcast operand each: numpy
-                    # gives each such operand of a call a 64 KiB buffer.
+                    # u * c_ij as a copy and an in-place product: one multiply
+                    # buffers both broadcast operands, and was slower (25 against
+                    # 19 us at a (1, 40, 10, 38) group, 2 vCPU, numpy 2.4).
                     np.copyto(r2, u[bs, None])
                     r2 *= A_t[bs, :, lo:hi, None]
                     np.subtract(A_t[bs, :, None, lo + 1:p], r2, out=r2)

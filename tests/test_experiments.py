@@ -542,6 +542,25 @@ def test_row_fields_consistent():
         assert row.wall_ms == 0.0
 
 
+# (p, s, beta): the bound's log p term at p = 8 and 64, its beta / rho_min
+# term at beta = 1.5 and 16, and s = 3 at p = 16.  Design, trial count and
+# seed were fixed before the first run.
+RECOVERY_DESIGN = ((8, 2, 1.5), (8, 2, 16.0), (64, 2, 1.5), (64, 2, 16.0), (16, 3, 2.0))
+
+
+@pytest.mark.parametrize("p, s, beta", RECOVERY_DESIGN)
+def test_recovery_holds_at_the_bound_across_its_parameters(p, s, beta):
+    # The paper's claim, checked as acceptance test_1 checks it at p = 8,
+    # s = 2, beta = 2: at the sufficient sample size the per-node error rate
+    # is at most eta, with its 95% Wilson upper limit at most 0.15.
+    cfg = ExperimentConfig(p=p, s_true=s, s_est=s, B=4, grid=(1.0,), grid_kind="N",
+                           beta=beta, lambda_mode="default", trials=100, eta=0.1,
+                           master_seed=20260824)
+    row = run_node_recovery(cfg, timings=False)[0]
+    assert row.rho_cond
+    assert row.error_rate <= cfg.eta and row.ci_high <= 0.15
+
+
 def test_rho_condition_flag_false_for_short_blocks():
     cfg = small_config(grid=(24,), grid_kind="N", trials=3)
     row = run_node_recovery(cfg, timings=False)[0]

@@ -484,31 +484,64 @@ def test_sweep_memory_is_one_tail_buffer_plus_stacks():
     # A tail's scratch holds one group of blocks' terms, up to GROUP_ENTRIES
     # floats, and the chunk's objective slab, a share 1/B of TAIL_ENTRIES at
     # most; beside it lie (B, p, p) stacks and numpy's ufunc iteration
-    # buffer of 8192 floats.  All B blocks' terms held at once, plus
-    # argmin's copy of their sum, peaked at 849,990 bytes at p = 40 and
-    # 434,440 at p = 16, B = 8 (588,566 and 272,704 now).
-    for B, p, s, bound in ((4, 40, 3, 650_000), (8, 16, 2, 320_000)):
+    # buffers of UFUNC_BUFFER floats.  Each bound is the peak with the
+    # in-place pivots and 1,024-float buffers plus 5%, and lies below the
+    # peak with 8,192-float buffers and three pivot temporaries (588,686 and
+    # 272,704 bytes here).  All B blocks' terms held at once, plus argmin's
+    # copy of their sum, peaked at 849,990 bytes at p = 40 and 434,440 at
+    # p = 16, B = 8.
+    for B, p, s, bound in ((4, 40, 3, 567_000), (8, 16, 2, 233_000)):
         X = rng.standard_normal((B, p, 4 * p))
         grams = X @ X.transpose(0, 2, 1)
         peak = traced_peak(lambda: subset_objectives(grams, range(s + 1), B * 4 * p, 0.05,
                                                      DEFAULT_RANK_TOL))
         assert peak <= bound
     # The harness's one-target s = 2 sweep (p = 8, B = 4) forms all blocks
-    # at once, and stays at or below the 16,032 bytes it peaked at before
-    # the scratch buffer.
+    # at once.  It peaked at 16,032 bytes before the scratch buffer and at
+    # 14,304 with 8,192-float buffers.
     X = rng.standard_normal((4, 8, 32))
     grams = X @ X.transpose(0, 2, 1)
     peak = traced_peak(lambda: subset_objectives(grams, range(3), 128, 0.05,
                                                  DEFAULT_RANK_TOL, target=3))
-    assert peak <= 16032
+    assert peak <= 14_260
     # At p = 100, B = 8 the one s = 2 tail takes its children in batches of
     # GROUP_ENTRIES floats.  It peaked at 909,432 bytes with each child's
-    # (B, 99, 100) grandchild term at once, and at 1,605,640 with every
-    # child's (B, 100) terms formed, and a clamped copy, at once (670,416 now).
+    # (B, 99, 100) grandchild term at once, at 1,605,640 with every child's
+    # (B, 100) terms formed, and a clamped copy, at once, and at 670,360
+    # with 8,192-float buffers and three pivot temporaries.
     X = np.random.default_rng(34).standard_normal((8, 100, 400))
     grams = X @ X.transpose(0, 2, 1)
     peak = traced_peak(lambda: subset_objectives(grams, range(3), 3200, 0.05, DEFAULT_RANK_TOL))
-    assert peak <= 760_000
+    assert peak <= 570_000
+
+
+def test_sweep_restores_the_callers_numpy_state(monkeypatch):
+    grams = integer_grams(40, 8, 4, 32)
+    seen = []
+    tail = kernels._Sweep._tail
+
+    def spying_tail(self, *args):
+        seen.append(np.getbufsize())
+        return tail(self, *args)
+
+    def failing_tail(self, *args):
+        raise RuntimeError("injected")
+
+    bufsize = np.getbufsize()
+    try:
+        with np.errstate(all="ignore"):  # not numpy's default
+            np.setbufsize(4096)
+            state = np.geterr()
+            monkeypatch.setattr(kernels._Sweep, "_tail", spying_tail)
+            subset_objectives(grams, range(4), 128, 0.05, DEFAULT_RANK_TOL)
+            assert seen and set(seen) == {kernels.UFUNC_BUFFER}
+            assert (np.getbufsize(), np.geterr()) == (4096, state)
+            monkeypatch.setattr(kernels._Sweep, "_tail", failing_tail)
+            with pytest.raises(RuntimeError, match="injected"):
+                subset_objectives(grams, range(4), 128, 0.05, DEFAULT_RANK_TOL)
+            assert (np.getbufsize(), np.geterr()) == (4096, state)
+    finally:
+        np.setbufsize(bufsize)
 
 
 def integer_grams(seed, p, B, L):
@@ -597,6 +630,13 @@ def test_sweep_bytes_are_pinned(name):
     sets, objs = subset_objectives(grams, range(s + 1), 100 * len(grams), lam,
                                    DEFAULT_RANK_TOL, target=target)
     assert hashlib.sha256(repr(sets).encode() + objs.tobytes()).hexdigest() == sha
+
+
+@pytest.mark.parametrize("bufsize", (64, 8192))
+@pytest.mark.parametrize("name", SWEEP_PINS)
+def test_sweep_bytes_do_not_depend_on_the_ufunc_buffer(monkeypatch, name, bufsize):
+    monkeypatch.setattr(kernels, "UFUNC_BUFFER", bufsize)
+    test_sweep_bytes_are_pinned(name)
 
 
 # ---------------------------------------------------------------- estimate_neighborhood
