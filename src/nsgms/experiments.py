@@ -21,9 +21,12 @@ stream, in the order a lone trial draws; the chunk's models and Gram
 matrices are built on one stack of chunk * B blocks
 (:func:`~nsgms.model.build_model_stack`), which gives each trial bit for
 bit what it would get alone; each model's roots then overwrite its own
-precisions, one model at a time, and each trial's one-target sweep runs
-on its own Gram stack.  Memory depends on the chunk size, not on the number
-of trials.  A chunk that raises is rerun one trial at a time, so a
+precisions, one model at a time.  After each trial's checks, the chunk's
+one-target sweeps run as one sweep over its (chunk, B, p, p) Gram stack,
+each trial with its own target node and penalty
+(:func:`~nsgms.kernels.subset_objectives`), and each trial's selection is
+bit for bit its lone sweep's.  Memory depends on the chunk size, not on
+the number of trials.  A chunk that raises is rerun one trial at a time, so a
 failure raises the error of the first failing trial, as a trial-by-trial
 loop would.
 
@@ -61,13 +64,12 @@ from .errors import ConfigError, InfeasibleConfigError, InvalidParameterError, T
 from .graph import random_cig
 from .model import build_model_stack, inverse_square_roots
 from .regression import (
-    EstimatorConfig,
+    _estimate_neighborhoods,
     default_lambda,
-    estimate_neighborhood,
     rho_condition_holds,
     sample_size_bound,
 )
-from .sampling import GramBlocks, sample_gram_stack
+from .sampling import sample_gram_stack
 
 _Z95 = 1.959963984540054
 _CALIBRATION_PILOTS = 32
@@ -308,9 +310,10 @@ def _run_trials(config: ExperimentConfig, L: int, grid_index: int, trials):
     Each trial draws its graph and target node on its (master, grid,
     trial) stream, then, on the same stream, its W entries in the chunk's
     model build and its Bartlett variates in the chunk's Gram build, as a
-    lone trial does; each trial's one-target sweep runs on its own Gram
-    stack.  Each model's roots are written over its own precisions, so
-    one (chunk, B, p, p) stack is held, not two.
+    lone trial does.  Each model's roots are written over its own
+    precisions, so one (chunk, B, p, p) stack is held, not two.  Each
+    trial is checked as ``estimate_neighborhood`` checks it, and then the
+    chunk's one-target sweeps run as one, over the chunk's Gram stack.
     """
     streams, cigs, nodes = [], [], []
     for t in trials:
@@ -324,11 +327,9 @@ def _run_trials(config: ExperimentConfig, L: int, grid_index: int, trials):
         stack[k] = inverse_square_roots(stack[k])
     grams = sample_gram_stack(stack, L, streams)
     del stack, streams
-    errors = 0
-    for cig, node, rho, W in zip(cigs, nodes, rhos, grams):
-        est = estimate_neighborhood(GramBlocks(p=config.p, B=config.B, L=L, grams=W), node,
-                                    EstimatorConfig(s=config.s_est, lam=config.lam(rho)))
-        errors += est.selected != cig.neighborhood(node)
+    lams = [config.lam(rho) for rho in rhos]
+    estimates = _estimate_neighborhoods(grams, L, nodes, config.s_est, lams)
+    errors = sum(est.selected != cig.neighborhood(est.node) for est, cig in zip(estimates, cigs))
     return errors, min(rhos)
 
 

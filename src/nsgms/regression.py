@@ -164,15 +164,34 @@ def estimate_neighborhood(data: SampleBlocks | GramBlocks, i: int,
                           config: EstimatorConfig) -> NeighborhoodEstimate:
     """Exhaustive penalized search for the best explaining set for node i."""
     gb = _checked_grams(data, config)
-    i = _positive_int(i, "node", gb.p)
-    (best,), (objective,) = subset_objectives(
-        gb.grams, range(config.s + 1), gb.n_samples, config.lam, config.rank_tol, target=i - 1,
+    (estimate,) = _estimate_neighborhoods(gb.grams[None], gb.L, [i], config.s, [config.lam],
+                                          config.rank_tol)
+    return estimate
+
+
+def _estimate_neighborhoods(grams: np.ndarray, L: int, nodes, s: int, lams,
+                            rank_tol: float = DEFAULT_RANK_TOL) -> list:
+    """``estimate_neighborhood`` of node nodes[k] on grams[k] at penalty lams[k], for every k.
+
+    grams is an (n, B, p, p) stack of n problems' Gram stacks, each of
+    blocks of length L, searched with budget s.  Each problem is checked in
+    turn, as ``estimate_neighborhood`` checks it, and all are scored in one
+    sweep, each bit for bit as alone.
+    """
+    nodes = [_checked_node(W, L, i, EstimatorConfig(s=s, lam=lam, rank_tol=rank_tol))
+             for W, i, lam in zip(grams, nodes, lams, strict=True)]
+    selected, objectives = subset_objectives(
+        grams, range(s + 1), grams.shape[1] * L, lams, rank_tol, target=[i - 1 for i in nodes],
     )
-    return NeighborhoodEstimate(
-        node=i,
-        selected=frozenset(j + 1 for j in best),
-        objective=float(objective),
-    )
+    return [NeighborhoodEstimate(node=i, selected=frozenset(j + 1 for j in best),
+                                 objective=float(objective))
+            for i, (best,), (objective,) in zip(nodes, selected, objectives)]
+
+
+def _checked_node(grams: np.ndarray, L: int, i, config: EstimatorConfig) -> int:
+    """Node i of one problem's Gram stack, after checking both under ``config``."""
+    gb = _checked_grams(GramBlocks(p=grams.shape[-1], B=len(grams), L=L, grams=grams), config)
+    return _positive_int(i, "node", gb.p)
 
 
 def estimate_graph(data: SampleBlocks | GramBlocks, config: EstimatorConfig,

@@ -224,10 +224,11 @@ def test_recovery_memory_does_not_grow_with_trials():
 
 
 # tracemalloc peaks, in bytes, of one calibration and of one trial chunk on
-# the acceptance config after a warm-up (numpy 2.4, Python 3.11).  Holding
+# the acceptance config after a warm-up (numpy 2.4, Python 3.11), recorded
+# while each trial still ran its own sweep.  Holding
 # one (MODELS_PER_STACK * B, p, p) stack longer than needed, such as the
 # precisions during Gram sampling, raises a peak by that stack's 8192 bytes.
-HARNESS_PEAKS = {"calibration": 43736, "trial chunk": 46888}
+HARNESS_PEAKS = {"calibration": 27712, "trial chunk": 29856}
 
 
 @pytest.mark.parametrize("step", sorted(HARNESS_PEAKS))

@@ -26,7 +26,7 @@ from nsgms import (
     sample_process,
     sample_size_bound,
 )
-from nsgms import kernels
+from nsgms import kernels, regression
 from nsgms.errors import InfeasibleConfigError, InvalidParameterError
 from nsgms.kernels import subset_objectives
 from nsgms.regression import DEFAULT_RANK_TOL, candidate_sets
@@ -212,10 +212,28 @@ def test_kernel_rejects_bad_sizes():
             subset_objectives(grams, sizes, 8, 0.1, DEFAULT_RANK_TOL)
 
 
+def test_kernel_rejects_a_target_that_is_not_a_node():
+    # Each was scored before: -1 and 5 failed inside numpy, True as node 1.
+    grams = np.stack([np.eye(5)] * 2)
+    for target in (-1, 5, True, np.True_, 1.0, "1", [2]):
+        with pytest.raises(ValueError, match="target"):
+            subset_objectives(grams, range(3), 8, 0.1, DEFAULT_RANK_TOL, target=target)
+        with pytest.raises(ValueError, match="target"):
+            subset_objectives(np.stack([grams] * 2), range(3), 8, [0.1, 0.1], DEFAULT_RANK_TOL,
+                              target=[2, target])
+    for target in (3, [1, 2, 3]):  # one node per problem of a two-problem stack
+        with pytest.raises(ValueError, match="target"):
+            subset_objectives(np.stack([grams] * 2), range(3), 8, [0.1, 0.1], DEFAULT_RANK_TOL,
+                              target=target)
+    (T,), _ = subset_objectives(grams, range(3), 8, 0.1, DEFAULT_RANK_TOL, target=np.int64(4))
+    assert 4 not in T
+
+
 @st.composite
-def degenerate_samples(draw, blocks=st.integers(1, 3)):
-    """Blocks whose rows may repeat, repeat scaled, or vanish; B is drawn from ``blocks``."""
-    p = draw(st.integers(3, 7))
+def degenerate_samples(draw, blocks=st.integers(1, 3), nodes=st.integers(3, 7)):
+    """Blocks whose rows may repeat, repeat scaled, or vanish; B and p are drawn from
+    ``blocks`` and ``nodes``."""
+    p = draw(nodes)
     B = draw(blocks)
     L = draw(st.integers(p + 1, 15))
     kinds = draw(st.lists(st.sampled_from(("plain", "copy", "scaled", "zero")),
@@ -453,7 +471,7 @@ def test_pruning_fires_on_a_planted_input(monkeypatch):
     tail, scored = kernels._Sweep._tail, []
 
     def counting_tail(self, A, T, start, barred, view):
-        scored.append(len(barred) * (self.p - start))  # target columns x children
+        scored.append(barred.size * (self.p - start))  # (problem, target) rows x children
         return tail(self, A, T, start, barred, view)
 
     monkeypatch.setattr(kernels._Sweep, "_tail", counting_tail)
@@ -637,6 +655,73 @@ def test_sweep_bytes_are_pinned(name):
 def test_sweep_bytes_do_not_depend_on_the_ufunc_buffer(monkeypatch, name, bufsize):
     monkeypatch.setattr(kernels, "UFUNC_BUFFER", bufsize)
     test_sweep_bytes_are_pinned(name)
+
+
+def assert_chunk_is_its_lone_sweeps(stacks, s, lams, targets, n_total):
+    """Problems scored in one call equal their lone calls, sets and objective bytes."""
+    sets, objs = subset_objectives(np.stack(stacks), range(s + 1), n_total, lams,
+                                   DEFAULT_RANK_TOL, target=targets)
+    for k, grams in enumerate(stacks):
+        alone = subset_objectives(grams, range(s + 1), n_total, lams[k], DEFAULT_RANK_TOL,
+                                  target=None if targets is None else targets[k])
+        assert sets[k] == alone[0]
+        assert objs[k].tobytes() == alone[1].tobytes()
+
+
+@st.composite
+def problem_stacks(draw):
+    """1-4 Gram stacks of one shape: degenerate rows, planted (the s = 3 bounds
+    prune) or L <= p (no bounds), with a penalty each, 0 included."""
+    p, B = draw(st.integers(3, 7)), draw(st.sampled_from((1, 2, 3, 8)))
+    stacks, lams = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("degenerate", "planted", "short")))
+        if kind == "degenerate":
+            grams = block_grams(draw(degenerate_samples(blocks=st.just(B), nodes=st.just(p))))
+        else:
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            L = draw(st.integers(1, p) if kind == "short" else st.integers(p + 1, 60))
+            grams = block_grams(planted_samples(rng, p, B, L) if kind == "planted"
+                                else random_samples(rng, p, B, L))
+        stacks.append(grams)
+        lams.append(draw(st.sampled_from((0.0, 1e-3, 0.02, 0.3))))
+    return stacks, lams
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem_stacks(), st.integers(0, 3), st.booleans(), st.data())
+def test_a_chunk_of_problems_is_its_lone_sweeps(problems, s, whole, data):
+    stacks, lams = problems
+    p = stacks[0].shape[1]
+    s = min(s, p - 1)
+    targets = None if whole else [data.draw(st.integers(0, p - 1)) for _ in stacks]
+    assert_chunk_is_its_lone_sweeps(stacks, s, lams, targets, 10 * len(stacks[0]))
+
+
+def test_a_chunk_of_the_tie_inputs_is_their_lone_sweeps():
+    rng = np.random.default_rng(35)
+    for samples in tie_samples():
+        grams = block_grams(samples)
+        other = block_grams(random_samples(rng, samples.p, samples.B, samples.L))
+        stacks, lams = [grams, other, grams], [0.0, 0.05, 1e-9]
+        for s in range(min(4, samples.p)):
+            assert_chunk_is_its_lone_sweeps(stacks, s, lams, None, samples.n_samples)
+            for t in range(samples.p):
+                assert_chunk_is_its_lone_sweeps(stacks, s, lams, [t, samples.p - 1 - t, t],
+                                                samples.n_samples)
+
+
+@pytest.mark.parametrize("name", SWEEP_PINS)
+def test_sweep_bytes_hold_inside_a_chunk(name):
+    make, s, lam, target, sha = SWEEP_PINS[name]
+    grams = make()
+    B, p, _ = grams.shape
+    other = integer_grams(60, p, B, 2 * p)
+    stacks, lams = [other, grams, other[::-1]], [2 * lam, lam, 0.0]
+    targets = None if target is None else [p - 1 - target, target, 0]
+    sets, objs = subset_objectives(np.stack(stacks), range(s + 1), 100 * B, lams,
+                                   DEFAULT_RANK_TOL, target=targets)
+    assert hashlib.sha256(repr(sets[1]).encode() + objs[1].tobytes()).hexdigest() == sha
 
 
 # ---------------------------------------------------------------- estimate_neighborhood
@@ -880,6 +965,21 @@ def test_every_one_node_entry_takes_a_numpy_integer_node_as_an_int():
     assert EstimatorConfig(s=0, lam=0.01).s == 0
     with pytest.raises(InvalidParameterError, match="integer s >= 0"):
         EstimatorConfig(s=-1, lam=0.01)
+
+
+def test_problems_scored_together_are_each_their_estimate():
+    rng = np.random.default_rng(36)
+    blocks = [GramBlocks(p=6, B=2, L=10, grams=block_grams(random_samples(rng, 6, 2, 10)))
+              for _ in range(3)]
+    grams = np.stack([gb.grams for gb in blocks])
+    lams = [0.0, 0.01, 0.2]
+    together = regression._estimate_neighborhoods(grams, 10, [1, 6, 3], 2, lams)
+    assert together == [estimate_neighborhood(gb, i, EstimatorConfig(s=2, lam=lam))
+                        for gb, i, lam in zip(blocks, [1, 6, 3], lams)]
+    with pytest.raises(InvalidParameterError, match="node"):
+        regression._estimate_neighborhoods(grams, 10, [1, 7, 3], 2, lams)
+    with pytest.raises(InvalidParameterError, match="lambda"):
+        regression._estimate_neighborhoods(grams, 10, [1, 6, 3], 2, [0.0, -1.0, 0.2])
 
 
 # ---------------------------------------------------------------- scalar helpers
