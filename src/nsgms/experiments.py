@@ -56,7 +56,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import astuple, dataclass, fields as dc_fields
+from dataclasses import dataclass, fields as dc_fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -426,8 +427,10 @@ def _write_csv(path, columns, rows) -> None:
 
 
 def emit_csv(rows, path) -> None:
-    """Header plus one line per grid point, in ``CSV_COLUMNS`` order."""
-    _write_csv(path, CSV_COLUMNS, map(astuple, rows))
+    """Header plus one line per grid point, in ``CSV_COLUMNS`` order, of the
+    row's fields themselves (``dataclasses.astuple`` would deep-copy each)."""
+    fields = attrgetter(*(f.name for f in dc_fields(ExperimentRow)))
+    _write_csv(path, CSV_COLUMNS, map(fields, rows))
 
 
 def parse_result_csv(path) -> list:

@@ -42,15 +42,18 @@ class Cig:
         for e in self.edges:
             try:
                 a, b = e
-                i, j = sorted((operator.index(a), operator.index(b)))
+                i, j = operator.index(a), operator.index(b)
             except (TypeError, ValueError):  # not two nodes, or a node not an integer
                 i = j = None
             # A bool is no node, as it is no node count (see _positive_int).
             if i is None or i == j or type(a) is bool or type(b) is bool:
                 raise InvalidParameterError(f"edge {e!r} is not a pair of distinct integer nodes")
+            if j < i:
+                i, j = j, i
             if i < 1 or j > self.p:
                 raise InvalidParameterError(f"edge {e!r} has a node outside 1..{self.p}")
-            pairs.add((i, j))
+            # A sorted tuple of plain ints, as random_cig gives, is kept, not rebuilt.
+            pairs.add(e if i is a and j is b and type(e) is tuple else (i, j))
         object.__setattr__(self, "edges", tuple(sorted(pairs)))
 
     def neighborhood(self, i: int) -> frozenset:
@@ -74,9 +77,10 @@ def _positive_int(value, name: str, top: float = math.inf, least: int = 1) -> in
     The one rule for a count or a node: 2.5, ``True`` and ``np.float64(2.0)``
     are rejected, and ``np.int64(2)`` is taken as 2.  :class:`Cig` applies it
     to its node count, every entry point that takes one node to the node
-    (``top`` = p), :class:`~nsgms.model.BlockModel`, the sample and Gram
-    stacks of :mod:`nsgms.sampling` to their sizes, and
-    :class:`~nsgms.regression.EstimatorConfig` to its budget s (``least`` = 0).
+    (``top`` = p), :func:`random_cig`, :class:`~nsgms.model.BlockModel`, the
+    model builds, the sample and Gram stacks of :mod:`nsgms.sampling` to their
+    sizes, and :class:`~nsgms.regression.EstimatorConfig` to its budget s
+    (``least`` = 0).
     """
     try:
         n = operator.index(value)
@@ -95,46 +99,43 @@ def random_cig(p: int, s_max: int, seed) -> Cig:
     that (almost) every node gets at least one edge, then extra random edges
     are added while the degree bound permits.  With ``s_max == 1`` and odd
     ``p`` one node necessarily stays isolated; in every other case all nodes
-    end up with degree >= 1.  Deterministic given ``seed``, which is anything
-    ``np.random.default_rng`` takes: a Generator or bit generator is drawn
-    from in place, so the caller's stream goes on after the graph's draws.
+    end up with degree >= 1.  ``p`` >= 2 and 1 <= ``s_max`` <= p - 1 are
+    counts (see :func:`_positive_int`).  Deterministic given ``seed``, which
+    is anything ``np.random.default_rng`` takes: a Generator or bit generator
+    is drawn from in place, so the caller's stream goes on after the graph's draws.
     """
-    if p < 2:
-        raise InvalidParameterError(f"need p >= 2, got {p}")
-    if not (1 <= s_max <= p - 1):
-        raise InvalidParameterError(f"need 1 <= s_max <= p-1, got s_max={s_max}")
+    p = _positive_int(p, "p", least=2)
+    s_max = _positive_int(s_max, "s_max", p - 1)
     rng = np.random.default_rng(seed)
     degree = [0] * (p + 1)
     edges = set()
 
-    def add(i, j):
-        e = (i, j) if i < j else (j, i)
-        if i != j and e not in edges and degree[i] < s_max and degree[j] < s_max:
-            edges.add(e)
-            degree[i] += 1
-            degree[j] += 1
-            return True
-        return False
-
     # Phase 1: matching over a random permutation covers all but at most one node.
-    perm = [int(v) + 1 for v in rng.permutation(p)]
-    for k in range(0, p - 1, 2):
-        add(perm[k], perm[k + 1])
+    # Its pairs are distinct nodes of degree 0, so each is accepted.
+    perm = (rng.permutation(p) + 1).tolist()
+    for i, j in zip(perm[::2], perm[1::2]):
+        edges.add((i, j) if i < j else (j, i))
+        degree[i] = degree[j] = 1
     if p % 2 == 1:
         # Attach the leftover node anywhere the bound allows (impossible for s_max=1).
         leftover = perm[-1]
-        partners = [int(v) + 1 for v in rng.permutation(p)]
-        for q in partners:
-            if q != leftover and degree[q] < s_max and add(leftover, q):
+        for q in (rng.permutation(p) + 1).tolist():
+            if q != leftover and degree[q] < s_max:
+                edges.add((leftover, q) if leftover < q else (q, leftover))
+                degree[leftover], degree[q] = 1, degree[q] + 1
                 break
 
     # Phase 2: sprinkle extra edges, keeping the graph degree-bounded.
     # One call draws every pair: the same values as one size-2 call per attempt.
-    # Indexing the array, not a .tolist() of it: that list of lists raised the traced peak.
     if s_max >= 2:
         attempts = rng.integers(0, 2 * p, endpoint=True)
-        pairs = rng.integers(1, p + 1, size=(attempts, 2))
-        for k in range(attempts):
-            add(int(pairs[k, 0]), int(pairs[k, 1]))
+        nodes = iter(rng.integers(1, p + 1, size=(attempts, 2)).ravel().tolist())
+        for i, j in zip(nodes, nodes):
+            if i != j and degree[i] < s_max and degree[j] < s_max:
+                e = (i, j) if i < j else (j, i)
+                if e not in edges:
+                    edges.add(e)
+                    degree[i] += 1
+                    degree[j] += 1
 
     return Cig(p=p, edges=edges)

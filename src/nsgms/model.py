@@ -3,10 +3,8 @@
 A model is a stack of B precision matrices sharing one graph:
 off-diagonal precision entries are nonzero exactly on the graph's edges,
 and every covariance matrix K^-1 has its eigenvalues inside a band
-[1, beta].  A :class:`BlockModel` is its precisions and nothing more: it
-checks on construction that p, B and L are integers >= 1, that
-1 < beta < 2^52, and that its precisions are finite and exactly
-symmetric.  Every draw from a model goes through one root per block,
+[1, beta].  A :class:`BlockModel` is its precisions and nothing more, checked
+on construction.  Every draw from a model goes through one root per block,
 K^-1/2 = V diag(lambda^-1/2) V^T, which one function forms and checks from
 the precisions, :func:`inverse_square_roots`, where a draw is made: in
 every sampler and in the harness's trials.  :func:`build_block_model`
@@ -20,8 +18,9 @@ is then mapped affinely, K <- alpha*(K + gamma*I), with alpha and gamma
 chosen from the extreme eigenvalues so the covariance eigenvalues land on
 [1, beta] exactly.  This cancels c and the I: the edge strengths follow
 from beta, the graph and the W draws alone.  An affine map of the
-precision matrix preserves its off-diagonal zero pattern, which an affine
-map of the covariance would not, and the pattern encodes the graph.
+precision matrix keeps its off-diagonal zero pattern, the graph, which
+one of the covariance would not; so it is formed on the edges and the
+diagonal alone.
 
 Edge strength is measured by the block-averaged squared ratio of the
 off-diagonal precision entry to the diagonal one; it is reported, never
@@ -34,10 +33,10 @@ it from the build and form no roots.
 
 n models of one shape are built on one (n*B, p, p) stack
 (:func:`build_model_stack`): each model draws all its W entries from its
-own stream in one call, and then one scatter, one ``eigvalsh``, one band
-map and one strength reduction serve them all.  Every step is per block,
-so a stacked model is bit for bit the model built alone;
-:func:`build_block_model` is the case n = 1, plus its roots' check.
+own stream in one call, and then one decode, one edge index, one scatter,
+one ``eigvalsh``, one band map and one strength reduction serve them all.
+Every step is per block, so a stacked model is bit for bit the model built
+alone; :func:`build_block_model` is the case n = 1, plus its roots' check.
 """
 
 from __future__ import annotations
@@ -126,12 +125,15 @@ class ModelReport:
     assumptions_ok: tuple  # (min edge strength, sparsity, eigenvalue band)
 
 
-def _spectrum_to_band(K: np.ndarray, beta: float) -> np.ndarray:
+def _spectrum_to_band(K: np.ndarray, beta: float, edges) -> np.ndarray:
     """Affine map of each precision spectrum so covariance eigenvalues hit [1, beta].
 
-    ``K`` is a (B, p, p) stack; it is overwritten and returned.  The map
-    needs each block's extreme eigenvalues only, from ``eigvalsh``, and acts
-    entrywise, so the mapped stack is as exactly symmetric as K.
+    ``K`` is a (B, p, p) stack, zero off the diagonal but on ``edges`` (an
+    :func:`_edge_index`); it is overwritten and returned.  The map needs each
+    block's extreme eigenvalues only, from ``eigvalsh``, and forms alpha*K +
+    (alpha*gamma)*I on the nonzero entries alone: alpha*K_ij on each edge, read
+    from the upper triangle and written to both (so the mapped stack is exactly
+    symmetric), and alpha*K_ii + alpha*gamma on the diagonal.
     """
     evals = np.linalg.eigvalsh(K)
     kmin, kmax = evals[:, 0], evals[:, -1]
@@ -139,10 +141,10 @@ def _spectrum_to_band(K: np.ndarray, beta: float) -> np.ndarray:
     flat = kmax - kmin <= 1e-12 * kmax
     alpha = np.where(flat, 1.0 / kmax, (1.0 - 1.0 / beta) / np.where(flat, 1.0, kmax - kmin))
     gamma = np.where(flat, 0.0, 1.0 / alpha - kmax)
-    # alpha*K + (alpha*gamma)*I, formed in K's own buffer.
-    K *= alpha[:, None, None]
+    blocks, mirror, _ = edges
+    K.put(mirror, K.take(mirror[0]) * alpha[blocks])
     diag = np.arange(K.shape[-1])
-    K[:, diag, diag] += (alpha * gamma)[:, None]
+    K[:, diag, diag] = K[:, diag, diag] * alpha[:, None] + (alpha * gamma)[:, None]
     return K
 
 
@@ -174,44 +176,58 @@ def inverse_square_roots(K: np.ndarray) -> np.ndarray:
     return F
 
 
-def _w_draws(cig: Cig, B: int, seed) -> np.ndarray:
-    """One model's W entries, in block then edge order, from one raw draw on ``seed``.
+def _edge_index(model_edges, B: int, p: int) -> tuple:
+    """Where the 1-based edges of n models sit in their (n*B, p, p) stack.
 
-    ``seed`` is anything ``np.random.default_rng`` takes; a Generator or bit
-    generator is drawn from in place.  The n
-    entries are what a fresh PCG64 gives for one ``rng.uniform(lo, hi)``
+    Entry (e, b) is the e-th edge (i, j), in model then edge order, in block b
+    of its model k: ``blocks`` (E, B) holds k*B + b, ``mirror`` (2, E, B) the
+    flat offsets of its (i, j) and (j, i) entries, over which ``put`` repeats
+    an (E, B) array, and ``diagonal`` (E, B) the flat offset of its (i, i)."""
+    counts = [len(edges) for edges in model_edges]
+    i, j = np.fromiter(chain.from_iterable(chain.from_iterable(model_edges)), np.intp,
+                       2 * sum(counts)).reshape(-1, 2, 1).transpose(1, 0, 2) - 1
+    blocks = np.arange(0, B * len(counts), B).repeat(counts)[:, None] + np.arange(B)
+    base = blocks * (p * p)
+    return blocks, np.stack([base + (i * p + j), base + (j * p + i)]), base + i * (p + 1)
+
+
+def _w_draws(cigs, B: int, seeds) -> np.ndarray:
+    """The (E, B) W entries of n models' edges (:func:`_edge_index` order) in each block.
+
+    Model k's n entries, in block then edge order, are what a fresh PCG64 on
+    ``seeds[k]`` (anything ``np.random.default_rng`` takes; a Generator or bit
+    generator is drawn from in place) gives for one ``rng.uniform(lo, hi)``
     magnitude and one ``rng.integers(2)`` sign (0 for minus) per edge and
-    block, drawn in turn, decoded from the (3n + 1) // 2 words those draws
-    consume.  Each pair of entries takes words w0, w1 and w2: the
-    magnitudes are lo + span * ((w >> 11) * 2^-53) of w0 and of w2, as in
-    ``rng.random()``; the first sign is bit 31 of w1, since Lemire's draw
-    over a range of 2 returns the top bit of a 32-bit output and PCG64
-    serves w1's low half first; the second sign is bit 63 of w1, the
-    cached high half.
+    block, drawn in turn: one raw draw of the (3n + 1) // 2 words they consume,
+    and one decode for all models.  Each pair of entries takes words w0, w1 and
+    w2: the magnitudes are lo + span * ((w >> 11) * 2^-53) of w0 and of w2, as
+    in ``rng.random()``; the first sign is bit 31 of w1, since Lemire's draw
+    over a range of 2 returns the top bit of a 32-bit output and PCG64 serves
+    w1's low half first; the second sign is bit 63 of w1, the cached high
+    half.  An odd n's pad word is decoded and cut.
     """
-    rng = np.random.default_rng(seed)
-    s_max = max(cig.max_degree, 1)
-    lo, hi = W_SCALE / (2 * s_max), W_SCALE / s_max
-    n = B * len(cig.edges)
-    # An odd n leaves the last triple one word short; its pad word is decoded and cut.
-    words = np.zeros(3 * ((n + 1) // 2), dtype=np.uint64)
-    words[:(3 * n + 1) // 2] = rng.bit_generator.random_raw((3 * n + 1) // 2)
-    triples = words.reshape(-1, 3)
-    magnitudes = lo + (hi - lo) * ((triples[:, ::2] >> 11) * 2.0**-53)
-    return (magnitudes * _SIGNS[(triples[:, 1:2] >> _SIGN_BITS) & 1]).ravel()[:n]
-
-
-def _edge_index(model_edges, B: int):
-    """Block, row and column index arrays of the 1-based edges of n models.
-
-    Model k's edges (i, j) appear as (b, i - 1, j - 1) for each of its
-    blocks b = k*B, ..., k*B + B - 1, in block then edge order.
-    """
-    flat = np.fromiter(chain.from_iterable(
-        (b, i - 1, j - 1) for k, edges in enumerate(model_edges)
-        for b in range(k * B, (k + 1) * B) for i, j in edges
-    ), dtype=np.intp)
-    return flat.reshape(-1, 3).T
+    words, lows, counts = [], [], []
+    for cig, seed in zip(cigs, seeds):
+        n = B * len(cig.edges)
+        words.append(np.random.default_rng(seed).bit_generator.random_raw((3 * n + 1) // 2))
+        if n % 2:  # the last triple's missing word
+            words.append(np.zeros(1, np.uint64))
+        lows.append(W_SCALE / (2 * max(cig.max_degree, 1)))
+        counts.append(len(cig.edges))
+    # The span hi - lo is lo, exactly.  Not np.repeat: tracemalloc counts its
+    # wrapper's freed keyword dicts as live.
+    lo = np.array(lows).repeat([(B * E + 1) // 2 for E in counts])[:, None]
+    words = np.concatenate(words).reshape(-1, 3)
+    entries = ((lo + lo * ((words[:, ::2] >> 11) * 2.0**-53))
+               * _SIGNS[(words[:, 1:2] >> _SIGN_BITS) & 1]).ravel()
+    del lo, words
+    # Model k's B*E entries follow the previous models' whole triples; one
+    # model at a time, so few views are held at once.
+    out, start, row = np.empty((sum(counts), B)), 0, 0
+    for E in counts:
+        out[row:row + E] = entries[start:start + B * E].reshape(B, E).T
+        start, row = start + B * E + B * E % 2, row + E
+    return out
 
 
 def _check_beta(beta) -> None:
@@ -233,23 +249,23 @@ def build_model_stack(cigs, B: int, beta: float, seeds):
     Model k has graph ``cigs[k]`` and draws its W entries on ``seeds[k]``
     (see :func:`_w_draws`); it is bit for bit the model
     :func:`build_block_model` builds from that pair.  Each K = I + W is
-    mapped into the band, and the mapped stack must be finite.  No root is
-    formed: a caller that draws forms them with :func:`inverse_square_roots`.
+    mapped into the band on its edges and its diagonal, and the mapped stack
+    must be finite.  No root is formed: a caller that draws forms them with
+    :func:`inverse_square_roots`.
     """
-    if B < 1:
-        raise InvalidParameterError(f"need B >= 1, got B={B}")
+    B = _positive_int(B, "B")
     _check_beta(beta)
     n, p = len(cigs), cigs[0].p
     if any(cig.p != p for cig in cigs):
         raise InvalidParameterError("graphs of one stack differ in p")
-    draws = np.concatenate([_w_draws(cig, B, seed) for cig, seed in zip(cigs, seeds)])
-    model_edges = [cig.edges for cig in cigs]
-    blocks, rows, cols = _edge_index(model_edges, B)
+    edges = _edge_index([cig.edges for cig in cigs], B, p)
+    draws = _w_draws(cigs, B, seeds)
     K = np.zeros((n * B, p, p))
-    K[blocks, rows, cols] = K[blocks, cols, rows] = draws
-    K += np.eye(p)  # each row of |W| sums to <= W_SCALE < 1: PD by Gershgorin
-    K = _check_finite(_spectrum_to_band(K, beta), "precisions").reshape(n, B, p, p)
-    return K, _rho_mins(K, model_edges)
+    K.put(edges[1], draws)
+    del draws  # freed before the band map
+    K.reshape(n * B, -1)[:, ::p + 1] = 1.0  # K = I + W; rows of |W| sum to < 1: PD (Gershgorin)
+    K = _check_finite(_spectrum_to_band(K, beta, edges), "precisions").reshape(n, B, p, p)
+    return K, _rho_mins(K, edges)
 
 
 def build_block_model(cig: Cig, B: int, L: int, beta: float, seed) -> BlockModel:
@@ -263,20 +279,19 @@ def build_block_model(cig: Cig, B: int, L: int, beta: float, seed) -> BlockModel
     return BlockModel(p=cig.p, B=B, L=L, beta=float(beta), precisions=precisions)
 
 
-def _rho_mins(precisions: np.ndarray, model_edges) -> list:
-    """Per model k of a stack of n models' (B, p, p) precisions, the minimum
-    over its 1-based edges ``model_edges[k]`` of the block-averaged
+def _rho_mins(precisions: np.ndarray, edges) -> list:
+    """Per model of a stack of n models' B precision blocks, the minimum over
+    its edges in ``edges`` (an :func:`_edge_index`) of the block-averaged
     (K_ij/K_ii)^2, or inf if it has none.
 
-    Each edge's B squares are summed along a contiguous last axis: the same
-    bits as ``np.mean`` over that edge's 1-D array.
+    Each edge's B squares are one contiguous row of the (E, B) ratios: their
+    mean has the same bits as ``np.mean`` over that edge's 1-D array.
     """
-    models, rows, cols = _edge_index(model_edges, 1)
-    n, p = len(model_edges), precisions.shape[-1]
-    K = precisions.reshape(n, -1, p, p).transpose(0, 2, 3, 1)  # (n, p, p, B)
-    ratio = K[models, rows, cols] / K[models, rows, rows]
-    out = np.full(n, np.inf)
-    np.minimum.at(out, models, (ratio * ratio).mean(axis=-1))
+    blocks, mirror, diagonal = edges
+    B, p = blocks.shape[1], precisions.shape[-1]
+    ratio = precisions.take(mirror[0]) / precisions.take(diagonal)
+    out = np.full(precisions.size // (B * p * p), np.inf)
+    np.minimum.at(out, blocks[:, 0] // B, (ratio * ratio).mean(axis=-1))
     return out.tolist()
 
 
@@ -285,12 +300,14 @@ def partial_correlation(model: BlockModel, i: int, j: int) -> float:
     i, j = _positive_int(i, "node", model.p), _positive_int(j, "node", model.p)
     if i == j:
         raise InvalidParameterError("need two distinct nodes")
-    return _rho_mins(model.precisions, [[(i, j)]])[0]
+    return _rho_mins(model.precisions, _edge_index([[(i, j)]], model.B, model.p))[0]
 
 
 def min_edge_strength(model: BlockModel, cig: Cig) -> float:
     """Minimum average partial correlation over the graph's edges (inf if edgeless)."""
-    return _rho_mins(model.precisions, [cig.edges])[0]
+    if model.p != cig.p:  # flat offsets into a smaller model would read other entries
+        raise InvalidParameterError("model and graph disagree on p")
+    return _rho_mins(model.precisions, _edge_index([cig.edges], model.B, model.p))[0]
 
 
 def covariance_eig_range(model: BlockModel):

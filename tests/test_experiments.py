@@ -224,11 +224,13 @@ def test_recovery_memory_does_not_grow_with_trials():
 
 
 # tracemalloc peaks, in bytes, of one calibration and of one trial chunk on
-# the acceptance config after a warm-up (numpy 2.4, Python 3.11), recorded
-# while each trial still ran its own sweep.  Holding
+# the acceptance config after a warm-up (numpy 2.4, Python 3.11): the trial
+# chunk's recorded while each trial still ran its own sweep, the
+# calibration's once the band map wrote only the edges and the diagonal and
+# the W draws were freed before it.  Holding
 # one (MODELS_PER_STACK * B, p, p) stack longer than needed, such as the
 # precisions during Gram sampling, raises a peak by that stack's 8192 bytes.
-HARNESS_PEAKS = {"calibration": 27712, "trial chunk": 29856}
+HARNESS_PEAKS = {"calibration": 24408, "trial chunk": 29856}
 
 
 @pytest.mark.parametrize("step", sorted(HARNESS_PEAKS))
@@ -265,19 +267,19 @@ def test_a_spoiled_trial_raises_what_the_trial_by_trial_loop_raises(monkeypatch)
     original = model_module._spectrum_to_band
     seen = []
 
-    def recording(K, beta):
+    def recording(K, beta, edges):
         seen.append(K.copy())
-        return original(K, beta)
+        return original(K, beta, edges)
 
     monkeypatch.setattr(model_module, "_spectrum_to_band", recording)
     run_node_recovery(cfg, timings=False)
     assert len(seen) == 1  # one stack for the whole chunk
     negated, nan = seen[0][1 * cfg.B], seen[0][3 * cfg.B]
 
-    def spoiled(K, beta):
+    def spoiled(K, beta, edges):
         hits = [[i for i, block in enumerate(K) if np.array_equal(block, target)]
                 for target in (negated, nan)]
-        K_new = original(K, beta)
+        K_new = original(K, beta, edges)
         for i in hits[0]:
             K_new[i] *= -1.0
         for i in hits[1]:
@@ -345,7 +347,7 @@ def new_layout_trial(cfg, L, t):
     factor is the Bartlett factor A, whose squared diagonal is the chi-square draws.
     """
     stream, cig, _ = _draw_trial(cfg, 0, t)
-    W = _w_draws(cig, cfg.B, copy.deepcopy(stream))
+    W = _w_draws([cig], cfg.B, [copy.deepcopy(stream)]).T.ravel()  # block then edge order
     rho = build_model_stack([cig], cfg.B, cfg.beta, [stream])[1][0]
     identity = np.broadcast_to(np.eye(cfg.p), (1, cfg.B, cfg.p, cfg.p))
     A = np.linalg.cholesky(sample_gram_stack(identity, L, [stream])[0])

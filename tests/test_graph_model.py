@@ -22,6 +22,7 @@ from nsgms.errors import ConstructionFailure, InvalidParameterError, NotPositive
 from nsgms.experiments import ExperimentConfig, _run_trials, _trial_candidates
 from nsgms.model import (
     W_SCALE,
+    _edge_index,
     _spectrum_to_band,
     _w_draws,
     build_model_stack,
@@ -144,6 +145,58 @@ def test_random_cig_invalid_parameters():
         random_cig(4, 0, 0)
     with pytest.raises(InvalidParameterError):
         random_cig(4, 4, 0)
+    # A count is an integer of any type but bool, as in Cig: 1.5 once gave a
+    # graph of max degree 1, True one with s_max = 1, and 8.0 a TypeError.
+    for p, s_max in ((8, 1.5), (8, True), (8, 2.0), (8.0, 2), (True, 1), ("8", 2)):
+        with pytest.raises(InvalidParameterError):
+            random_cig(p, s_max, 1)
+
+
+def closure_random_cig(p, s_max, seed):
+    """The reference for ``random_cig``: the graph drawn through an ``add``
+    closure with scalar ``int()`` indexing, as it once was.  Returns the
+    sorted edges and the generator, so its state after the draws can be read."""
+    rng = np.random.default_rng(seed)
+    degree = [0] * (p + 1)
+    edges = set()
+
+    def add(i, j):
+        e = (i, j) if i < j else (j, i)
+        if i != j and e not in edges and degree[i] < s_max and degree[j] < s_max:
+            edges.add(e)
+            degree[i] += 1
+            degree[j] += 1
+            return True
+        return False
+
+    perm = [int(v) + 1 for v in rng.permutation(p)]
+    for k in range(0, p - 1, 2):
+        add(perm[k], perm[k + 1])
+    if p % 2 == 1:
+        leftover = perm[-1]
+        partners = [int(v) + 1 for v in rng.permutation(p)]
+        for q in partners:
+            if q != leftover and degree[q] < s_max and add(leftover, q):
+                break
+    if s_max >= 2:
+        attempts = rng.integers(0, 2 * p, endpoint=True)
+        pairs = rng.integers(1, p + 1, size=(attempts, 2))
+        for k in range(attempts):
+            add(int(pairs[k, 0]), int(pairs[k, 1]))
+    return tuple(sorted(edges)), rng
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 8, 9, 16, 40])
+def test_random_cig_matches_the_closure_reference(p):
+    # Each trial draws its W entries and Bartlett variates on from the
+    # graph's stream, so the stream's state after the graph must match too.
+    for s_max in sorted({1, 2, p - 1} & set(range(1, p))):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            g = random_cig(p, s_max, rng)
+            edges, reference = closure_random_cig(p, s_max, seed)
+            assert g.edges == edges and all(type(v) is int for e in g.edges for v in e)
+            assert rng.bit_generator.state == reference.bit_generator.state
 
 
 def assert_queries_match_edge_scan(g):
@@ -233,10 +286,10 @@ def test_coupling_draws_decode_the_scalar_loop(p, B, seed, edgeless, data):
     else:
         g = random_cig(p, data.draw(st.integers(1, p - 1)), data.draw(st.integers(0, 2**32)))
     rng = np.random.default_rng(seed)
-    drawn = _w_draws(g, B, rng)
+    drawn = _w_draws([g], B, [rng])
     expected, state = scalar_w_draws(g, B, seed)
-    assert drawn.size == B * len(g.edges)
-    assert drawn.tobytes() == expected.tobytes()
+    assert drawn.shape == (len(g.edges), B)  # one row per edge
+    assert drawn.T.tobytes() == expected.tobytes()
     assert rng.bit_generator.state["state"] == state
 
 
@@ -308,7 +361,7 @@ def test_band_map_cancels_the_w_scale(p, s_max, seed):
     a = (1 - 1 / beta) / (mu[:, -1] - mu[:, 0])
     expected = a[:, None, None] * W0 + (1 - a * mu[:, -1])[:, None, None] * np.eye(p)
     for c in (0.05, 0.4, 0.99):
-        K_new = _spectrum_to_band(np.eye(p) + c * W0, beta)
+        K_new = _spectrum_to_band(np.eye(p) + c * W0, beta, _edge_index([g.edges], B, p))
         assert np.abs(K_new - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
@@ -367,6 +420,19 @@ def test_build_block_model_deterministic():
     m2 = build_block_model(g, 3, 8, 2.0, 77)
     for K1, K2 in zip(m1.precisions, m2.precisions):
         assert np.array_equal(K1, K2)
+
+
+@pytest.mark.parametrize("B", [2.5, True, "3", np.float64(2.0), 0])
+def test_model_builds_reject_a_block_count_that_is_not_a_positive_integer(B):
+    # Checked before any draw, as BlockModel checks it: 2.5 and True once
+    # failed inside numpy, and "3" at the comparison.
+    g, rng = random_cig(4, 2, 0), np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(InvalidParameterError, match="integer B >= 1"):
+        build_model_stack([g], B, 2.0, [rng])
+    with pytest.raises(InvalidParameterError, match="integer B >= 1"):
+        build_block_model(g, B, 8, 2.0, rng)
+    assert rng.bit_generator.state == state
 
 
 def test_build_block_model_invalid_parameters():
@@ -434,6 +500,13 @@ def test_min_edge_strength_is_bitwise_min_of_one_dimensional_block_means(B):
         assert min_edge_strength(model, g) == min(strengths)
 
 
+def test_min_edge_strength_rejects_a_graph_of_another_size():
+    # Edge (5, 6) of a p=6 graph has flat offsets inside a p=4 model's stack.
+    model = build_block_model(random_cig(4, 2, 0), 3, 8, 2.0, 1)
+    with pytest.raises(InvalidParameterError, match="disagree on p"):
+        min_edge_strength(model, Cig(p=6, edges=[(5, 6)]))
+
+
 def test_min_edge_strength_empty_graph_is_infinite():
     g = Cig(p=3)
     model = build_block_model(g, 1, 4, 2.0, 0)
@@ -483,6 +556,55 @@ def test_stacked_models_are_bitwise_the_models_built_alone(p, B, n, beta, data):
         assert (strengths[k] == float("inf")) == (not cig.edges)
 
 
+def reference_model_stack(cigs, B, beta, seeds):
+    """``build_model_stack`` written out model by model and entry by entry:
+    the scalar W draws, a Python-loop scatter of K = I + W, each block's
+    ``eigvalsh``, the band map alpha*K + alpha*gamma*I on every entry, and
+    each edge's strength as ``np.mean`` of its B squared ratios.  Returns the
+    precisions, the strengths and each stream's PCG64 state after its draws."""
+    p = cigs[0].p
+    K = np.zeros((len(cigs), B, p, p))
+    strengths, states = [], []
+    for k, (cig, seed) in enumerate(zip(cigs, seeds)):
+        W, state = scalar_w_draws(cig, B, seed)
+        states.append(state)
+        for b in range(B):
+            block = K[k, b]
+            for i in range(p):
+                block[i, i] = 1.0
+            for e, (i, j) in enumerate(cig.edges):
+                block[i - 1, j - 1] = block[j - 1, i - 1] = W[b * len(cig.edges) + e]
+            evals = np.linalg.eigvalsh(block)
+            kmin, kmax = evals[0], evals[-1]
+            if kmax - kmin <= 1e-12 * kmax:
+                alpha, gamma = 1.0 / kmax, 0.0
+            else:
+                alpha = (1.0 - 1.0 / beta) / (kmax - kmin)
+                gamma = 1.0 / alpha - kmax
+            for i in range(p):
+                for j in range(p):
+                    block[i, j] = alpha * block[i, j] + (alpha * gamma if i == j else 0.0)
+        ratios = [np.array([K[k, b, i - 1, j - 1] / K[k, b, i - 1, i - 1] for b in range(B)])
+                  for i, j in cig.edges]
+        strengths.append(min((float(np.mean(r * r)) for r in ratios), default=float("inf")))
+    return K, strengths, states
+
+
+@pytest.mark.parametrize("B", [1, 3, 9])
+def test_model_stack_matches_an_independent_reference(B):
+    # One chunk: a dense graph, an edgeless one, an odd edge count (so an odd
+    # B * |E| at odd B, and a pad word), and a matching; max degrees 6, 0, 2 and 1.
+    cigs = [random_cig(9, 8, 8), Cig(p=9), Cig(p=9, edges=[(1, 2), (2, 3), (3, 4)]),
+            random_cig(9, 1, 2)]
+    assert len({cig.max_degree for cig in cigs}) == 4 and len(cigs[2].edges) % 2 == 1
+    streams = [np.random.default_rng(seed) for seed in (10, 11, 12, 13)]
+    precisions, strengths = build_model_stack(cigs, B, 3.0, streams)
+    expected, expected_strengths, states = reference_model_stack(cigs, B, 3.0, (10, 11, 12, 13))
+    assert precisions.tobytes() == expected.tobytes()
+    assert np.array(strengths).tobytes() == np.array(expected_strengths).tobytes()
+    assert [rng.bit_generator.state["state"] for rng in streams] == states
+
+
 @pytest.mark.parametrize("p, B, beta", [(8, 4, 2.0), (3, 1, 1.1), (11, 9, 10.0)])
 def test_stacked_roots_are_square_roots_of_the_covariances_built_alone(p, B, beta):
     # Four models, one edgeless, on one stack: each block's root F = K^-1/2,
@@ -512,13 +634,13 @@ def test_block_model_and_trials_check_the_mapped_spectrum_and_the_roots(monkeypa
     builds = (lambda: build_block_model(random_cig(6, 2, 1), 2, 8, 2.0, 3),
               lambda: _run_trials(config, 100, 0, range(config.trials)))
 
-    def negated(K, beta):  # the last block turns negative definite
-        K_new = original(K, beta)
+    def negated(K, beta, edges):  # the last block turns negative definite
+        K_new = original(K, beta, edges)
         K_new[-1] *= -1.0
         return K_new
 
-    def ill_conditioned(K, beta):  # the last block gets kappa = 1e14
-        K_new = original(K, beta)
+    def ill_conditioned(K, beta, edges):  # the last block gets kappa = 1e14
+        K_new = original(K, beta, edges)
         K_new[-1] = np.eye(6) - (1 - 1e-14) / 6  # eigenvalues 1 and 1e-14
         return K_new
 
@@ -549,8 +671,8 @@ def test_pilot_rejects_non_finite_precisions(monkeypatch):
     # min(inf, nan) is inf, so a NaN strength would vanish from the calibration.
     import nsgms.model as model_module
 
-    def spoiled(K, beta):
-        K_new = _spectrum_to_band(K, beta)
+    def spoiled(K, beta, edges):
+        K_new = _spectrum_to_band(K, beta, edges)
         K_new[-1, 0, 0] = np.nan
         return K_new
 

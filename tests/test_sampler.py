@@ -147,7 +147,7 @@ def test_a_one_ulp_change_to_the_precisions_moves_every_draw_at_rounding_level(m
     before = harness_draws()
     spectrum_to_band = model_module._spectrum_to_band
     monkeypatch.setattr(model_module, "_spectrum_to_band",
-                        lambda K, beta: spectrum_to_band(one_ulp_up(K), beta))
+                        lambda K, beta, edges: spectrum_to_band(one_ulp_up(K), beta, edges))
     for draws, nudged in zip(before, harness_draws()):
         for a, b in zip(draws, nudged):
             assert relative_change(a, b) <= 1e-12
