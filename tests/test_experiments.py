@@ -224,13 +224,12 @@ def test_recovery_memory_does_not_grow_with_trials():
 
 
 # tracemalloc peaks, in bytes, of one calibration and of one trial chunk on
-# the acceptance config after a warm-up (numpy 2.4, Python 3.11): the trial
-# chunk's recorded while each trial still ran its own sweep, the
-# calibration's once the band map wrote only the edges and the diagonal and
-# the W draws were freed before it.  Holding
+# the acceptance config after a warm-up (numpy 2.4, Python 3.11), recorded
+# once the band map wrote only the edges and the diagonal and the W draws
+# were freed before it.  Holding
 # one (MODELS_PER_STACK * B, p, p) stack longer than needed, such as the
 # precisions during Gram sampling, raises a peak by that stack's 8192 bytes.
-HARNESS_PEAKS = {"calibration": 24408, "trial chunk": 29856}
+HARNESS_PEAKS = {"calibration": 23176, "trial chunk": 29848}
 
 
 @pytest.mark.parametrize("step", sorted(HARNESS_PEAKS))
