@@ -263,7 +263,9 @@ def build_model_stack(cigs, B: int, beta: float, seeds):
     K = np.zeros((n * B, p, p))
     K.put(edges[1], draws)
     del draws  # freed before the band map
-    K.reshape(n * B, -1)[:, ::p + 1] = 1.0  # K = I + W; rows of |W| sum to < 1: PD (Gershgorin)
+    # K = I + W, its diagonal set through a strided view; each row of |W| sums
+    # to <= W_SCALE < 1: PD by Gershgorin.
+    K.reshape(n * B, -1)[:, ::p + 1] = 1.0
     K = _check_finite(_spectrum_to_band(K, beta, edges), "precisions").reshape(n, B, p, p)
     return K, _rho_mins(K, edges)
 
