@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFormError, InvalidParameterError
+from .graph import _positive_int
 
 
 @dataclass(frozen=True)
@@ -97,8 +98,7 @@ def _draw_y(form: QuadraticForm, trials: int, seed) -> np.ndarray:
 
 def empirical_tail(form: QuadraticForm, eta: float, trials: int, seed) -> float:
     """Fraction of Monte Carlo draws with |y - E y| >= eta."""
-    if trials < 1:
-        raise InvalidParameterError(f"need trials >= 1, got {trials}")
+    trials = _positive_int(trials, "trials")
     _check_eta(eta)
     y = _draw_y(form, trials, seed)
     return float(np.mean(np.abs(y - form.mean) >= eta))
@@ -106,8 +106,7 @@ def empirical_tail(form: QuadraticForm, eta: float, trials: int, seed) -> float:
 
 def mgf_empirical(a_i: float, b_i: float, lam: float, trials: int, seed) -> float:
     """Monte Carlo average of exp(lam * (a z^2 + b z))."""
-    if trials < 1:
-        raise InvalidParameterError(f"need trials >= 1, got {trials}")
+    trials = _positive_int(trials, "trials")
     if lam == 0.0:
         return 1.0
     rng = np.random.default_rng(seed)

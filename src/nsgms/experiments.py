@@ -62,8 +62,8 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import ConfigError, InfeasibleConfigError, InvalidParameterError, TrendViolationError
-from .graph import random_cig
-from .model import build_model_stack, inverse_square_roots
+from .graph import _positive_int, random_cig
+from .model import _check_beta, build_model_stack, inverse_square_roots
 from .regression import (
     _estimate_neighborhoods,
     default_lambda,
@@ -94,20 +94,25 @@ class ExperimentConfig:
     master_seed: int
 
     def __post_init__(self):
-        for name, least in (("B", 1), ("trials", 1), ("master_seed", 0)):
-            if getattr(self, name) < least:
-                raise ConfigError(f"need {name} >= {least}, got {getattr(self, name)}")
         if not self.grid:
             raise ConfigError("grid must be nonempty")
+        # Counts by the package's one rule, stored as plain ints; beta by the build's.
+        try:
+            for name, least in (("p", 2), ("s_true", 1), ("s_est", 0), ("B", 1),
+                                ("trials", 1), ("master_seed", 0)):
+                value = _positive_int(getattr(self, name), name, least=least)
+                object.__setattr__(self, name, value)
+            object.__setattr__(self, "grid", tuple(
+                entry if isinstance(entry, float) else _positive_int(entry, "grid entry")
+                for entry in self.grid))
+            _check_beta(self.beta)
+        except InvalidParameterError as e:
+            raise ConfigError(str(e)) from None
         for entry in self.grid:
             if isinstance(entry, float) and not (math.isfinite(entry) and entry > 0):
                 raise ConfigError(f"grid multiplier must be finite and positive, got {entry!r}x")
-            if isinstance(entry, int) and entry < 1:
-                raise ConfigError(f"grid entry must be a positive count, got {entry}")
         if not 0 < self.eta < 1:  # a failure probability; NaN fails too
             raise ConfigError(f"need 0 < eta < 1, got {self.eta!r}")
-        if not (math.isfinite(self.beta) and self.beta > 1):
-            raise ConfigError(f"need a finite beta > 1, got {self.beta!r}")
         if self.s_est < self.s_true:
             raise ConfigError(f"need s_est >= s_true, got {self.s_est} < {self.s_true}")
         if self.s_est >= self.p:
@@ -397,8 +402,7 @@ def run_lemma_check(form, eta_grid, trials: int, seed) -> list:
     """
     from .concentration import _draw_y, tail_bound
 
-    if trials < 1:
-        raise InvalidParameterError(f"need trials >= 1, got {trials}")
+    trials = _positive_int(trials, "trials")
     dev = np.abs(_draw_y(form, trials, seed) - form.mean)
     return [(float(eta), tail_bound(form, eta), float(np.mean(dev >= eta)), trials)
             for eta in eta_grid]
@@ -434,17 +438,26 @@ def emit_csv(rows, path) -> None:
 
 
 def parse_result_csv(path) -> list:
-    """Inverse of emit_csv; each column is read as its ``ExperimentRow`` field's type."""
-    parse = {"int": int, "float": float, "bool": "true".__eq__}
+    """Inverse of emit_csv; each column is read as its ``ExperimentRow`` field's type,
+    a bool as ``true`` or ``false`` only.  A cell that does not parse raises
+    :class:`ConfigError` naming its line and column."""
+    parse = {"int": int, "float": float, "bool": {"true": True, "false": False}.__getitem__}
     fields = dc_fields(ExperimentRow)
     with open(path) as fh:
         header = fh.readline().strip()
         if header != ",".join(CSV_COLUMNS):
             raise ConfigError(f"unexpected CSV header {header!r}")
         rows = []
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             vals = line.strip().split(",")
             if len(vals) != len(CSV_COLUMNS):
                 raise ConfigError(f"bad CSV row: {line!r}")
-            rows.append(ExperimentRow(**{f.name: parse[f.type](v) for f, v in zip(fields, vals)}))
+            row = {}
+            for column, f, v in zip(CSV_COLUMNS, fields, vals):
+                try:
+                    row[f.name] = parse[f.type](v)
+                except (KeyError, ValueError):
+                    raise ConfigError(f"line {lineno}: bad {f.type} {v!r} "
+                                      f"in column {column}") from None
+            rows.append(ExperimentRow(**row))
     return rows

@@ -76,11 +76,13 @@ def _positive_int(value, name: str, top: float = math.inf, least: int = 1) -> in
 
     The one rule for a count or a node: 2.5, ``True`` and ``np.float64(2.0)``
     are rejected, and ``np.int64(2)`` is taken as 2.  :class:`Cig` applies it
-    to its node count, every entry point that takes one node to the node
-    (``top`` = p), :func:`random_cig`, :class:`~nsgms.model.BlockModel`, the
-    model builds, the sample and Gram stacks of :mod:`nsgms.sampling` to their
-    sizes, and :class:`~nsgms.regression.EstimatorConfig` to its budget s
-    (``least`` = 0).
+    to its node count, every entry point that takes one node or a set of
+    nodes to each node (``top`` = p), :func:`random_cig`, the experiment
+    config, the lemma checks, :class:`~nsgms.model.BlockModel`, the model
+    builds, and the sample and Gram stacks to their counts, and, with
+    ``least`` = 0, the sweep to its sizes and targets, ``sample_process`` to
+    its block indices and :class:`~nsgms.regression.EstimatorConfig` to its
+    budget s.
     """
     try:
         n = operator.index(value)

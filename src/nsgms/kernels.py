@@ -113,10 +113,11 @@ the row.  The projection route remains the reference.
 
 from __future__ import annotations
 
-import operator
 from typing import NamedTuple
 
 import numpy as np
+
+from .graph import _positive_int
 
 # Cap, in float64 entries, on a batched tail's (B, problems, targets,
 # children, grandchildren) term: the children of one parent are taken in
@@ -168,8 +169,8 @@ def subset_objectives(grams: np.ndarray, sizes, n_total: int, lam, rank_tol: flo
     # Blocks lead, then problems: a block's terms for every problem are one slice.
     grams = grams[:, None] if lone else grams.swapaxes(0, 1)
     n, p = grams.shape[1], grams.shape[3]
-    sizes = [int(t) for t in sizes]
-    if not sizes or sizes != sorted(set(sizes)) or sizes[0] < 0 or sizes[-1] >= p:
+    sizes = [_positive_int(t, "size", p - 1, least=0) for t in sizes]
+    if not sizes or sizes != sorted(set(sizes)):
         raise ValueError(f"sizes must increase within 0..{p - 1}, got {sizes}")
     lam = np.asarray([lam] if lone else lam, dtype=float)
     if lam.shape != (n,):
@@ -201,15 +202,7 @@ def _target_nodes(target, n, p):
         target = list(target)
     except TypeError:  # one node for a stack of problems
         raise ValueError(f"need one target per problem ({n}), got {target!r}") from None
-    nodes = []
-    for node in target:
-        try:  # a bool is no node, as in ``graph._positive_int``
-            ok = not isinstance(node, (bool, np.bool_)) and 0 <= operator.index(node) < p
-        except TypeError:  # not an integer, e.g. 1.0
-            ok = False
-        if not ok:
-            raise ValueError(f"target must be an integer node in 0..{p - 1}, got {node!r}")
-        nodes.append(operator.index(node))
+    nodes = [_positive_int(node, "target", p - 1, least=0) for node in target]
     if len(nodes) != n:
         raise ValueError(f"need one target per problem ({n}), got {len(nodes)}")
     return np.array([[node] for node in nodes], dtype=np.intp)

@@ -86,13 +86,10 @@ def project_complement(block_data: np.ndarray, T, x: np.ndarray, rank_tol: float
         raise DimensionMismatchError(
             f"block {block_data.shape} incompatible with vector {x.shape}"
         )
-    T = sorted(set(T))
+    T = sorted({_positive_int(j, "node", block_data.shape[0]) for j in T})
     L = x.shape[0]
     if len(T) >= L:
         raise InvalidParameterError(f"need |T| < L, got |T|={len(T)}, L={L}")
-    for j in T:
-        if not (1 <= j <= block_data.shape[0]):
-            raise InvalidParameterError(f"index {j} outside 1..{block_data.shape[0]}")
     basis = []
     for j in T:
         v = block_data[j - 1].copy()
@@ -119,10 +116,10 @@ def residual_statistic(samples: SampleBlocks, i: int, T, rank_tol: float = DEFAU
     non-finite values itself.
     """
     i = _positive_int(i, "node", samples.p)
-    T = sorted(set(T))
+    T = sorted({_positive_int(j, "node", samples.p) for j in T})
     if i in T:
         raise InvalidParameterError(f"candidate set must not contain the target node {i}")
-    rows = [j - 1 for j in T if 1 <= j <= samples.p] + [i - 1]  # project_complement rejects the rest
+    rows = [j - 1 for j in T] + [i - 1]
     if not np.isfinite(samples.data[:, rows]).all():
         raise InvalidParameterError("samples contain non-finite values in the rows used")
     total = 0.0

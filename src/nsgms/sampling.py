@@ -45,7 +45,6 @@ contain non-finite values" for such input.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,15 +126,6 @@ def _chunk_columns(p: int) -> int:
     return max(8, _CHUNK_BYTES // (8 * p) // 8 * 8)
 
 
-def _is_block(b, B: int) -> bool:
-    """Whether ``b`` is an integer of any type but bool in 0..B-1: the rule of
-    ``graph._positive_int``, 0-based."""
-    try:
-        return not isinstance(b, bool) and 0 <= operator.index(b) < B
-    except TypeError:  # not an integer, e.g. 1.0
-        return False
-
-
 def sample_process(model: BlockModel, seed, blocks=None, out=None) -> SampleBlocks:
     """Draw L i.i.d. columns for the listed blocks (default all B), block b with covariance K_b^-1.
 
@@ -155,8 +145,9 @@ def sample_process(model: BlockModel, seed, blocks=None, out=None) -> SampleBloc
     L mod 8 columns of a block differently from one product over the whole
     block, by about an ulp of the column's scale.
     """
-    blocks = list(range(model.B) if blocks is None else blocks)
-    if not blocks or not all(_is_block(b, model.B) for b in blocks):
+    blocks = [_positive_int(b, "blocks entry", model.B - 1, least=0)
+              for b in (range(model.B) if blocks is None else blocks)]
+    if not blocks:
         raise InvalidParameterError(f"blocks {blocks} must name one or more of 0..{model.B - 1}")
     p, L = model.p, model.L
     shape = (len(blocks), p, L)

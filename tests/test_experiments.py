@@ -13,7 +13,15 @@ from hypothesis import strategies as st
 import nsgms.experiments as experiments
 import nsgms.model as model_module
 import nsgms.sampling as sampling_module
-from nsgms import QuadraticForm, build_block_model, random_cig, sample_grams, sample_size_bound
+from nsgms import (
+    QuadraticForm,
+    build_block_model,
+    empirical_tail,
+    mgf_empirical,
+    random_cig,
+    sample_grams,
+    sample_size_bound,
+)
 from nsgms.cli import main
 from nsgms.errors import (
     ConfigError,
@@ -26,6 +34,7 @@ from nsgms.experiments import (
     CSV_COLUMNS,
     MODELS_PER_STACK,
     ExperimentConfig,
+    ExperimentRow,
     _draw_trial,
     _run_trials,
     calibrate_rho_min,
@@ -124,10 +133,23 @@ def test_config_validation():
     ("lambda_mode", "nan", "lambda_mode"), ("lambda_mode", "inf", "lambda_mode"),
     ("lambda_mode", "-inf", "lambda_mode"), ("lambda_mode", "-0.01", "lambda_mode"),
     ("B", 0, "B >= 1"), ("B", -2, "B >= 1"), ("master_seed", -5, "master_seed >= 0"),
+    # Each passed the config before: the counts ran (True as 1) or failed later,
+    # at the first pilot, build or draw; beta failed at the first build.
+    ("p", 8.5, "p >= 2"), ("p", True, "p >= 2"), ("s_true", 0, "s_true >= 1"),
+    ("s_true", 1.5, "s_true >= 1"), ("B", 2.5, "B >= 1"), ("trials", True, "trials >= 1"),
+    ("trials", 2.5, "trials >= 1"), ("master_seed", 1.5, "master_seed >= 0"),
+    ("beta", 2.0**53, "beta"),
 ])
 def test_config_rejects_bad_lambda_counts_and_seeds(field, value, match):
     with pytest.raises(ConfigError, match=match):
         small_config(**{field: value})
+
+
+def test_config_takes_numpy_counts_as_plain_ints():
+    counts = dict(p=6, s_true=2, s_est=2, B=2, trials=4, master_seed=5)
+    cfg = small_config(grid=(np.int64(200), 400), **{k: np.int64(v) for k, v in counts.items()})
+    assert cfg == small_config()
+    assert [type(getattr(cfg, k)) for k in counts] + [type(e) for e in cfg.grid] == [int] * 8
 
 
 @pytest.mark.parametrize("entry", ["nanx", "infx", "1e400x", "0x", "-1x", "0", "-4"])
@@ -645,6 +667,23 @@ def test_parse_result_csv_rejects_bad_header(tmp_path):
         parse_result_csv(path)
 
 
+def test_parse_result_csv_names_the_line_of_a_bad_cell(tmp_path):
+    # Each was a bare ValueError from int() or float(), or, for the bool, read as false.
+    row = ExperimentRow(
+        N=400, B=2, L=200, p=6, s_true=2, s_est=2, beta=2.0, rho_min=0.3, lam=0.05, trials=4,
+        errors=1, error_rate=0.25, ci_low=0.05, ci_high=0.7, bound_N=1e4, rho_cond=True,
+        wall_ms=0.0)
+    path = tmp_path / "row.csv"
+    emit_csv([row, row], path)
+    header, first, second = path.read_text().splitlines()
+    for column, cell in (("trials", "true"), ("beta", "two"), ("rho_cond", "yes")):
+        cells = second.split(",")
+        cells[CSV_COLUMNS.index(column)] = cell
+        path.write_text(f"{header}\n{first}\n{','.join(cells)}\n")
+        with pytest.raises(ConfigError, match=f"line 3: bad [a-z]+ {cell!r} in column {column}$"):
+            parse_result_csv(path)
+
+
 def test_lemma_rows_and_csv(tmp_path):
     form = QuadraticForm(a=np.array([0.5, -0.2]), b=np.array([1.0, 0.0]))
     rows = run_lemma_check(form, [0.5, 1.0, 2.0], 10_000, 3)
@@ -665,3 +704,11 @@ def test_lemma_check_needs_a_trial():
     form = QuadraticForm(a=np.array([0.5, -0.2]), b=np.array([1.0, 0.0]))
     with pytest.raises(InvalidParameterError, match="trials >= 1"):
         run_lemma_check(form, [0.5], 0, 3)
+    # Each died in numpy with a TypeError, but mgf_empirical averaged one draw for True.
+    for trials in (2.5, True):
+        with pytest.raises(InvalidParameterError, match="trials >= 1"):
+            run_lemma_check(form, [0.5], trials, 3)
+        with pytest.raises(InvalidParameterError, match="trials >= 1"):
+            empirical_tail(form, 0.5, trials, 3)
+        with pytest.raises(InvalidParameterError, match="trials >= 1"):
+            mgf_empirical(0.5, 1.0, 0.1, trials, 3)

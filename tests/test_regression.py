@@ -104,6 +104,17 @@ def test_project_rejects_oversized_set():
         project_complement(block, (1, 2, 3), rng.standard_normal(3))
 
 
+@pytest.mark.parametrize("T", [[True], [2.0], [1.5], ["2"]])
+def test_oracle_rejects_a_node_that_is_not_an_integer(T):
+    # [True] projected out node 1; the others failed inside numpy or in sorting.
+    rng = np.random.default_rng(5)
+    samples = random_samples(rng, 4, 1, 6)
+    with pytest.raises(InvalidParameterError, match="node"):
+        project_complement(samples.data[0], T, samples.data[0][2])
+    with pytest.raises(InvalidParameterError, match="node"):
+        residual_statistic(samples, 3, T)
+
+
 # ---------------------------------------------------------------- residual_statistic
 
 def test_residual_statistic_empty_set_is_mean_energy():
@@ -207,7 +218,8 @@ def test_sweep_matches_brute_force_for_every_target():
 
 def test_kernel_rejects_bad_sizes():
     grams = np.stack([np.eye(4)] * 2)
-    for sizes in ((), (1, 0), (0, 0), (-1, 0), (0, 4)):
+    # (0, 1.5) and (0, True) scanned sizes 0 and 1.
+    for sizes in ((), (1, 0), (0, 0), (-1, 0), (0, 4), (0, 1.5), (0, True)):
         with pytest.raises(ValueError):
             subset_objectives(grams, sizes, 8, 0.1, DEFAULT_RANK_TOL)
 
